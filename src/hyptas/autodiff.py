@@ -5,6 +5,14 @@ topological order); `Tape.backward` seeds the scalar output with 1 and walks
 the record once in reverse, accumulating gradients into every leaf. All
 values are numpy float64 arrays; scalars are 0-d arrays.
 
+A tape is single use: `backward` drops the record once it has built its
+result, so no Tensor -> Tape -> nodes cycle outlives the step and reference
+counting frees the graph as soon as the caller lets go of it. A second
+`backward` raises. `Tape(record=False)` is for forward-only passes
+(inference, finite-difference probes): every op computes the same value
+bytes but keeps no parents, no gradient rule and no record, and `backward`
+raises.
+
 Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias or a
 0-d scalar, every other mixed-shape combination has its own named op
 (`scale_rows`, `div_rows`, ...). This keeps each node's backward rule
@@ -72,10 +80,17 @@ class Tensor:
 
 
 class Tape:
-    """Single-owner op record; build a graph, call backward(scalar) once."""
+    """Single-owner op record; build a graph, call backward(scalar) once.
 
-    def __init__(self):
+    The tape is single use: backward drops the record, and a second call
+    raises. With `record=False` nothing is recorded: tensors carry values
+    only, so a forward pass allocates no graph and `backward` is refused.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Tensor] = []
+        self._spent = False
 
     def _wrap(self, value) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
@@ -83,17 +98,21 @@ class Tape:
 
     def leaf(self, value, name: str | None = None) -> Tensor:
         """A trainable input; backward() reports its gradient."""
-        node = Tensor(self, self._wrap(value), needs_grad=True, name=name)
-        self.nodes.append(node)
+        node = Tensor(self, self._wrap(value), needs_grad=self.record, name=name)
+        if self.record:
+            self.nodes.append(node)
         return node
 
     def const(self, value, name: str | None = None) -> Tensor:
         """A fixed input; gradients are not propagated into it."""
         node = Tensor(self, self._wrap(value), needs_grad=False, name=name)
-        self.nodes.append(node)
+        if self.record:
+            self.nodes.append(node)
         return node
 
     def _register(self, value, parents, push) -> Tensor:
+        if not self.record:
+            return Tensor(self, value)
         node = Tensor(
             self,
             value,
@@ -110,7 +129,12 @@ class Tape:
         Visits nodes exactly once in reverse creation order. Returns a dict
         keyed by leaf tensor (zero arrays for leaves the output does not
         depend on); the same gradients are left on each node's `.grad`.
+        The record is then dropped: the tape is spent.
         """
+        if not self.record:
+            raise AutodiffError("backward on a non-recording tape")
+        if self._spent:
+            raise AutodiffError("backward already ran on this tape; a tape is single use")
         if output.tape is not self:
             raise AutodiffError("output tensor does not belong to this tape")
         if output.value.ndim != 0:
@@ -126,6 +150,8 @@ class Tape:
         for node in self.nodes:
             if node._push is None and node.needs_grad:
                 out[node] = node.grad if node.grad is not None else np.zeros_like(node.value)
+        self.nodes = []
+        self._spent = True
         return out
 
 
@@ -483,41 +509,34 @@ def softmax(a: Tensor) -> Tensor:
 # 1-D dilated convolution over the time axis
 # ---------------------------------------------------------------------------
 
-def _shift(x: np.ndarray, offset: int) -> np.ndarray:
-    """Rows moved by `offset` with zero fill: out[i] = x[i + offset]."""
-    if offset == 0:
-        return x
-    out = np.zeros_like(x)
-    if offset > 0:
-        out[:-offset or None] = x[offset:]
-    else:
-        out[-offset:] = x[:offset]
-    return out
-
-
 def conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout).
 
     Tap j reads frames offset by (j - k//2) * dilation; out-of-range frames
-    contribute zero.
+    contribute zero. Both passes work on one zero-padded copy of x, one
+    matmul per tap on a row-slice view, summed tap by tap. A single im2col
+    matmul would reorder the float sums and change the result bits.
     """
     tape = _same_tape(x, w)
     xv, wv = x.value, w.value
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv1d: got input {xv.shape}, kernel {wv.shape}")
-    k = wv.shape[0]
-    offsets = [(j - k // 2) * dilation for j in range(k)]
-    out = np.zeros((xv.shape[0], wv.shape[2]))
-    for j, off in enumerate(offsets):
-        out += _shift(xv, off) @ wv[j]
+    k, L = wv.shape[0], xv.shape[0]
+    pad = (k // 2) * dilation
+    starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
+    xp = np.zeros((L + 2 * pad, xv.shape[1]))
+    xp[pad : pad + L] = xv
+    out = np.zeros((L, wv.shape[2]))
+    for j, s in enumerate(starts):
+        out += xp[s : s + L] @ wv[j]
 
     def push(g):
-        gx = np.zeros_like(xv)
-        gw = np.zeros_like(wv)
-        for j, off in enumerate(offsets):
-            gx += _shift(g @ wv[j].T, -off)
-            gw[j] = _shift(xv, off).T @ g
-        _accumulate(x, gx)
+        gp = np.zeros_like(xp)
+        gw = np.empty_like(wv)
+        for j, s in enumerate(starts):
+            gp[s : s + L] += g @ wv[j].T
+            gw[j] = xp[s : s + L].T @ g
+        _accumulate(x, gp[pad : pad + L])
         _accumulate(w, gw)
 
     return tape._register(out, (x, w), push)
@@ -535,7 +554,8 @@ def finite_diff_check(
     """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
 
     `f` builds a scalar on the tape it is given from the leaves it is given;
-    it is re-evaluated 2 * total_coordinates times at perturbed points.
+    it is re-evaluated 2 * total_coordinates times at perturbed points, each
+    time on a non-recording tape.
     """
     if step <= 0.0:
         raise AutodiffError(f"finite-difference step must be > 0, got {step}")
@@ -551,7 +571,7 @@ def finite_diff_check(
     analytic = [grads[leaf] for leaf in leaves]
 
     def value_at(arrays) -> float:
-        t = Tape()
+        t = Tape(record=False)
         v = float(f(t, [t.leaf(a) for a in arrays]).value)
         if not math.isfinite(v):
             raise AutodiffError("function evaluated non-finite at a perturbed point")

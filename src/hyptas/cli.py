@@ -25,6 +25,7 @@ from .data import (
     parse_override,
     read_config,
     read_dataset,
+    read_utf8,
     write_dataset,
 )
 from .errors import ConfigError, FormatError, HyptasError
@@ -182,7 +183,7 @@ def _cmd_eval(args) -> int:
 
     def load_names(path: Path) -> np.ndarray:
         out = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in read_utf8(path).splitlines():
             token = line.strip()
             if token:
                 out.append(names.setdefault(token, len(names)))

@@ -20,10 +20,12 @@ features are the class mean plus temporally smoothed Gaussian noise.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -181,12 +183,42 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file of its own in the target directory, then rename
+    into place; concurrent writers never share a temp file, and a failed write
+    leaves none behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates 0600; keep the usual mode
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise FormatError(f"{path}: {e.strerror or e}") from e
+
+
+def read_utf8(path: Path) -> str:
+    """A UTF-8 file; OS and decode errors become a FormatError naming the path."""
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not valid UTF-8 ({e.reason} at byte {e.start})") from e
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +236,7 @@ def write_features(path, matrix: np.ndarray) -> None:
 
 def read_features(path) -> np.ndarray:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"{path}: {e}") from e
+    blob = _read_bytes(path)
     if len(blob) < 14:
         raise FormatError(f"{path}: truncated header")
     if blob[:4] != FEATURE_MAGIC:
@@ -236,7 +265,7 @@ def write_mapping(path, class_names: list[str]) -> None:
 def read_mapping(path) -> list[str]:
     path = Path(path)
     names: dict[int, str] = {}
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -265,7 +294,7 @@ def read_labels(path, class_names: list[str]) -> np.ndarray:
     path = Path(path)
     index = {name: i for i, name in enumerate(class_names)}
     out = []
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         name = line.strip()
         if not name:
@@ -406,7 +435,7 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
     file. Range violations surface as ConfigError.
     """
     path = Path(path)
-    values = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    values = parse_config_text(read_utf8(path), source=str(path))
     if overrides:
         values.update(overrides)
     try:
@@ -466,6 +495,13 @@ class _Reader:
         self.pos += n
         return out
 
+    def text(self, n: int) -> str:
+        at = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.path}: string at byte {at} is not valid UTF-8") from e
+
 
 def _unpack_sections(blob: bytes, path: str) -> dict[str, object]:
     r = _Reader(blob, path)
@@ -477,11 +513,11 @@ def _unpack_sections(blob: bytes, path: str) -> dict[str, object]:
     sections: dict[str, object] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len)
         (kind,) = struct.unpack("<B", r.take(1))
         if kind == 1:
             (raw_len,) = struct.unpack("<I", r.take(4))
-            sections[name] = r.take(raw_len).decode("utf-8")
+            sections[name] = r.text(raw_len)
         elif kind == 0:
             (ndim,) = struct.unpack("<B", r.take(1))
             shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim)) if ndim else ()
@@ -503,11 +539,7 @@ def write_checkpoint(path, sections: list[tuple[str, object]]) -> None:
 
 def read_checkpoint(path) -> dict[str, object]:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise FormatError(f"{path}: {e}") from e
-    return _unpack_sections(blob, str(path))
+    return _unpack_sections(_read_bytes(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +571,7 @@ def read_dataset(root) -> Dataset:
         if not split_path.exists():
             raise FormatError(f"{split_path}: missing split file")
         records = []
-        for vid in split_path.read_text(encoding="utf-8").split():
+        for vid in read_utf8(split_path).split():
             features = read_features(root / "features" / f"{vid}.htfe")
             labels = read_labels(root / "labels" / f"{vid}.txt", class_names)
             if features.shape[0] != labels.shape[0]:

@@ -342,16 +342,15 @@ def infer_video(
             f"features {features.shape} do not match checkpoint feature_dim "
             f"{state.model.config.feature_dim}"
         )
-    cond_tape = Tape()
-    cond_bound = state.model.bind(cond_tape, trainable=False)
-    condition_value, _ = cond_bound.encode(features)
-    condition_value = condition_value.value
+    # One non-recording tape per video: parameters bound once, features
+    # encoded once, and every sampler step decodes against that condition.
+    tape = Tape(record=False)
+    bound = state.model.bind(tape, trainable=False)
+    condition, _ = bound.encode(features)
     last_embedding: dict[str, np.ndarray] = {}
 
     def denoiser(y_t: np.ndarray, t: int) -> np.ndarray:
-        tape = Tape()
-        bound = state.model.bind(tape, trainable=False)
-        emb, probs = bound.decode(tape.const(y_t), tape.const(condition_value), t)
+        emb, probs = bound.decode(tape.const(y_t), condition, t)
         last_embedding["value"] = emb.value
         return probs.value
 
@@ -396,14 +395,38 @@ def save_checkpoint(
     write_checkpoint(path, sections)
 
 
+def _section(sections: dict, path, name: str, ndim: int | None = None):
+    """A required checkpoint section: a string when `ndim` is None, otherwise a
+    finite float64 tensor with `ndim` dimensions."""
+    if name not in sections:
+        raise FormatError(f"{path}: missing {'section' if ndim is None else 'tensor'} {name!r}")
+    value = sections[name]
+    if ndim is None:
+        if not isinstance(value, str):
+            raise FormatError(f"{path}: section {name!r} must be a string, got a tensor")
+        return value
+    if isinstance(value, str):
+        raise FormatError(f"{path}: section {name!r} must be a tensor, got a string")
+    if value.ndim != ndim:
+        raise FormatError(f"{path}: tensor {name!r} has shape {value.shape}, expected {ndim} dimensions")
+    if not np.all(np.isfinite(value)):
+        raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+    return value
+
+
 def load_checkpoint(path, expected_config: RunConfig | None = None) -> TrainedState:
     sections = read_checkpoint(path)
-    try:
-        meta = sections["denoiser/meta"]
-        dilations = tuple(int(d) for d in sections["denoiser/dilations"])
-        config_text = sections["config_text"]
-    except KeyError as e:
-        raise FormatError(f"{path}: missing checkpoint section {e}") from e
+    meta = _section(sections, path, "denoiser/meta", 1)
+    if meta.shape != (len(CHECKPOINT_FIELDS),):
+        raise FormatError(
+            f"{path}: tensor 'denoiser/meta' has shape {meta.shape}, "
+            f"expected ({len(CHECKPOINT_FIELDS)},)"
+        )
+    raw_dilations = _section(sections, path, "denoiser/dilations", 1)
+    if raw_dilations.size == 0 or np.any(raw_dilations < 1):
+        raise FormatError(f"{path}: tensor 'denoiser/dilations' needs positive entries")
+    dilations = tuple(int(d) for d in raw_dilations)
+    config_text = _section(sections, path, "config_text")
 
     values = dict(zip(CHECKPOINT_FIELDS, meta))
     den_cfg = DenoiserConfig(
@@ -418,25 +441,27 @@ def load_checkpoint(path, expected_config: RunConfig | None = None) -> TrainedSt
         aux_head=bool(values["aux_head"]),
     )
     model = Denoiser(den_cfg, seed=0)
-    for name in model.params:
+    for name, init in model.params.items():
         key = f"param/{name}"
-        if key not in sections:
-            raise FormatError(f"{path}: missing tensor {key!r}")
-        stored = sections[key]
-        if stored.shape != model.params[name].shape:
+        stored = _section(sections, path, key, init.ndim)
+        if stored.shape != init.shape:
             raise FormatError(
-                f"{path}: tensor {key!r} has shape {stored.shape}, "
-                f"expected {model.params[name].shape}"
+                f"{path}: tensor {key!r} has shape {stored.shape}, expected {init.shape}"
             )
         model.params[name] = stored
 
+    points = _section(sections, path, "prototypes/points", 2)
+    if points.shape != (den_cfg.classes, den_cfg.embed_dim):
+        raise FormatError(
+            f"{path}: tensor 'prototypes/points' has shape {points.shape}, "
+            f"expected {(den_cfg.classes, den_cfg.embed_dim)}"
+        )
     prototypes = Prototypes(
-        sections["prototypes/points"].copy(),
-        float(sections["prototypes/curvature"]),
+        points.copy(), float(_section(sections, path, "prototypes/curvature", 0))
     )
-    if bool(float(sections["prototypes/frozen"])):
+    if bool(float(_section(sections, path, "prototypes/frozen", 0))):
         prototypes.freeze()
-    schedule = NoiseSchedule(sections["schedule/gamma"])
+    schedule = NoiseSchedule(_section(sections, path, "schedule/gamma", 1))
 
     from .data import parse_config_text
 

@@ -262,3 +262,115 @@ class TestBallOps:
             tape = Tape()
             out = bo.exp_map_origin_rows(tape.const(v), c).value
             assert np.all(c * np.sum(out * out, axis=1) < 1.0)
+
+
+def _shift(x, offset):
+    """Rows moved by `offset` with zero fill: out[i] = x[i + offset]."""
+    if offset == 0:
+        return x
+    out = np.zeros_like(x)
+    if offset > 0:
+        out[:-offset or None] = x[offset:]
+    else:
+        out[-offset:] = x[:offset]
+    return out
+
+
+def shifted_conv1d(xv, wv, g, dilation):
+    """Oracle conv1d on zero-filled shifted copies of x, tap by tap: the
+    output and, for upstream gradient g, the gradients of x and w."""
+    k = wv.shape[0]
+    offsets = [(j - k // 2) * dilation for j in range(k)]
+    out = np.zeros((xv.shape[0], wv.shape[2]))
+    for j, off in enumerate(offsets):
+        out += _shift(xv, off) @ wv[j]
+    gx = np.zeros_like(xv)
+    gw = np.zeros_like(wv)
+    for j, off in enumerate(offsets):
+        gx += _shift(g @ wv[j].T, -off)
+        gw[j] = _shift(xv, off).T @ g
+    return out, gx, gw
+
+
+class TestPaddedConv1d:
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    @pytest.mark.parametrize("length", [3, 7, 40])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_bit_identical_to_shifted_oracle(self, dilation, length, kernel):
+        rng = np.random.default_rng(1000 * dilation + 10 * length + kernel)
+        xv = rng.normal(size=(length, 5))
+        wv = rng.normal(size=(kernel, 5, 4))
+        g = rng.normal(size=(length, 4))
+        tape = Tape()
+        x, w = tape.leaf(xv), tape.leaf(wv)
+        out = td.conv1d(x, w, dilation)
+        # total(out * g) hands conv1d's backward exactly g
+        grads = tape.backward(td.total(td.mul(out, tape.const(g))))
+        ref_out, ref_gx, ref_gw = shifted_conv1d(xv, wv, g, dilation)
+        assert out.value.tobytes() == ref_out.tobytes()
+        assert grads[x].tobytes() == ref_gx.tobytes()
+        assert grads[w].tobytes() == ref_gw.tobytes()
+
+    @pytest.mark.parametrize("dilation,length", [(1, 6), (4, 9), (8, 3)])
+    def test_against_central_differences(self, dilation, length):
+        rng = np.random.default_rng(dilation * 31 + length)
+
+        def f(tape, leaves):
+            return td.mean(td.tanh(td.conv1d(leaves[0], leaves[1], dilation)))
+
+        pt = [rng.normal(size=(length, 3)), rng.normal(size=(3, 3, 2))]
+        assert finite_diff_check(f, pt) < 1e-6
+
+
+class TestNonRecordingTape:
+    @pytest.mark.parametrize("name", sorted(_op_cases()))
+    def test_same_bytes_as_recording_and_no_record(self, name):
+        f = _op_cases()[name]
+        rng = np.random.default_rng(7)
+        if name == "matmul":
+            point = [rand_rows(rng, 2, 3), rand_rows(rng, 3, 5)]
+        else:
+            point = [rand_rows(rng, 3, 4), rand_rows(rng, 3, 4)]
+        recording, bare = Tape(), Tape(record=False)
+        expected = f(recording, [recording.leaf(p) for p in point])
+        got = f(bare, [bare.leaf(p) for p in point])
+        assert got.value.tobytes() == expected.value.tobytes()
+        assert recording.nodes and bare.nodes == []
+        assert got.parents == () and got._push is None and not got.needs_grad
+
+    def test_backward_refused(self):
+        tape = Tape(record=False)
+        x = tape.leaf(np.array(2.0))
+        with pytest.raises(AutodiffError, match="non-recording"):
+            tape.backward(td.mul(x, x))
+
+    def test_model_forward_matches_recording_tape(self):
+        from hyptas.model import Denoiser, DenoiserConfig
+
+        model = Denoiser(DenoiserConfig(feature_dim=6, classes=4, encoder_channels=8), seed=2)
+        rng = np.random.default_rng(2)
+        features, y_t = rng.normal(size=(30, 6)), rng.normal(size=(30, 4))
+        outs = []
+        for tape in (Tape(), Tape(record=False)):
+            bound = model.bind(tape, trainable=False)
+            condition, p_enc = bound.encode(features)
+            emb, probs = bound.decode(tape.const(y_t), condition, 17)
+            outs.append([t.value.tobytes() for t in (condition, p_enc, emb, probs)])
+        assert outs[0] == outs[1]
+
+
+class TestSingleUseTape:
+    def test_backward_drops_the_record(self):
+        tape = Tape()
+        x = tape.leaf(np.array([[1.0, 2.0]]))
+        grads = tape.backward(td.total(td.square(x)))
+        assert tape.nodes == []
+        assert np.array_equal(grads[x], [[2.0, 4.0]])
+
+    def test_second_backward_raises(self):
+        tape = Tape()
+        x = tape.leaf(np.array(3.0))
+        out = td.mul(x, x)
+        tape.backward(out)
+        with pytest.raises(AutodiffError, match="single use"):
+            tape.backward(out)

@@ -182,3 +182,95 @@ class TestExitCodes:
             input="", capture_output=True, text=True,
         )
         assert proc.returncode == 1  # no subcommand is a usage error
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("section,value", [
+        ("prototypes/points", None),
+        ("prototypes/curvature", None),
+        ("prototypes/frozen", None),
+        ("schedule/gamma", None),
+        ("config_text", None),
+        ("denoiser/meta", "not a tensor"),
+        ("config_text", np.zeros(3)),
+        ("prototypes/points", np.zeros((2, 2))),
+        ("schedule/gamma", np.zeros((2, 2))),
+        ("denoiser/dilations", np.array([1.0, np.nan])),
+        ("param/dec.head.w", "not a tensor"),
+    ])
+    def test_exit_one_naming_path_and_section(self, workspace, tmp_path, capsys, section, value):
+        """`value` None drops the section; anything else replaces it."""
+        from hyptas.data import read_checkpoint, write_checkpoint
+
+        _, data, ckpt = workspace
+        sections = read_checkpoint(ckpt)
+        if value is None:
+            del sections[section]
+        else:
+            sections[section] = value
+        bad = tmp_path / "bad.htck"
+        write_checkpoint(bad, list(sections.items()))
+        code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(bad) in err and section in err
+
+    def test_non_utf8_section_name(self, workspace, tmp_path, capsys):
+        _, data, ckpt = workspace
+        blob = ckpt.read_bytes()
+        bad = tmp_path / "bad.htck"
+        bad.write_bytes(blob.replace(b"config_hash", b"\xffonfig_hash", 1))
+        code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1 and str(bad) in err and "UTF-8" in err
+
+
+def _break_dataset(data, kind):
+    """Damage one file of a dataset copy; returns the damaged path."""
+    first = (data / "splits" / "test.txt").read_text().split()[0]
+    if kind == "missing_dir":
+        shutil.rmtree(data)
+        return data / "mapping.txt"
+    if kind == "labels_not_utf8":
+        path = data / "labels" / f"{first}.txt"
+        path.write_bytes(b"\xff\xfe\n")
+        return path
+    if kind == "mapping_not_utf8":
+        path = data / "mapping.txt"
+        path.write_bytes(b"0 caf\xe9\n")
+        return path
+    if kind == "split_unreadable":
+        path = data / "splits" / "test.txt"
+        path.unlink()
+        path.mkdir()
+        return path
+    path = data / "features" / f"{first}.htfe"  # features_unreadable
+    path.unlink()
+    path.mkdir()
+    return path
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("kind", [
+        "missing_dir", "labels_not_utf8", "mapping_not_utf8", "split_unreadable",
+        "features_unreadable",
+    ])
+    def test_exit_one_naming_path(self, workspace, tmp_path, capsys, kind):
+        _, data, ckpt = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        broken = _break_dataset(copy, kind)
+        code = run(["infer", "--ckpt", str(ckpt), "--data", str(copy), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(broken) in err
+
+    def test_eval_label_file_not_utf8(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        gt = tmp_path / "gt"
+        shutil.copytree(data / "labels", gt)
+        broken = sorted(gt.glob("*.txt"))[0]
+        broken.write_bytes(b"\xff\n")
+        code = run(["eval", "--pred", str(data / "labels"), "--gt", str(gt)])
+        err = capsys.readouterr().err
+        assert code == 1 and str(broken) in err

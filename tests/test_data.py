@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hyptas.data import (
     RunConfig,
     SyntheticSpec,
     apply_overrides,
+    atomic_write_bytes,
     generate_synthetic,
     parse_override,
     read_checkpoint,
@@ -317,3 +320,47 @@ class TestDatasetDirectory:
         (tmp_path / "ds" / "splits" / "test.txt").unlink()
         with pytest.raises(FormatError, match="missing split"):
             read_dataset(tmp_path / "ds")
+
+
+class TestAtomicWrite:
+    def test_each_write_gets_its_own_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        temps = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            temps.append(Path(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"one")
+        atomic_write_bytes(target, b"two")
+        assert target.read_bytes() == b"two"
+        assert len(set(temps)) == 2 and all(t.parent == tmp_path for t in temps)
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path, monkeypatch):
+        import os
+
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"old"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_mode_follows_umask(self, tmp_path):
+        import os
+
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"x")
+        mask = os.umask(0)
+        os.umask(mask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~mask

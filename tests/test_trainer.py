@@ -1,10 +1,15 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
+from hyptas.autodiff import Tape
 from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
+from hyptas.diffusion import label_decode, sample
 from hyptas.errors import FormatError, ShapeError
+from hyptas.geometry import exp_map_origin_rows
 from hyptas.trainer import (
     TrainedState,
     infer_video,
@@ -190,6 +195,68 @@ class TestInference:
         state, _, _ = tiny_run
         with pytest.raises(ShapeError):
             infer_video(state, np.zeros((5, 3)), steps=2, seed=0)
+
+    @pytest.mark.parametrize("steps", [4, 1])
+    def test_bytes_match_a_recording_tape_bound_per_step(self, tiny_run, tiny_data, steps):
+        state, _, _ = tiny_run
+        for i, video in enumerate(tiny_data.test):
+            got = infer_video(state, video.features, steps=steps, seed=i)
+            want = _infer_rebinding_every_step(state, video.features, steps, seed=i)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _infer_rebinding_every_step(state, features, steps, seed):
+    """Reference inference: the condition on a tape of its own, then a new
+    recording tape and a new bind for every sampler step."""
+    cond_tape = Tape()
+    condition = state.model.bind(cond_tape, trainable=False).encode(features)[0].value
+    last = {}
+
+    def denoiser(y_t, t):
+        tape = Tape()
+        bound = state.model.bind(tape, trainable=False)
+        emb, probs = bound.decode(tape.const(y_t), tape.const(condition), t)
+        last["emb"] = emb.value
+        return probs.value
+
+    probs = sample(
+        denoiser, steps, state.schedule, (features.shape[0], state.model.config.classes), seed
+    )
+    ball = exp_map_origin_rows(last["emb"], state.config.curvature)
+    return label_decode(probs), probs, ball
+
+
+class TestStepGraphLifetime:
+    def test_step_graph_freed_without_the_cycle_collector(self, tiny_data, monkeypatch):
+        """Each training step's graph is freed by reference counting alone: by
+        the next step's backward, the previous step's loss node is gone, and
+        only the previous tape is still held (by the gradient dict's leaves).
+        A tape that kept its record after backward would keep every graph
+        alive here, since the cycle collector is off."""
+        tapes, outputs = [], []
+        live_tapes, live_outputs = [], []
+        backward = Tape.backward
+
+        def tracking_backward(tape, output):
+            live_tapes.append(sum(ref() is not None for ref in tapes))
+            live_outputs.append(sum(ref() is not None for ref in outputs))
+            tapes.append(weakref.ref(tape))
+            outputs.append(weakref.ref(output._push))  # lives exactly as long as the node
+            return backward(tape, output)
+
+        monkeypatch.setattr(Tape, "backward", tracking_backward)
+        config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
+        gc.collect()
+        gc.disable()
+        try:
+            train(tiny_data, config)
+            alive_after = sum(ref() is not None for ref in tapes + outputs)
+        finally:
+            gc.enable()
+        assert len(tapes) == config.epochs * len(tiny_data.train)
+        assert max(live_outputs) == 0
+        assert max(live_tapes) <= 1
+        assert alive_after == 0
 
 
 class TestCheckpointRoundtrip:
