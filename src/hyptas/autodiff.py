@@ -16,7 +16,9 @@ raises.
 Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias or a
 0-d scalar, every other mixed-shape combination has its own named op
 (`scale_rows`, `div_rows`, ...). This keeps each node's backward rule
-one line and the whole tape auditable.
+one line and the whole tape auditable. A gradient rule computes only the
+gradients of operands that need one: a constant operand (features, masks,
+the step embedding, a scalar factor) costs no backward arithmetic.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -24,6 +26,7 @@ test suite: central differences against the tape's analytic gradients.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -221,14 +224,16 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"mul: unsupported shapes {av.shape} * {bv.shape}")
 
     def push(g):
-        ga = g * bv
-        gb = g * av
-        if av.ndim == 0 and bv.ndim != 0:
-            ga = np.sum(ga).reshape(())
-        if bv.ndim == 0 and av.ndim != 0:
-            gb = np.sum(gb).reshape(())
-        _accumulate(a, ga)
-        _accumulate(b, gb)
+        if a.needs_grad:
+            ga = g * bv
+            if av.ndim == 0 and bv.ndim != 0:
+                ga = np.sum(ga).reshape(())
+            _accumulate(a, ga)
+        if b.needs_grad:
+            gb = g * av
+            if bv.ndim == 0 and av.ndim != 0:
+                gb = np.sum(gb).reshape(())
+            _accumulate(b, gb)
 
     return tape._register(av * bv, (a, b), push)
 
@@ -243,11 +248,13 @@ def div(a: Tensor, b) -> Tensor:
     out = av / bv
 
     def push(g):
-        _accumulate(a, g / bv)
-        gb = -g * out / bv
-        if bv.ndim == 0 and av.ndim != 0:
-            gb = np.sum(gb).reshape(())
-        _accumulate(b, gb)
+        if a.needs_grad:
+            _accumulate(a, g / bv)
+        if b.needs_grad:
+            gb = -g * out / bv
+            if bv.ndim == 0 and av.ndim != 0:
+                gb = np.sum(gb).reshape(())
+            _accumulate(b, gb)
 
     return tape._register(out, (a, b), push)
 
@@ -257,8 +264,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
 
     def push(g):
-        _accumulate(a, g @ bv.T)
-        _accumulate(b, av.T @ g)
+        if a.needs_grad:
+            _accumulate(a, g @ bv.T)
+        if b.needs_grad:
+            _accumulate(b, av.T @ g)
 
     return tape._register(av @ bv, (a, b), push)
 
@@ -393,8 +402,10 @@ def rows_dot(a: Tensor, b: Tensor) -> Tensor:
     out = np.sum(av * bv, axis=1, keepdims=True)
 
     def push(g):
-        _accumulate(a, g * bv)
-        _accumulate(b, g * av)
+        if a.needs_grad:
+            _accumulate(a, g * bv)
+        if b.needs_grad:
+            _accumulate(b, g * av)
 
     return tape._register(out, (a, b), push)
 
@@ -420,8 +431,10 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"scale_rows: got {av.shape} scaled by {sv.shape}")
 
     def push(g):
-        _accumulate(a, g * sv)
-        _accumulate(s, np.sum(g * av, axis=1, keepdims=True))
+        if a.needs_grad:
+            _accumulate(a, g * sv)
+        if s.needs_grad:
+            _accumulate(s, np.sum(g * av, axis=1, keepdims=True))
 
     return tape._register(av * sv, (a, s), push)
 
@@ -435,8 +448,10 @@ def div_rows(a: Tensor, s: Tensor) -> Tensor:
     out = av / sv
 
     def push(g):
-        _accumulate(a, g / sv)
-        _accumulate(s, np.sum(-g * out / sv, axis=1, keepdims=True))
+        if a.needs_grad:
+            _accumulate(a, g / sv)
+        if s.needs_grad:
+            _accumulate(s, np.sum(-g * out / sv, axis=1, keepdims=True))
 
     return tape._register(out, (a, s), push)
 
@@ -509,35 +524,70 @@ def softmax(a: Tensor) -> Tensor:
 # 1-D dilated convolution over the time axis
 # ---------------------------------------------------------------------------
 
-def conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
+@functools.lru_cache(maxsize=64)
+def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
+    """Output-buffer row of every input row when videos of `rows` frames sit
+    in one buffer with 2 * pad zero rows between neighbours (read-only)."""
+    offsets = np.cumsum((0,) + rows[:-1]) + 2 * pad * np.arange(len(rows))
+    index = np.concatenate([np.arange(o, o + n) for o, n in zip(offsets, rows)])
+    index.flags.writeable = False
+    return index
+
+
+def conv1d(
+    x: Tensor, w: Tensor, dilation: int = 1, rows: Sequence[int] | None = None
+) -> Tensor:
     """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout).
 
     Tap j reads frames offset by (j - k//2) * dilation; out-of-range frames
-    contribute zero. Both passes work on one zero-padded copy of x, one
-    matmul per tap on a row-slice view, summed tap by tap. A single im2col
-    matmul would reorder the float sums and change the result bits.
+    contribute zero. `rows` gives the frame counts of the videos stacked in
+    x (default: one video of L frames), and no tap reads across a video
+    boundary. Both passes work on one zero-padded buffer that holds every
+    video with pad = (k//2) * dilation zero rows on each side (2 * pad
+    between neighbours), one matmul per tap on a row-slice view over the
+    whole buffer, summed tap by tap; the valid rows are then gathered. With
+    one video the buffer is the single padded copy and nothing is gathered.
+    A single im2col matmul would reorder the float sums and change the
+    result bits.
     """
     tape = _same_tape(x, w)
     xv, wv = x.value, w.value
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv1d: got input {xv.shape}, kernel {wv.shape}")
     k, L = wv.shape[0], xv.shape[0]
+    rows = (L,) if rows is None else tuple(rows)
+    if sum(rows) != L or min(rows) < 1:
+        raise ShapeError(f"conv1d: row counts {rows} do not split {L} input rows")
     pad = (k // 2) * dilation
+    span = L + 2 * pad * (len(rows) - 1)  # output rows over the buffer, gaps included
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
-    xp = np.zeros((L + 2 * pad, xv.shape[1]))
-    xp[pad : pad + L] = xv
-    out = np.zeros((L, wv.shape[2]))
+    xp = np.zeros((span + 2 * pad, xv.shape[1]))
+    valid = _packed_rows(rows, pad) if len(rows) > 1 else None
+    if valid is None:
+        xp[pad : pad + L] = xv
+    else:
+        xp[valid + pad] = xv
+    out = np.zeros((span, wv.shape[2]))
     for j, s in enumerate(starts):
-        out += xp[s : s + L] @ wv[j]
+        out += xp[s : s + span] @ wv[j]
+    if valid is not None:
+        out = out[valid]
 
     def push(g):
-        gp = np.zeros_like(xp)
-        gw = np.empty_like(wv)
-        for j, s in enumerate(starts):
-            gp[s : s + L] += g @ wv[j].T
-            gw[j] = xp[s : s + L].T @ g
-        _accumulate(x, gp[pad : pad + L])
-        _accumulate(w, gw)
+        if valid is not None:
+            full = np.zeros((span, g.shape[1]))
+            full[valid] = g
+            g = full
+        if x.needs_grad:
+            gp = np.zeros_like(xp)
+            for j, s in enumerate(starts):
+                gp[s : s + span] += g @ wv[j].T
+            _accumulate(x, gp[pad : pad + L] if valid is None else gp[valid + pad])
+        if w.needs_grad:
+            gw = np.empty_like(wv)
+            for j, s in enumerate(starts):
+                gw[j] = xp[s : s + span].T @ g
+            _accumulate(w, gw)
 
     return tape._register(out, (x, w), push)
 

@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, HyptasError
 from .metrics import evaluate_videos
-from .trainer import infer_video, load_checkpoint, save_checkpoint, train
+from .trainer import infer_videos, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +153,13 @@ def _validate_steps(steps: int | None, timesteps: int) -> None:
         raise ConfigError(f"--steps must lie in [1, {timesteps}], got {steps}")
 
 
+def _infer_split(state, records: list, args) -> list:
+    """One packed inference pass over a split; video i is seeded with
+    seed * 100003 + i."""
+    seeds = [args.seed * 100003 + i for i in range(len(records))]
+    return infer_videos(state, [record.features for record in records], args.steps, seeds)
+
+
 def _cmd_infer(args) -> int:
     state = load_checkpoint(args.ckpt)
     _validate_steps(args.steps, state.schedule.T)
@@ -163,10 +170,7 @@ def _cmd_infer(args) -> int:
     records = _split(dataset, args.split)
     if not records:
         raise FormatError(f"{args.data}: split {args.split!r} holds no videos")
-    for i, record in enumerate(records):
-        labels, _, _ = infer_video(
-            state, record.features, args.steps, seed=args.seed * 100003 + i
-        )
+    for record, (labels, _, _) in zip(records, _infer_split(state, records, args)):
         write_labels(out_dir / f"{record.id}.txt", labels, dataset.class_names)
     print(f"wrote {len(records)} prediction files -> {out_dir}")
     return 0
@@ -221,12 +225,9 @@ def _cmd_export(args) -> int:
     records = _split(dataset, args.split)
     if not records:
         raise FormatError(f"{args.data}: split {args.split!r} holds no videos")
-    dim = state.config.embed_dim
+    dim = state.model.config.embed_dim
     lines = ["video,frame,pred_label,gt_label," + ",".join(f"x{k}" for k in range(dim))]
-    for i, record in enumerate(records):
-        labels, _, ball = infer_video(
-            state, record.features, args.steps, seed=args.seed * 100003 + i
-        )
+    for record, (labels, _, ball) in zip(records, _infer_split(state, records, args)):
         for frame in range(labels.shape[0]):
             coords = ",".join(f"{v:.10g}" for v in ball[frame])
             pred = dataset.class_names[int(labels[frame])]

@@ -4,8 +4,8 @@ skip-step reverse sampler.
 The schedule table gamma(t), t = 0..T, is the cumulative signal-retention
 fraction: x_t = sqrt(gamma(t)) x_0 + sqrt(1 - gamma(t)) eps. The sampler
 walks a strictly decreasing subsequence of timesteps down to 0; with
-sigma = 0 the whole reverse pass is a pure function of (seed, weights,
-condition features).
+sigma = 0 the whole reverse pass is a pure function of (starting noise,
+weights, condition features).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class NoiseSchedule:
         return self.gamma.shape[0] - 1
 
 
-def make_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
+def make_schedule(T: int) -> NoiseSchedule:
     """Cosine cumulative schedule clamped to [GAMMA_MIN, GAMMA_MAX].
 
     gamma(t) = cos^2(((t/T + s)/(1 + s)) * pi/2) / cos^2((s/(1 + s)) * pi/2),
@@ -56,8 +56,6 @@ def make_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
     """
     if T < 1:
         raise ScheduleError(f"T must be >= 1, got {T}")
-    if kind != "cosine":
-        raise ScheduleError(f"unknown schedule kind {kind!r}")
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + _COSINE_OFFSET) / (1.0 + _COSINE_OFFSET)) * math.pi / 2.0) ** 2
     gamma = np.clip(f / f[0], GAMMA_MIN, GAMMA_MAX)
@@ -66,17 +64,15 @@ def make_schedule(T: int, kind: str = "cosine") -> NoiseSchedule:
     return NoiseSchedule(gamma)
 
 
-def label_encode(labels: np.ndarray, num_classes: int, scale: float = 1.0) -> np.ndarray:
-    """Per-frame labels -> signed (L, C) signal: +scale at the label, -scale elsewhere."""
+def label_encode(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-frame labels -> signed (L, C) signal: +1 at the label, -1 elsewhere."""
     labels = np.asarray(labels)
-    if scale <= 0.0:
-        raise ShapeError(f"scale must be > 0, got {scale}")
     if labels.ndim != 1 or labels.size == 0:
         raise ShapeError(f"labels must be a nonempty 1-D sequence, got shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ShapeError(f"labels out of range [0, {num_classes})")
-    signal = np.full((labels.shape[0], num_classes), -scale, dtype=np.float64)
-    signal[np.arange(labels.shape[0]), labels] = scale
+    signal = np.full((labels.shape[0], num_classes), -1.0, dtype=np.float64)
+    signal[np.arange(labels.shape[0]), labels] = 1.0
     return signal
 
 
@@ -153,27 +149,28 @@ def sample(
     denoiser: Callable[[np.ndarray, int], np.ndarray],
     steps: int,
     schedule: NoiseSchedule,
-    shape: tuple[int, int],
-    seed: int,
-    scale: float = 1.0,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Run the reverse pass from seeded noise; returns (L, C) class probabilities.
+    """Run the reverse pass from the starting noise (L, C); returns (L, C) class probabilities.
 
     `denoiser(y_t, t)` must return per-frame probabilities (rows sum to 1);
-    these are re-encoded as (2P - 1) * scale before the next update. The final
-    hop targets timestep 0, where the signal is clean by definition, so it
-    returns the prediction itself: with a perfect predictor the clean signal
-    is reconstructed exactly, for any number of steps.
+    these are re-encoded as 2P - 1 before the next update. Every update is
+    elementwise, so rows stacked from several videos step exactly as they
+    would alone. The final hop targets timestep 0, where the signal is clean
+    by definition, so it returns the prediction itself: with a perfect
+    predictor the clean signal is reconstructed exactly, for any number of
+    steps.
     """
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(shape)
+    y = np.asarray(noise, dtype=np.float64)
+    if y.ndim != 2 or y.size == 0:
+        raise ShapeError(f"starting noise must be a nonempty (L, C) matrix, got shape {y.shape}")
     trajectory = sample_timesteps(schedule.T, steps)
     probs = None
     for i, t in enumerate(trajectory):
         probs = denoiser(y, t)
         if probs.shape != y.shape:
             raise ShapeError(f"denoiser returned {probs.shape}, expected {y.shape}")
-        p_t = (2.0 * probs - 1.0) * scale
+        p_t = 2.0 * probs - 1.0
         if i + 1 < len(trajectory):
             y = ddim_step(y, p_t, t, trajectory[i + 1], schedule, sigma=0.0)
         # else: the remaining hop targets t = 0, where the update collapses to

@@ -11,6 +11,7 @@ inside the graph, so masked frames contribute no encoder gradient.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -47,15 +48,19 @@ class DenoiserConfig:
             raise ShapeError("boundary_halfwidth must be >= 0")
 
 
+@functools.lru_cache(maxsize=4096)  # every t of a T = 1000 schedule, at one dim
 def sinusoidal_step_embedding(t: int, dim: int) -> np.ndarray:
-    """(1, dim) sin/cos features of the integer timestep."""
+    """(1, dim) sin/cos features of the integer timestep; cached per (t, dim)
+    and returned read-only, since every decoder call at step t reuses it."""
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
     angles = t * freqs
     emb = np.concatenate([np.sin(angles), np.cos(angles)])
     if emb.shape[0] < dim:
         emb = np.concatenate([emb, np.zeros(dim - emb.shape[0])])
-    return emb[None, :]
+    emb = emb[None, :]
+    emb.flags.writeable = False
+    return emb
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -104,15 +109,22 @@ class Denoiser:
 
 
 class BoundDenoiser:
+    """Forward passes over bound parameters. Every pass takes the frame
+    counts `rows` of the videos stacked in its inputs (default: one video);
+    every layer is row-local except the convolutions, which get `rows` so
+    that no tap reads across a video boundary."""
+
     def __init__(self, config: DenoiserConfig, tape: Tape, bound: dict[str, Tensor]):
         self.config = config
         self.tape = tape
         self.bound = bound
 
-    def _conv(self, name: str, x: Tensor, dilation: int) -> Tensor:
-        return td.add(td.conv1d(x, self.bound[f"{name}.w"], dilation), self.bound[f"{name}.b"])
+    def _conv(self, name: str, x: Tensor, dilation: int, rows) -> Tensor:
+        return td.add(
+            td.conv1d(x, self.bound[f"{name}.w"], dilation, rows), self.bound[f"{name}.b"]
+        )
 
-    def encode(self, features: np.ndarray) -> tuple[Tensor, Tensor]:
+    def encode(self, features: np.ndarray, rows=None) -> tuple[Tensor, Tensor]:
         """Features (L, D) -> (condition (L, channels), encoder probabilities (L, C))."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.feature_dim:
@@ -121,15 +133,17 @@ class BoundDenoiser:
             )
         if not np.all(np.isfinite(features)):
             raise ShapeError("non-finite features")
-        h = td.relu(self._conv("enc.in", self.tape.const(features), self.config.dilations[0]))
+        h = td.relu(
+            self._conv("enc.in", self.tape.const(features), self.config.dilations[0], rows)
+        )
         for i, dil in enumerate(self.config.dilations[1:], start=1):
-            h = td.relu(h + self._conv(f"enc.layer{i}", h, dil))
+            h = td.relu(h + self._conv(f"enc.layer{i}", h, dil, rows))
         p_enc = td.softmax(
             td.add(td.matmul(h, self.bound["enc.head.w"]), self.bound["enc.head.b"])
         )
         return h, p_enc
 
-    def decode(self, y_t: Tensor, condition: Tensor, t: int) -> tuple[Tensor, Tensor]:
+    def decode(self, y_t: Tensor, condition: Tensor, t: int, rows=None) -> tuple[Tensor, Tensor]:
         """(noisy signal (L, C), condition (L, channels), step) -> (embeddings, probabilities).
 
         The returned embeddings are the final layer's output before the
@@ -149,9 +163,9 @@ class BoundDenoiser:
             )
 
         h = td.concat_cols(y_t, condition)
-        h = td.relu(td.add(self._conv("dec.in", h, self.config.dilations[0]), step_bias(0)))
+        h = td.relu(td.add(self._conv("dec.in", h, self.config.dilations[0], rows), step_bias(0)))
         for i, dil in enumerate(self.config.dilations[1:], start=1):
-            h = td.relu(h + td.add(self._conv(f"dec.layer{i}", h, dil), step_bias(i)))
+            h = td.relu(h + td.add(self._conv(f"dec.layer{i}", h, dil, rows), step_bias(i)))
         probs = td.softmax(
             td.add(td.matmul(h, self.bound["dec.head.w"]), self.bound["dec.head.b"])
         )

@@ -1,4 +1,4 @@
-"""Two-phase training loop, prototype lifecycle, and single-video inference.
+"""Two-phase training loop, prototype lifecycle, and packed inference.
 
 Per video per step: sample a diffusion timestep uniformly in [1, T], encode
 features, apply one sampled conditioning mask, corrupt the encoded labels,
@@ -11,8 +11,10 @@ seeds produce bit-identical checkpoints.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,14 +306,13 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         last = epoch == config.epochs - 1
         if dataset.test and ((epoch + 1) % config.eval_every == 0 or last):
             state = TrainedState(model, prototypes, schedule, config)
-            pairs = []
-            for i, rec in enumerate(dataset.test):
-                pred, _, _ = infer_video(
-                    state, rec.features, config.infer_steps,
-                    seed=config.seed + 7919 * (epoch + 1) + i,
-                )
-                pairs.append((pred, rec.labels))
-            record.metrics = evaluate_videos(pairs)
+            seeds = [config.seed + 7919 * (epoch + 1) + i for i in range(len(dataset.test))]
+            preds = infer_videos(
+                state, [rec.features for rec in dataset.test], config.infer_steps, seeds
+            )
+            record.metrics = evaluate_videos(
+                [(pred, rec.labels) for (pred, _, _), rec in zip(preds, dataset.test)]
+            )
         log.records.append(record)
         logger.info("%s", record.format_line())
 
@@ -330,37 +331,62 @@ def infer_video(
     steps: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unmasked condition, deterministic reverse pass.
+    """`infer_videos` on one video: (labels, probabilities, ball embeddings)."""
+    return infer_videos(state, [features], steps, [seed])[0]
 
-    Returns (labels, per-frame probabilities, ball embeddings from the final
-    denoiser call).
+
+def infer_videos(
+    state: TrainedState,
+    features_list: Sequence[np.ndarray],
+    steps: int | None,
+    seeds: Sequence[int],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Unmasked condition, deterministic reverse pass, every video at once.
+
+    The videos are stacked in time on one non-recording tape: parameters are
+    bound once, all features are encoded once, and every sampler step is one
+    decode over all rows (the convolutions get the row counts, so no video
+    sees another). Video i starts from the noise of `seeds[i]`, so each gets
+    the prediction it would get alone. Returns per video (labels, per-frame
+    probabilities, ball embeddings from the final denoiser call).
     """
     steps = state.config.infer_steps if steps is None else steps
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != state.model.config.feature_dim:
-        raise ShapeError(
-            f"features {features.shape} do not match checkpoint feature_dim "
-            f"{state.model.config.feature_dim}"
-        )
-    # One non-recording tape per video: parameters bound once, features
-    # encoded once, and every sampler step decodes against that condition.
+    cfg = state.model.config
+    videos = [np.asarray(f, dtype=np.float64) for f in features_list]
+    seeds = list(seeds)
+    if not videos or len(seeds) != len(videos):
+        raise ShapeError(f"need one seed per video, got {len(seeds)} seeds for {len(videos)} videos")
+    for f in videos:
+        if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
+            raise ShapeError(
+                f"features {f.shape} do not match checkpoint feature_dim {cfg.feature_dim}"
+            )
+        if f.shape[0] == 0:
+            raise ShapeError("a video needs at least one frame")
+    rows = tuple(f.shape[0] for f in videos)
     tape = Tape(record=False)
     bound = state.model.bind(tape, trainable=False)
-    condition, _ = bound.encode(features)
+    # One video needs no stacked copy (a 1000-frame one would be 256 KB).
+    stacked = videos[0] if len(videos) == 1 else np.concatenate(videos)
+    condition, _ = bound.encode(stacked, rows)
     last_embedding: dict[str, np.ndarray] = {}
 
     def denoiser(y_t: np.ndarray, t: int) -> np.ndarray:
-        emb, probs = bound.decode(tape.const(y_t), condition, t)
+        emb, probs = bound.decode(tape.const(y_t), condition, t, rows)
         last_embedding["value"] = emb.value
         return probs.value
 
-    probs = sample(
-        denoiser, steps, state.schedule,
-        (features.shape[0], state.model.config.classes), seed,
-    )
+    noise = np.concatenate([
+        np.random.default_rng(seed).standard_normal((n, cfg.classes))
+        for seed, n in zip(seeds, rows)
+    ])
+    probs = sample(denoiser, steps, state.schedule, noise)
     labels = label_decode(probs)
-    ball = exp_map_origin_rows(last_embedding["value"], state.config.curvature)
-    return labels, probs, ball
+    ball = exp_map_origin_rows(last_embedding["value"], state.prototypes.curvature)
+    return [
+        (labels[end - n : end], probs[end - n : end], ball[end - n : end])
+        for n, end in zip(rows, itertools.accumulate(rows))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +496,19 @@ def load_checkpoint(path, expected_config: RunConfig | None = None) -> TrainedSt
         run_config = RunConfig(**config_values)
     except (TypeError, ConfigError) as e:
         raise FormatError(f"{path}: stored config invalid: {e}") from e
+    held = [
+        ("embed_dim", "denoiser/meta", den_cfg.embed_dim),
+        ("encoder_channels", "denoiser/meta", den_cfg.encoder_channels),
+        ("aux_head", "denoiser/meta", den_cfg.aux_head),
+        ("curvature", "prototypes/curvature", prototypes.curvature),
+        ("timesteps", "schedule/gamma", schedule.T),
+    ]
+    for field_name, section, value in held:
+        if getattr(run_config, field_name) != value:
+            raise FormatError(
+                f"{path}: config_text has {field_name} = {getattr(run_config, field_name)}, "
+                f"but section {section!r} holds {value}"
+            )
     if expected_config is not None and expected_config.hash() != sections.get("config_hash"):
         logger.warning(
             "%s: checkpoint config hash %s does not match the requested config %s",

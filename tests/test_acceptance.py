@@ -120,7 +120,8 @@ class TestCriterion3SamplerOracle:
             labels = rng.integers(0, 6, size=60)
             clean = label_encode(labels, 6)
             target = (clean + 1.0) / 2.0
-            probs = sample(lambda y, t: target.copy(), steps, schedule, clean.shape, seed=11)
+            noise = np.random.default_rng(11).standard_normal(clean.shape)
+            probs = sample(lambda y, t: target.copy(), steps, schedule, noise)
             err = float(np.max(np.abs((2.0 * probs - 1.0) - clean)))
             worst = max(worst, err)
             assert err < 1e-6, f"steps={steps}: reconstruction error {err:.3g}"

@@ -374,3 +374,78 @@ class TestSingleUseTape:
         tape.backward(out)
         with pytest.raises(AutodiffError, match="single use"):
             tape.backward(out)
+
+
+def _packed_case(rng, rows, cin=3, cout=2, kernel=3):
+    xv = rng.normal(size=(sum(rows), cin))
+    wv = rng.normal(size=(kernel, cin, cout))
+    g = rng.normal(size=(sum(rows), cout))
+    return xv, wv, g
+
+
+def _conv_with_grads(xv, wv, g, dilation, rows=None):
+    """conv1d output and, for upstream gradient g, the gradients of x and w."""
+    tape = Tape()
+    x, w = tape.leaf(xv), tape.leaf(wv)
+    out = td.conv1d(x, w, dilation, rows)
+    grads = tape.backward(td.total(td.mul(out, tape.const(g))))
+    return out.value, grads[x], grads[w]
+
+
+class TestPackedConv1d:
+    ROWS = (7, 3, 12, 1, 5)  # 3 and 1 are shorter than the pad at dilations 4 and 8
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_matches_per_video_conv(self, dilation, kernel):
+        rng = np.random.default_rng(70 + dilation + kernel)
+        xv, wv, g = _packed_case(rng, self.ROWS, kernel=kernel)
+        out, gx, gw = _conv_with_grads(xv, wv, g, dilation, self.ROWS)
+        cuts = np.cumsum(self.ROWS)[:-1]
+        gw_sum = np.zeros_like(wv)
+        for xi, gi, oi, gxi in zip(np.split(xv, cuts), np.split(g, cuts),
+                                   np.split(out, cuts), np.split(gx, cuts)):
+            ref_out, ref_gx, ref_gw = _conv_with_grads(xi, wv, gi, dilation)
+            np.testing.assert_allclose(oi, ref_out, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gxi, ref_gx, rtol=1e-12, atol=1e-12)
+            gw_sum += ref_gw
+        np.testing.assert_allclose(gw, gw_sum, rtol=1e-12, atol=1e-12)
+
+    def test_one_video_is_the_default_layout(self):
+        rng = np.random.default_rng(5)
+        xv, wv, g = _packed_case(rng, (20,))
+        packed = _conv_with_grads(xv, wv, g, 4, (20,))
+        default = _conv_with_grads(xv, wv, g, 4)
+        assert [a.tobytes() for a in packed] == [a.tobytes() for a in default]
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    def test_changing_one_video_leaves_the_others_alone(self, dilation):
+        rng = np.random.default_rng(90 + dilation)
+        xv, wv, g = _packed_case(rng, self.ROWS)
+        changed = xv.copy()
+        lo, hi = self.ROWS[0], self.ROWS[0] + self.ROWS[1]
+        changed[lo:hi] = rng.normal(size=(hi - lo, xv.shape[1]))
+        base_out, base_gx, _ = _conv_with_grads(xv, wv, g, dilation, self.ROWS)
+        out, gx, _ = _conv_with_grads(changed, wv, g, dilation, self.ROWS)
+        others = np.r_[0:lo, hi:xv.shape[0]]
+        assert out[others].tobytes() == base_out[others].tobytes()
+        assert gx[others].tobytes() == base_gx[others].tobytes()
+        assert not np.array_equal(out[lo:hi], base_out[lo:hi])
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    def test_against_central_differences(self, dilation):
+        rng = np.random.default_rng(dilation * 17)
+        rows = (5, 2, 6)
+
+        def f(tape, leaves):
+            return td.mean(td.tanh(td.conv1d(leaves[0], leaves[1], dilation, rows)))
+
+        pt = [rng.normal(size=(sum(rows), 3)), rng.normal(size=(3, 3, 2))]
+        assert finite_diff_check(f, pt) < 1e-6
+
+    @pytest.mark.parametrize("rows", [(4, 4), (10, 0), (12,)])
+    def test_row_counts_must_split_the_input(self, rows):
+        tape = Tape()
+        x, w = tape.const(np.ones((10, 3))), tape.const(np.ones((3, 3, 2)))
+        with pytest.raises(ShapeError, match="row counts"):
+            td.conv1d(x, w, 1, rows)

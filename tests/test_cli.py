@@ -225,6 +225,46 @@ class TestMalformedCheckpoint:
         assert code == 1 and str(bad) in err and "UTF-8" in err
 
 
+class TestConfigAgainstTensors:
+    @pytest.mark.parametrize("line,edited,section", [
+        ("embed_dim = 8", "embed_dim = 4", "denoiser/meta"),
+        ("encoder_channels = 8", "encoder_channels = 16", "denoiser/meta"),
+        ("aux_head = True", "aux_head = False", "denoiser/meta"),
+        ("curvature = 1.0", "curvature = 0.5", "prototypes/curvature"),
+        ("timesteps = 50", "timesteps = 60", "schedule/gamma"),
+    ])
+    def test_disagreeing_config_text_is_exit_one(self, workspace, tmp_path, capsys,
+                                                 line, edited, section):
+        """A stored config that contradicts the tensors refuses to load;
+        `export-embeddings` would otherwise label 8-wide rows with the
+        config's column count."""
+        from hyptas.data import read_checkpoint, write_checkpoint
+
+        _, data, ckpt = workspace
+        sections = read_checkpoint(ckpt)
+        assert line in sections["config_text"].splitlines()
+        sections["config_text"] = sections["config_text"].replace(line, edited)
+        bad = tmp_path / "bad.htck"
+        write_checkpoint(bad, list(sections.items()))
+        out = tmp_path / "emb.csv"
+        code = run(["export-embeddings", "--ckpt", str(bad), "--data", str(data),
+                    "--out", str(out), "--steps", "2"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        field = line.split(" = ")[0]
+        assert str(bad) in err and field in err and section in err
+        assert not out.exists()
+
+    def test_export_columns_follow_the_model(self, workspace, tmp_path):
+        _, data, ckpt = workspace
+        out = tmp_path / "emb.csv"
+        assert run(["export-embeddings", "--ckpt", str(ckpt), "--data", str(data),
+                    "--out", str(out), "--steps", "2"]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines[0].split(",")) == 4 + 8  # embed_dim = 8 in TRAIN_SETS
+        assert {len(row.split(",")) for row in lines[1:]} == {4 + 8}
+
+
 def _break_dataset(data, kind):
     """Damage one file of a dataset copy; returns the damaged path."""
     first = (data / "splits" / "test.txt").read_text().split()[0]

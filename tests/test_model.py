@@ -126,6 +126,43 @@ class TestDecode:
         assert np.all(np.isfinite(emb))
         assert not np.array_equal(emb, sinusoidal_step_embedding(124, 64))
 
+    @pytest.mark.parametrize("t,dim", [(1, 64), (500, 64), (37, 7)])
+    def test_step_embedding_cached_read_only_and_exact(self, t, dim):
+        emb = sinusoidal_step_embedding(t, dim)
+        assert sinusoidal_step_embedding(t, dim) is emb
+        assert not emb.flags.writeable
+        with pytest.raises(ValueError):
+            emb[0, 0] = 1.0
+        half = dim // 2
+        freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
+        fresh = np.concatenate([np.sin(t * freqs), np.cos(t * freqs)])
+        fresh = np.concatenate([fresh, np.zeros(dim - fresh.shape[0])])[None, :]
+        assert emb.tobytes() == fresh.tobytes()
+
+    def test_packed_videos_do_not_see_each_other(self):
+        """Encode and decode over stacked videos: changing one video's
+        features and signal leaves every other video's rows byte-identical."""
+        model = make_model(seed=4)
+        rows = (30, 5, 18)
+        rng = np.random.default_rng(8)
+        features, y_t = rng.normal(size=(53, 10)), rng.normal(size=(53, 4))
+
+        def run(feats, signal):
+            tape = Tape(record=False)
+            bound = model.bind(tape, trainable=False)
+            cond, p_enc = bound.encode(feats, rows)
+            emb, probs = bound.decode(tape.const(signal), cond, 40, rows)
+            return [a.value for a in (cond, p_enc, emb, probs)]
+
+        base = run(features, y_t)
+        features[30:35] += 1.0
+        y_t[30:35] -= 1.0
+        moved = run(features, y_t)
+        others = np.r_[0:30, 35:53]
+        for a, b in zip(base, moved):
+            assert a[others].tobytes() == b[others].tobytes()
+            assert not np.array_equal(a[30:35], b[30:35])
+
 
 class TestMasking:
     SEGMENTS = segments_from_labels([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])

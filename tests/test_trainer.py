@@ -10,9 +10,11 @@ from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
 from hyptas.diffusion import label_decode, sample
 from hyptas.errors import FormatError, ShapeError
 from hyptas.geometry import exp_map_origin_rows
+from hyptas.metrics import evaluate_videos
 from hyptas.trainer import (
     TrainedState,
     infer_video,
+    infer_videos,
     init_prototypes,
     load_checkpoint,
     save_checkpoint,
@@ -205,6 +207,51 @@ class TestInference:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+class TestPackedInference:
+    @pytest.mark.parametrize("steps", [4, 1])
+    def test_ten_videos_match_one_by_one(self, tiny_run, tiny_data, steps):
+        state, _, _ = tiny_run
+        videos = tiny_data.train + tiny_data.test
+        assert len(videos) == 10
+        assert len({v.features.shape[0] for v in videos}) > 1
+        seeds = [31 * i + 5 for i in range(len(videos))]
+        packed = infer_videos(state, [v.features for v in videos], steps, seeds)
+        assert len(packed) == len(videos)
+        for video, seed, (labels, probs, ball) in zip(videos, seeds, packed):
+            want_labels, want_probs, want_ball = infer_video(state, video.features, steps, seed)
+            assert np.array_equal(labels, want_labels)
+            np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ball, want_ball, rtol=0, atol=1e-12)
+
+    def test_training_eval_metrics_equal_per_video_eval(self, tiny_run, tiny_data):
+        state, log, config = tiny_run
+        pairs = [
+            (infer_video(state, rec.features, config.infer_steps,
+                         seed=config.seed + 7919 * config.epochs + i)[0], rec.labels)
+            for i, rec in enumerate(tiny_data.test)
+        ]
+        assert log.records[-1].metrics == evaluate_videos(pairs)
+
+    def test_curvature_comes_from_the_prototypes(self, tiny_run, tiny_data):
+        state, _, _ = tiny_run
+        other = TrainedState(state.model, state.prototypes, state.schedule,
+                             RunConfig(timesteps=100, infer_steps=4, curvature=3.0))
+        video = tiny_data.test[0]
+        a = infer_video(state, video.features, 2, seed=1)
+        b = infer_video(other, video.features, 2, seed=1)
+        assert a[2].tobytes() == b[2].tobytes()
+
+    @pytest.mark.parametrize("features,seeds", [
+        ([], []),
+        ([np.zeros((5, 8))], [0, 1]),
+        ([np.zeros((5, 8)), np.zeros((0, 8))], [0, 1]),
+    ])
+    def test_bad_batches_rejected(self, tiny_run, features, seeds):
+        state, _, _ = tiny_run
+        with pytest.raises(ShapeError):
+            infer_videos(state, features, 2, seeds)
+
+
 def _infer_rebinding_every_step(state, features, steps, seed):
     """Reference inference: the condition on a tape of its own, then a new
     recording tape and a new bind for every sampler step."""
@@ -219,9 +266,10 @@ def _infer_rebinding_every_step(state, features, steps, seed):
         last["emb"] = emb.value
         return probs.value
 
-    probs = sample(
-        denoiser, steps, state.schedule, (features.shape[0], state.model.config.classes), seed
+    noise = np.random.default_rng(seed).standard_normal(
+        (features.shape[0], state.model.config.classes)
     )
+    probs = sample(denoiser, steps, state.schedule, noise)
     ball = exp_map_origin_rows(last["emb"], state.config.curvature)
     return label_decode(probs), probs, ball
 
@@ -257,6 +305,41 @@ class TestStepGraphLifetime:
         assert max(live_outputs) == 0
         assert max(live_tapes) <= 1
         assert alive_after == 0
+
+
+class TestSkippedGradients:
+    def test_step_gradients_keep_the_bytes_of_computing_every_branch(self, tiny_data, monkeypatch):
+        """Gradient rules skip operands that need no gradient. Making every
+        constant a leaf runs every branch again, as all of them once ran; the
+        gradients of each training step's own leaves (parameters, prototypes)
+        must not change by a bit."""
+        config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
+        leaf, backward = Tape.leaf, Tape.backward
+
+        def step_gradients(every_branch):
+            own, steps = {}, []
+
+            def own_leaf(tape, value, name=None):
+                node = leaf(tape, value, name)
+                own[id(node)] = node  # held, so the id stays unique
+                return node
+
+            def capture(tape, output):
+                grads = backward(tape, output)
+                steps.append([g.tobytes() for node, g in grads.items() if id(node) in own])
+                return grads
+
+            with monkeypatch.context() as m:
+                m.setattr(Tape, "leaf", own_leaf)
+                m.setattr(Tape, "backward", capture)
+                if every_branch:
+                    m.setattr(Tape, "const", lambda tape, value, name=None: leaf(tape, value, name))
+                train(tiny_data, config)
+            return steps
+
+        skipped = step_gradients(False)
+        assert len(skipped) == config.epochs * len(tiny_data.train)
+        assert skipped == step_gradients(True)
 
 
 class TestCheckpointRoundtrip:
