@@ -492,21 +492,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Softmax family (row-wise over class columns)
+# Softmax (row-wise over class columns)
 # ---------------------------------------------------------------------------
-
-def log_softmax(a: Tensor) -> Tensor:
-    val = a.value
-    shifted = val - np.max(val, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def push(g):
-        _accumulate(a, g - soft * np.sum(g, axis=1, keepdims=True))
-
-    return a.tape._register(out, (a,), push)
-
 
 def softmax(a: Tensor) -> Tensor:
     val = a.value
@@ -527,8 +514,8 @@ def softmax(a: Tensor) -> Tensor:
 @functools.lru_cache(maxsize=64)
 def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
     """Output-buffer row of every input row when videos of `rows` frames sit
-    in one buffer with 2 * pad zero rows between neighbours (read-only)."""
-    offsets = np.cumsum((0,) + rows[:-1]) + 2 * pad * np.arange(len(rows))
+    in one buffer with pad zero rows between neighbours (read-only)."""
+    offsets = np.cumsum((0,) + rows[:-1]) + pad * np.arange(len(rows))
     index = np.concatenate([np.arange(o, o + n) for o, n in zip(offsets, rows)])
     index.flags.writeable = False
     return index
@@ -543,9 +530,10 @@ def conv1d(
     contribute zero. `rows` gives the frame counts of the videos stacked in
     x (default: one video of L frames), and no tap reads across a video
     boundary. Both passes work on one zero-padded buffer that holds every
-    video with pad = (k//2) * dilation zero rows on each side (2 * pad
-    between neighbours), one matmul per tap on a row-slice view over the
-    whole buffer, summed tap by tap; the valid rows are then gathered. With
+    video with pad = (k//2) * dilation zero rows on each side (pad rows
+    between neighbours, since a tap reaches at most pad rows past a video's
+    edge), one matmul per tap on a row-slice view over the whole buffer,
+    summed tap by tap; the valid rows are then gathered. With
     one video the buffer is the single padded copy and nothing is gathered.
     A single im2col matmul would reorder the float sums and change the
     result bits.
@@ -559,7 +547,7 @@ def conv1d(
     if sum(rows) != L or min(rows) < 1:
         raise ShapeError(f"conv1d: row counts {rows} do not split {L} input rows")
     pad = (k // 2) * dilation
-    span = L + 2 * pad * (len(rows) - 1)  # output rows over the buffer, gaps included
+    span = L + pad * (len(rows) - 1)  # output rows over the buffer, gaps included
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
     xp = np.zeros((span + 2 * pad, xv.shape[1]))
     valid = _packed_rows(rows, pad) if len(rows) > 1 else None

@@ -29,16 +29,8 @@ from .geometry import (
     log_map_rows,
     origin_distance_rows,
 )
-from .losses import (
-    LossWeights,
-    cross_entropy,
-    geodesic_guidance,
-    guidance_total,
-    prototype_margin,
-    push_pull,
-    stabilization_total,
-    temporal_entailment,
-)
+from .data import RunConfig
+from .losses import cross_entropy, phase_loss
 from .metrics import edit_score, f1_at_overlap, frame_accuracy
 
 
@@ -134,33 +126,20 @@ def _composite_surfaces(rng):
         if np.any(np.abs(distance_rows(protos[i], protos[j], 1.0) - 2.0) < 1e-3):
             continue
         break
-    weights = LossWeights()
+    config = RunConfig()  # default weights and geometry, T = 1000
     y = np.eye(classes)[labels]
 
-    def stable(tape, leaves):
-        e, p, lg = leaves
-        ball_t = bo.exp_map_origin_rows(e, 1.0)
-        protos_t = bo.exp_map_origin_rows(p, 1.0)
-        return stabilization_total(
-            cross_entropy(td.softmax(lg), y),
-            temporal_entailment(ball_t, weights.cone_k),
-            prototype_margin(protos_t, weights.margin, 1.0),
-            push_pull(ball_t, td.gather_rows(protos_t, labels), 300, 1000, "exp", 1.0),
-            weights,
-        )
+    def surface(phase):
+        def f(tape, leaves):
+            e, p, lg = leaves
+            ball_t = bo.exp_map_origin_rows(e, 1.0)
+            protos_t = bo.exp_map_origin_rows(p, 1.0)
+            ce = cross_entropy(td.softmax(lg), y)
+            return phase_loss(phase, config, ce, ball_t, protos_t, labels, 300, frozen=True)[0]
 
-    def guide(tape, leaves):
-        e, p, lg = leaves
-        ball_t = bo.exp_map_origin_rows(e, 1.0)
-        protos_t = bo.exp_map_origin_rows(p, 1.0)
-        return guidance_total(
-            cross_entropy(td.softmax(lg), y),
-            temporal_entailment(ball_t, weights.cone_k),
-            geodesic_guidance(ball_t, td.gather_rows(protos_t, labels), 1.0, frozen=True),
-            weights,
-        )
+        return f
 
-    return [("stabilization", stable), ("guidance", guide)], [emb, proto_tan, logits]
+    return [surface("stabilization"), surface("guidance")], [emb, proto_tan, logits]
 
 
 def gradient_composites(configs: int = 10, seed: int = 4) -> CheckResult:
@@ -168,7 +147,7 @@ def gradient_composites(configs: int = 10, seed: int = 4) -> CheckResult:
     worst = 0.0
     for _ in range(configs):
         surfaces, leaves = _composite_surfaces(rng)
-        for _, f in surfaces:
+        for f in surfaces:
             worst = max(worst, finite_diff_check(f, leaves))
     return CheckResult(
         "gradients.phase_composites", worst < 1e-4,

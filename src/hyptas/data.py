@@ -26,7 +26,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +311,11 @@ def read_labels(path, class_names: list[str]) -> np.ndarray:
 # Run configuration
 # ---------------------------------------------------------------------------
 
+DECAY_KINDS = ("exp", "linear", "cosine")  # push-pull timestep decays
+_POSITIVE = ("lr", "proto_lr", "curvature", "cone_k", "margin")
+_NONNEGATIVE = ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lambda_gg")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     epochs: int = 200
@@ -342,8 +347,6 @@ class RunConfig:
             raise ConfigError(f"e1 = {self.e1} outside [0, epochs = {self.epochs}]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr <= 0.0 or self.proto_lr <= 0.0:
-            raise ConfigError("lr and proto_lr must be > 0")
         if self.timesteps < 1:
             raise ConfigError("timesteps must be >= 1")
         if not 1 <= self.infer_steps <= self.timesteps:
@@ -352,15 +355,13 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lambda_gg"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.curvature <= 0.0 or not math.isfinite(self.curvature):
-            raise ConfigError(f"curvature must be finite and > 0, got {self.curvature}")
-        if self.cone_k <= 0.0 or self.margin <= 0.0:
-            raise ConfigError("cone_k and margin must be > 0")
-        if self.decay not in ("exp", "linear", "cosine"):
-            raise ConfigError(f"decay must be exp/linear/cosine, got {self.decay!r}")
+        for name in _POSITIVE + _NONNEGATIVE:
+            value, positive = getattr(self, name), name in _POSITIVE
+            if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+        if self.decay not in DECAY_KINDS:
+            raise ConfigError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
         if self.embed_dim < 1 or self.encoder_channels < 1:
             raise ConfigError("model dimensions must be positive")
 
@@ -440,13 +441,6 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
         values.update(overrides)
     try:
         return RunConfig(**values)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
-
-
-def apply_overrides(base: RunConfig, overrides: dict) -> RunConfig:
-    try:
-        return replace(base, **overrides)
     except TypeError as e:
         raise ConfigError(str(e)) from e
 

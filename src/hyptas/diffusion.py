@@ -3,9 +3,9 @@ skip-step reverse sampler.
 
 The schedule table gamma(t), t = 0..T, is the cumulative signal-retention
 fraction: x_t = sqrt(gamma(t)) x_0 + sqrt(1 - gamma(t)) eps. The sampler
-walks a strictly decreasing subsequence of timesteps down to 0; with
-sigma = 0 the whole reverse pass is a pure function of (starting noise,
-weights, condition features).
+walks a strictly decreasing subsequence of timesteps down to 0; every
+update is deterministic, so the whole reverse pass is a pure function of
+(starting noise, weights, condition features).
 """
 
 from __future__ import annotations
@@ -105,14 +105,12 @@ def ddim_step(
     t: int,
     t_prev: int,
     schedule: NoiseSchedule,
-    sigma: float = 0.0,
-    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One reverse update from timestep t to t_prev given the clean-signal prediction p_t.
+    """One deterministic reverse update from timestep t to t_prev given the
+    clean-signal prediction p_t.
 
-    y_{t_prev} = sqrt(g') p_t + sqrt(1 - g' - sigma^2)/sqrt(1 - g) (y_t - sqrt(g) p_t)
-                 + sigma * noise,   g = gamma(t), g' = gamma(t_prev).
-    Deterministic when sigma = 0 (noise may then be omitted).
+    y_{t_prev} = sqrt(g') p_t + sqrt(1 - g')/sqrt(1 - g) (y_t - sqrt(g) p_t),
+    g = gamma(t), g' = gamma(t_prev).
     """
     if not 0 <= t_prev < t <= schedule.T:
         raise ScheduleError(f"need 0 <= t_prev < t <= T, got t_prev={t_prev}, t={t}")
@@ -120,15 +118,8 @@ def ddim_step(
         raise ShapeError(f"state {y_t.shape} and prediction {p_t.shape} disagree")
     g = float(schedule.gamma[t])
     g_prev = float(schedule.gamma[t_prev])
-    if sigma * sigma > 1.0 - g_prev:
-        raise ScheduleError(f"sigma^2 = {sigma * sigma:.3g} exceeds 1 - gamma(t_prev)")
-    residual = (y_t - math.sqrt(g) * p_t) * (math.sqrt(1.0 - g_prev - sigma * sigma) / math.sqrt(1.0 - g))
-    out = math.sqrt(g_prev) * p_t + residual
-    if sigma > 0.0:
-        if noise is None or noise.shape != y_t.shape:
-            raise ShapeError("sigma > 0 needs noise of the state's shape")
-        out = out + sigma * noise
-    return out
+    residual = (y_t - math.sqrt(g) * p_t) * (math.sqrt(1.0 - g_prev) / math.sqrt(1.0 - g))
+    return math.sqrt(g_prev) * p_t + residual
 
 
 def sample_timesteps(T: int, steps: int) -> list[int]:
@@ -172,7 +163,7 @@ def sample(
             raise ShapeError(f"denoiser returned {probs.shape}, expected {y.shape}")
         p_t = 2.0 * probs - 1.0
         if i + 1 < len(trajectory):
-            y = ddim_step(y, p_t, t, trajectory[i + 1], schedule, sigma=0.0)
+            y = ddim_step(y, p_t, t, trajectory[i + 1], schedule)
         # else: the remaining hop targets t = 0, where the update collapses to
         # the prediction itself; p_t is the reconstructed clean signal.
     return probs

@@ -11,7 +11,7 @@ class HyptasError(Exception):
 
 
 class GeometryError(HyptasError):
-    """Bad manifold input: dimension/curvature mismatch, non-finite values."""
+    """Bad manifold input: non-finite or out-of-ball prototype coordinates."""
 
 
 class AutodiffError(HyptasError):

@@ -1,126 +1,24 @@
 """Poincare-ball geometry: Mobius arithmetic, exp/log maps, geodesic
 distance, entailment-cone angles, and safe projection into the open ball.
 
-All math runs in double precision over immutable value types. The ball of
-curvature magnitude c has Euclidean radius 1/sqrt(c); boundary-adjacent
-quantities are clamped (BALL_EPS on norms, DENOM_EPS on denominators,
-inverse-trig arguments to their closed domains) so no operation can leave
-the open ball or divide by zero.
-
-Row-batched helpers (`*_rows`) operate on (N, d) float64 arrays and are the
-workhorses for the optimizer and the trainer; the typed single-point API is
-the reference the batched forms are tested against.
+Every kernel works row-wise on (N, d) float64 arrays in double precision.
+The ball of curvature magnitude c has Euclidean radius 1/sqrt(c);
+boundary-adjacent quantities are clamped (BALL_EPS on norms, DENOM_EPS on
+denominators, inverse-trig arguments to their closed domains) so no
+operation can leave the open ball or divide by zero. `ballops` builds the
+differentiable versions of the loss kernels on the tape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GeometryError
 
 BALL_EPS = 1e-5        # norm clearance kept from the ball boundary
 DENOM_EPS = 1e-15      # floor for denominators
 ARTANH_ARG_MAX = 1.0 - 1e-12
 
-
-def _as_vector(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.float64)
-    if arr.ndim != 1:
-        raise GeometryError(f"expected a 1-D coordinate vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError("non-finite coordinates")
-    return arr
-
-
-@dataclass(frozen=True)
-class Curvature:
-    """Curvature magnitude c > 0; the manifold has sectional curvature -c."""
-
-    c: float
-
-    def __post_init__(self):
-        if not isinstance(self.c, (int, float)) or isinstance(self.c, bool):
-            raise GeometryError(f"curvature must be a real number, got {type(self.c).__name__}")
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 0.0:
-            raise GeometryError(f"curvature must be finite and > 0, got {c}")
-        object.__setattr__(self, "c", c)
-
-    @property
-    def sqrt(self) -> float:
-        return math.sqrt(self.c)
-
-    @property
-    def radius(self) -> float:
-        """Euclidean radius of the open ball."""
-        return 1.0 / math.sqrt(self.c)
-
-
-@dataclass(frozen=True)
-class PoincarePoint:
-    """A point strictly inside the ball: c * ||coords||^2 < 1."""
-
-    coords: np.ndarray
-    curvature: Curvature
-
-    def __post_init__(self):
-        arr = _as_vector(self.coords).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-        if self.curvature.c * float(arr @ arr) >= 1.0:
-            raise GeometryError(
-                f"point with norm {np.linalg.norm(arr):.6g} is not strictly inside "
-                f"the ball of curvature {self.curvature.c}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector attached at `base`."""
-
-    coords: np.ndarray
-    base: PoincarePoint
-
-    def __post_init__(self):
-        arr = _as_vector(self.coords).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-        if arr.shape[0] != self.base.dim:
-            raise GeometryError(
-                f"tangent vector of dimension {arr.shape[0]} attached at a "
-                f"{self.base.dim}-dimensional point"
-            )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-def origin(dim: int, curvature: Curvature) -> PoincarePoint:
-    return PoincarePoint(np.zeros(dim), curvature)
-
-
-def _check_same_ball(x: PoincarePoint, y: PoincarePoint) -> None:
-    if x.dim != y.dim:
-        raise GeometryError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if x.curvature.c != y.curvature.c:
-        raise GeometryError(f"curvature mismatch: {x.curvature.c} vs {y.curvature.c}")
-
-
-# ---------------------------------------------------------------------------
-# Row-batched kernels over (N, d) arrays.
-# ---------------------------------------------------------------------------
 
 def mobius_add_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Gyrovector addition x (+) y applied row-wise.
@@ -191,69 +89,16 @@ def origin_distance_rows(x: np.ndarray, c: float) -> np.ndarray:
     return (2.0 / sqrt_c) * np.arctanh(arg)
 
 
-def conformal_factor_rows(x: np.ndarray, c: float) -> np.ndarray:
-    xx = np.sum(x * x, axis=-1)
-    return 2.0 / np.maximum(1.0 - c * xx, DENOM_EPS)
-
-
-# ---------------------------------------------------------------------------
-# Typed single-point API.
-# ---------------------------------------------------------------------------
-
-def mobius_add(x: PoincarePoint, y: PoincarePoint) -> PoincarePoint:
-    """x (+) y, projected back inside if the result lands within BALL_EPS of the boundary.
-
-    Adding the origin on either side returns the other operand exactly.
-    """
-    _check_same_ball(x, y)
-    c = x.curvature.c
-    out = mobius_add_rows(x.coords[None, :], y.coords[None, :], c)[0]
-    return PoincarePoint(project_rows(out, c), x.curvature)
-
-
-def conformal_factor(x: PoincarePoint) -> float:
-    """lambda_c(x) = 2 / (1 - c|x|^2); equals 2 at the origin, >= 2 everywhere."""
-    return float(conformal_factor_rows(x.coords[None, :], x.curvature.c)[0])
-
-
-def exp_map(x: PoincarePoint, v: TangentVector) -> PoincarePoint:
-    """Map the tangent vector v at x onto the ball; the zero vector returns x."""
-    if v.base is not x and not (
-        v.base.curvature.c == x.curvature.c and np.array_equal(v.base.coords, x.coords)
-    ):
-        raise GeometryError("tangent vector is not based at the given point")
-    if v.norm == 0.0:
-        return x
-    out = exp_map_rows(x.coords[None, :], v.coords[None, :], x.curvature.c)[0]
-    return PoincarePoint(out, x.curvature)
-
-
-def log_map(x: PoincarePoint, y: PoincarePoint) -> TangentVector:
-    """Inverse of exp_map: exp_map(x, log_map(x, y)) == y up to float error."""
-    _check_same_ball(x, y)
-    out = log_map_rows(x.coords[None, :], y.coords[None, :], x.curvature.c)[0]
-    return TangentVector(out, x)
-
-
-def poincare_distance(x: PoincarePoint, y: PoincarePoint) -> float:
-    _check_same_ball(x, y)
-    return float(distance_rows(x.coords[None, :], y.coords[None, :], x.curvature.c)[0])
-
-
-def exterior_angle(x: PoincarePoint, y: PoincarePoint) -> float:
-    """Angle at x between the radially-outward cone axis and the direction of y.
+def exterior_angle_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Angle at each row of x between the radially-outward cone axis and the
+    direction of the matching row of y.
 
     Uses the nonsingular entailment-cone form
         cos(theta) = (<x,y>(1+|x|^2) - |x|^2 (1+|y|^2))
                      / (|x| |x-y| sqrt(1 + |x|^2 |y|^2 - 2<x,y>))
-    which is exactly 0 for y radially outward of x. Degenerate inputs
+    which is exactly 0 for y radially outward of x. Degenerate rows
     (|x| <= BALL_EPS or |x-y| <= BALL_EPS) return 0 by convention.
     """
-    _check_same_ball(x, y)
-    return float(exterior_angle_rows(x.coords[None, :], y.coords[None, :])[0])
-
-
-def exterior_angle_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xx = np.sum(x * x, axis=-1)
     yy = np.sum(y * y, axis=-1)
     xy = np.sum(x * y, axis=-1)
@@ -272,28 +117,12 @@ def exterior_angle_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(degenerate, 0.0, theta)
 
 
-def aperture(x: PoincarePoint, K: float) -> float:
-    """Half-angle of the entailment cone at x: arcsin(K (1 - |x|^2) / |x|).
+def aperture_rows(x: np.ndarray, K: float) -> np.ndarray:
+    """Half-angle of the entailment cone at each row: arcsin(K (1 - |x|^2) / |x|).
 
     The arcsin argument is clamped to [-1, 1]; at the origin (|x| <= BALL_EPS)
     or whenever the argument exceeds 1 the cone opens fully to pi/2.
     """
-    if not (math.isfinite(K) and K > 0.0):
-        raise GeometryError(f"cone constant K must be finite and > 0, got {K}")
-    return float(aperture_rows(x.coords[None, :], K)[0])
-
-
-def aperture_rows(x: np.ndarray, K: float) -> np.ndarray:
     nx = np.linalg.norm(x, axis=-1)
     arg = K * (1.0 - nx * nx) / np.maximum(nx, BALL_EPS)
     return np.arcsin(np.clip(arg, -1.0, 1.0))
-
-
-def project_to_ball(coords, curvature: Curvature) -> PoincarePoint:
-    """Return the input as a ball point, rescaling only near-boundary vectors.
-
-    Vectors with c|x|^2 < (1 - BALL_EPS)^2 pass through unchanged; anything
-    else is rescaled to norm (1 - BALL_EPS)/sqrt(c).
-    """
-    arr = _as_vector(coords)
-    return PoincarePoint(project_rows(arr[None, :], curvature.c)[0], curvature)

@@ -1,9 +1,11 @@
 """Training objectives on the differentiation tape.
 
-Six scalars and two phase composites. Every function takes tape tensors and
+Five loss terms and one phase table. Every term takes tape tensors and
 returns a scalar tensor, so gradients reach whatever was bound as a leaf:
 the Euclidean pre-projection embeddings, the class-probability rows, and the
-prototype coordinates (while trainable).
+prototype coordinates (while trainable). `PHASES` says which terms each
+training phase adds to cross-entropy and whether the prototypes train;
+`phase_loss` builds that weighted total with the weights of a `RunConfig`.
 
 Ball inputs (`x`, `z`) are (L, d) rows already inside the ball of curvature
 `c` (use `ballops.exp_map_origin_rows` to get there).
@@ -20,13 +22,13 @@ import numpy as np
 from . import autodiff as td
 from . import ballops as bo
 from .autodiff import Tensor
+from .data import DECAY_KINDS, RunConfig
 from .errors import ContractViolation, GeometryError, ShapeError
 
 logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12          # clamp on probabilities before the log
 RADIUS_FLOOR = 1e-6         # floor on d(O, x) in the push-pull ratio
-DECAY_KINDS = ("exp", "linear", "cosine")
 
 
 def decay_factor(kind: str, u: float) -> float:
@@ -70,40 +72,11 @@ class Prototypes:
         self.frozen = True
         self.points.flags.writeable = False
 
-    def checksum(self) -> bytes:
-        return self.points.tobytes()
-
     def min_pairwise_distance(self) -> float:
         from .geometry import distance_rows
 
         i, j = np.triu_indices(self.count, k=1)
         return float(np.min(distance_rows(self.points[i], self.points[j], self.curvature)))
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Objective weights plus the geometry constants they act through."""
-
-    lam_ce: float = 0.5
-    lam_entail: float = 0.05
-    lam_margin: float = 0.1
-    lam_pp: float = 0.1
-    lam_gg: float = 0.1
-    margin: float = 2.0
-    cone_k: float = 0.1
-    decay: str = "exp"
-
-    def __post_init__(self):
-        for name in ("lam_ce", "lam_entail", "lam_margin", "lam_pp", "lam_gg"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ShapeError(f"{name} must be finite and >= 0, got {v}")
-        if not (math.isfinite(self.margin) and self.margin > 0.0):
-            raise ShapeError(f"margin must be > 0, got {self.margin}")
-        if not (math.isfinite(self.cone_k) and self.cone_k > 0.0):
-            raise ShapeError(f"cone_k must be > 0, got {self.cone_k}")
-        if self.decay not in DECAY_KINDS:
-            raise ShapeError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
 
 
 def cross_entropy(p: Tensor, y_onehot: np.ndarray) -> Tensor:
@@ -190,27 +163,65 @@ def geodesic_guidance(
     return td.mean(td.square(target - via))
 
 
-def stabilization_total(
-    ce: Tensor, entail: Tensor, margin: Tensor, pp: Tensor, weights: LossWeights
-) -> Tensor:
-    """Phase-one composite; gradients reach the network and the prototypes."""
-    return (
-        td.mul(ce, weights.lam_ce)
-        + td.mul(entail, weights.lam_entail)
-        + td.mul(margin, weights.lam_margin)
-        + td.mul(pp, weights.lam_pp)
-    )
+@dataclass(frozen=True)
+class Phase:
+    terms: tuple[str, ...]  # added after cross-entropy, in this order
+    trains_prototypes: bool
 
 
-def guidance_total(ce: Tensor, entail: Tensor, gg: Tensor, weights: LossWeights) -> Tensor:
-    """Phase-two composite; prototypes are constants by then."""
-    return (
-        td.mul(ce, weights.lam_ce)
-        + td.mul(entail, weights.lam_entail)
-        + td.mul(gg, weights.lam_gg)
-    )
+# Stabilization: the prototypes learn under CE + entailment + margin +
+# push-pull. Guidance: they are frozen and steer the embeddings under CE +
+# entailment + geodesic guidance. Single: the one-phase ablation, every term
+# with trainable prototypes.
+PHASES = {
+    "stabilization": Phase(("entail", "margin", "pp"), True),
+    "guidance": Phase(("entail", "gg"), False),
+    "single": Phase(("entail", "margin", "pp", "gg"), True),
+}
 
 
 def phase_for_epoch(epoch: int, stabilization_epochs: int) -> str:
     """'stabilization' while epoch < E1, 'guidance' from E1 on (boundary inclusive)."""
     return "stabilization" if epoch < stabilization_epochs else "guidance"
+
+
+def phase_loss(
+    phase: str,
+    config: RunConfig,
+    ce: Tensor,
+    x: Tensor,
+    z: Tensor,
+    labels: np.ndarray,
+    t: int,
+    frozen: bool,
+) -> tuple[Tensor, dict[str, float]]:
+    """ce * lambda_ce plus term * lambda_term for each term of the phase whose
+    lambda is > 0; a term with lambda = 0 is not computed.
+
+    `x` are the frame embeddings in the ball, `z` the prototypes, `labels`
+    the frame classes and `t` the diffusion step. `frozen` says whether the
+    prototypes are frozen: geodesic guidance refuses unfrozen ones unless
+    the phase trains them (the single-phase ablation). Returns the total
+    and the value of every computed term, cross-entropy included.
+    """
+    rule, c = PHASES[phase], config.curvature
+
+    def term(name: str) -> Tensor:
+        if name == "entail":
+            return temporal_entailment(x, config.cone_k)
+        if name == "margin":
+            return prototype_margin(z, config.margin, c)
+        assigned = td.gather_rows(z, labels)
+        if name == "pp":
+            return push_pull(x, assigned, t, config.timesteps, config.decay, c)
+        return geodesic_guidance(x, assigned, c, frozen, allow_unfrozen=rule.trains_prototypes)
+
+    components = {"ce": float(ce.value)}
+    total = td.mul(ce, config.lambda_ce)
+    for name in rule.terms:
+        weight = getattr(config, f"lambda_{name}")
+        if weight > 0:
+            value = term(name)
+            components[name] = float(value.value)
+            total = total + td.mul(value, weight)
+    return total, components

@@ -98,9 +98,6 @@ class Denoiser:
         params["dec.head.b"] = np.zeros((1, config.classes))
         self.params = params
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def bind(self, tape: Tape, trainable: bool = True) -> "BoundDenoiser":
         """Place the parameters on a tape, as leaves (training) or constants."""
         attach = tape.leaf if trainable else tape.const
@@ -224,8 +221,3 @@ def apply_masking(
 def sample_mask_kind(rng: np.random.Generator) -> str:
     """Uniform draw over the four priors, one per training example."""
     return MASK_KINDS[int(rng.integers(0, len(MASK_KINDS)))]
-
-
-def receptive_halfwidth(config: DenoiserConfig) -> int:
-    """Frames reachable from one input frame through all encoder layers."""
-    return sum(d * (config.kernel // 2) for d in config.dilations)

@@ -57,19 +57,6 @@ class Adam:
             v_hat = v / (1.0 - cfg.beta2**t)
             params[name] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {"step": np.array(float(self.step_count))}
-        for k in self._m:
-            out[f"m/{k}"] = self._m[k]
-            out[f"v/{k}"] = self._v[k]
-        return out
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.step_count = int(tensors["step"])
-        for k in self._m:
-            self._m[k] = tensors[f"m/{k}"]
-            self._v[k] = tensors[f"v/{k}"]
-
 
 class RiemannianAdam:
     """Adam on the Poincare ball for the prototype matrix."""
@@ -102,15 +89,3 @@ class RiemannianAdam:
         v_hat = self._v / (1.0 - cfg.beta2**t)
         update = -cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
         prototypes.points = project_rows(exp_map_rows(z, update, c), c)
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "step": np.array(float(self.step_count)),
-            "m": self._m,
-            "v": self._v,
-        }
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.step_count = int(tensors["step"])
-        self._m = tensors["m"]
-        self._v = tensors["v"]

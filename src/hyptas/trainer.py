@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as td
 from . import ballops as bo
 from .autodiff import Tape
 from .data import Dataset, RunConfig, read_checkpoint, write_checkpoint
@@ -33,20 +32,9 @@ from .diffusion import (
 )
 from .errors import ConfigError, FormatError, NonFiniteLossError, ShapeError
 from .geometry import exp_map_origin_rows
-from .losses import (
-    LossWeights,
-    Prototypes,
-    cross_entropy,
-    geodesic_guidance,
-    phase_for_epoch,
-    prototype_margin,
-    push_pull,
-    stabilization_total,
-    guidance_total,
-    temporal_entailment,
-)
+from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
-from .model import BoundDenoiser, Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
+from .model import Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
 from .optim import Adam, AdamConfig, RiemannianAdam
 
 logger = logging.getLogger(__name__)
@@ -109,19 +97,6 @@ def init_prototypes(classes: int, dim: int, curvature: float, seed: int) -> Prot
             return Prototypes(points, curvature)
 
 
-def _weights_from_config(config: RunConfig) -> LossWeights:
-    return LossWeights(
-        lam_ce=config.lambda_ce,
-        lam_entail=config.lambda_entail,
-        lam_margin=config.lambda_margin,
-        lam_pp=config.lambda_pp,
-        lam_gg=config.lambda_gg,
-        margin=config.margin,
-        cone_k=config.cone_k,
-        decay=config.decay,
-    )
-
-
 def _denoiser_config(dataset: Dataset, config: RunConfig) -> DenoiserConfig:
     return DenoiserConfig(
         feature_dim=dataset.feature_dim,
@@ -133,7 +108,6 @@ def _denoiser_config(dataset: Dataset, config: RunConfig) -> DenoiserConfig:
 
 
 def _assemble_loss(
-    bound: BoundDenoiser,
     video_labels: np.ndarray,
     probs,
     p_enc,
@@ -142,69 +116,16 @@ def _assemble_loss(
     phase: str,
     t: int,
     config: RunConfig,
-    weights: LossWeights,
     frozen: bool,
 ):
-    """Phase composite plus the per-component values for the log."""
-    tape = probs.tape
-    C = bound.config.classes
-    y_onehot = np.eye(C)[video_labels]
+    """Phase total plus the per-component values for the log."""
+    y_onehot = np.eye(probs.value.shape[1])[video_labels]
     ce = cross_entropy(probs, y_onehot)
     if config.aux_head:
         ce = ce + cross_entropy(p_enc, y_onehot)
-    components = {"ce": float(ce.value)}
-
-    def entail():
-        out = temporal_entailment(ball, weights.cone_k)
-        components["entail"] = float(out.value)
-        return out
-
-    def margin():
-        out = prototype_margin(proto_tensor, weights.margin, config.curvature)
-        components["margin"] = float(out.value)
-        return out
-
-    def pp():
-        assigned = td.gather_rows(proto_tensor, video_labels)
-        out = push_pull(ball, assigned, t, config.timesteps, weights.decay, config.curvature)
-        components["pp"] = float(out.value)
-        return out
-
-    def gg():
-        assigned = td.gather_rows(proto_tensor, video_labels)
-        out = geodesic_guidance(
-            ball, assigned, config.curvature, frozen=frozen,
-            allow_unfrozen=config.single_phase,
-        )
-        components["gg"] = float(out.value)
-        return out
-
-    zero = tape.const(np.zeros(()))
-    if phase == "single":
-        total = stabilization_total(
-            ce,
-            entail() if weights.lam_entail > 0 else zero,
-            margin() if weights.lam_margin > 0 else zero,
-            pp() if weights.lam_pp > 0 else zero,
-            weights,
-        )
-        if weights.lam_gg > 0:
-            total = total + td.mul(gg(), weights.lam_gg)
-    elif phase == "stabilization":
-        total = stabilization_total(
-            ce,
-            entail() if weights.lam_entail > 0 else zero,
-            margin() if weights.lam_margin > 0 else zero,
-            pp() if weights.lam_pp > 0 else zero,
-            weights,
-        )
-    else:
-        total = guidance_total(
-            ce,
-            entail() if weights.lam_entail > 0 else zero,
-            gg() if weights.lam_gg > 0 else zero,
-            weights,
-        )
+    total, components = phase_loss(
+        phase, config, ce, ball, proto_tensor, video_labels, t, frozen
+    )
     for name, value in components.items():
         if not math.isfinite(value):
             raise NonFiniteLossError(f"loss component {name!r} is non-finite at t={t}")
@@ -224,7 +145,6 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         dataset.num_classes, config.embed_dim, config.curvature, config.seed + 1
     )
     schedule = make_schedule(config.timesteps)
-    weights = _weights_from_config(config)
     net_opt = Adam(model.params, AdamConfig(lr=config.lr))
     proto_opt = RiemannianAdam(prototypes, AdamConfig(lr=config.proto_lr))
     rng = np.random.default_rng(config.seed + 2)
@@ -236,7 +156,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         if not config.single_phase and epoch >= e1 and not prototypes.frozen:
             prototypes.freeze()
             logger.info("prototypes frozen entering epoch %d", epoch)
-        protos_trainable = config.single_phase or phase == "stabilization"
+        protos_trainable = PHASES[phase].trains_prototypes
 
         order = rng.permutation(len(dataset.train))
         grad_sums = {name: np.zeros_like(p) for name, p in model.params.items()}
@@ -278,8 +198,8 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
                 else tape.const(prototypes.points)
             )
             total, components = _assemble_loss(
-                bound, video.labels, probs, p_enc, ball, proto_tensor,
-                phase, t, config, weights, prototypes.frozen,
+                video.labels, probs, p_enc, ball, proto_tensor, phase, t, config,
+                prototypes.frozen,
             )
             grads = tape.backward(total)
             for name, tensor in bound.bound.items():
@@ -347,8 +267,11 @@ def infer_videos(
     bound once, all features are encoded once, and every sampler step is one
     decode over all rows (the convolutions get the row counts, so no video
     sees another). Video i starts from the noise of `seeds[i]`, so each gets
-    the prediction it would get alone. Returns per video (labels, per-frame
-    probabilities, ball embeddings from the final denoiser call).
+    the bytes it would get alone, except a 1-frame video: alone it goes
+    through 1-row matmuls, and its probabilities and embeddings may differ
+    from its packed ones by about 2e-16 (same labels). Returns per video
+    (labels, per-frame probabilities, ball embeddings from the final
+    denoiser call).
     """
     steps = state.config.infer_steps if steps is None else steps
     cfg = state.model.config
@@ -393,12 +316,7 @@ def infer_videos(
 # Checkpoint schema
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(
-    state: TrainedState,
-    path,
-    net_opt: Adam | None = None,
-    proto_opt: RiemannianAdam | None = None,
-) -> None:
+def save_checkpoint(state: TrainedState, path) -> None:
     cfg = state.model.config
     sections: list[tuple[str, object]] = [
         ("config_hash", state.config.hash()),
@@ -414,10 +332,6 @@ def save_checkpoint(
         ("schedule/gamma", state.schedule.gamma),
     ]
     sections += [(f"param/{name}", arr) for name, arr in sorted(state.model.params.items())]
-    if net_opt is not None:
-        sections += [(f"optim/net/{k}", v) for k, v in net_opt.state_tensors().items()]
-    if proto_opt is not None:
-        sections += [(f"optim/proto/{k}", v) for k, v in proto_opt.state_tensors().items()]
     write_checkpoint(path, sections)
 
 

@@ -18,7 +18,7 @@ from hyptas.geometry import (
     exp_map_origin_rows,
     exterior_angle_rows,
 )
-from hyptas.losses import LossWeights
+from hyptas.data import RunConfig
 
 
 def rows_in_annulus(rng, n, d, lo=0.05, hi=0.9):
@@ -102,41 +102,17 @@ def gg_surface(labels, c=1.0):
     return f
 
 
-def stabilization_surface(labels, classes, weights=None, t=300, total=1000, c=1.0):
-    weights = weights or LossWeights()
+def phase_surface(phase, labels, classes, t=300, c=1.0):
+    """The phase's weighted total under the default weights, T = 1000."""
+    config = RunConfig(curvature=c)
     y = np.eye(classes)[labels]
 
     def f(tape, leaves):
         emb, proto_tan, logits = leaves
         ball = bo.exp_map_origin_rows(emb, c)
         protos = bo.exp_map_origin_rows(proto_tan, c)
-        assigned = td.gather_rows(protos, labels)
-        return losses.stabilization_total(
-            losses.cross_entropy(_probs(tape, logits), y),
-            losses.temporal_entailment(ball, weights.cone_k),
-            losses.prototype_margin(protos, weights.margin, c),
-            losses.push_pull(ball, assigned, t, total, weights.decay, c),
-            weights,
-        )
-
-    return f
-
-
-def guidance_surface(labels, classes, weights=None, c=1.0):
-    weights = weights or LossWeights()
-    y = np.eye(classes)[labels]
-
-    def f(tape, leaves):
-        emb, proto_tan, logits = leaves
-        ball = bo.exp_map_origin_rows(emb, c)
-        protos = bo.exp_map_origin_rows(proto_tan, c)
-        assigned = td.gather_rows(protos, labels)
-        return losses.guidance_total(
-            losses.cross_entropy(_probs(tape, logits), y),
-            losses.temporal_entailment(ball, weights.cone_k),
-            losses.geodesic_guidance(ball, assigned, c, frozen=True),
-            weights,
-        )
+        ce = losses.cross_entropy(_probs(tape, logits), y)
+        return losses.phase_loss(phase, config, ce, ball, protos, labels, t, frozen=True)[0]
 
     return f
 
@@ -151,6 +127,7 @@ def all_surfaces(rng, c=1.0):
         ("prototype_margin", margin_surface(c), [proto_tan]),
         ("push_pull", pp_surface(labels, c=c), [emb, proto_tan]),
         ("geodesic_guidance", gg_surface(labels, c=c), [emb, proto_tan]),
-        ("stabilization_total", stabilization_surface(labels, classes, c=c), [emb, proto_tan, logits]),
-        ("guidance_total", guidance_surface(labels, classes, c=c), [emb, proto_tan, logits]),
+        ("stabilization_total", phase_surface("stabilization", labels, classes, c=c),
+         [emb, proto_tan, logits]),
+        ("guidance_total", phase_surface("guidance", labels, classes, c=c), [emb, proto_tan, logits]),
     ]

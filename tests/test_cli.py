@@ -70,6 +70,19 @@ class TestTrain:
         assert code == 1
         assert "curvature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "lr", "proto_lr", "lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp",
+        "lambda_gg", "curvature", "cone_k", "margin",
+    ])
+    def test_non_finite_setting_rejected_before_reading_data(self, tmp_path, capsys, key, value):
+        out = tmp_path / "m.htck"
+        code = run(["train", "--data", str(tmp_path / "no-such-dir"), "--out", str(out),
+                    "--set", f"{key}={value}"])
+        assert code == 1
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_plus_set_overrides(self, workspace, tmp_path):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"

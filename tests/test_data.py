@@ -7,7 +7,6 @@ from hyptas.data import (
     Dataset,
     RunConfig,
     SyntheticSpec,
-    apply_overrides,
     atomic_write_bytes,
     generate_synthetic,
     parse_override,
@@ -245,9 +244,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_override("nope=1")
 
-    def test_apply_overrides_validates(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), {"infer_steps": 5000})
+    def test_apply_overrides_validates(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 50\n")
+        with pytest.raises(ConfigError, match="infer_steps"):
+            read_config(path, overrides={"infer_steps": 5000})
 
     def test_hash_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig(epochs=201)

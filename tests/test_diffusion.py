@@ -132,18 +132,6 @@ class TestDdimStep:
         with pytest.raises(ScheduleError):
             ddim_step(y, y, 40, 40, s)
 
-    def test_sigma_bound_enforced(self):
-        s = make_schedule(100)
-        y = np.zeros((2, 2))
-        with pytest.raises(ScheduleError):
-            ddim_step(y, y, 50, 1, s, sigma=1.5, noise=y)
-
-    def test_sigma_noise_required(self):
-        s = make_schedule(100)
-        y = np.zeros((2, 2))
-        with pytest.raises(ShapeError):
-            ddim_step(y, y, 50, 10, s, sigma=0.1)
-
 
 class TestTrajectory:
     def test_even_spacing_25_of_1000(self):

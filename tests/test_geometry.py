@@ -3,222 +3,197 @@ import math
 import numpy as np
 import pytest
 
-from hyptas.errors import GeometryError
 from hyptas.geometry import (
     BALL_EPS,
-    Curvature,
-    PoincarePoint,
-    TangentVector,
-    aperture,
-    conformal_factor,
+    aperture_rows,
     distance_rows,
-    exp_map,
     exp_map_origin_rows,
     exp_map_rows,
-    exterior_angle,
-    log_map,
+    exterior_angle_rows,
     log_map_rows,
-    mobius_add,
-    origin,
-    poincare_distance,
-    project_to_ball,
+    mobius_add_rows,
+    origin_distance_rows,
+    project_rows,
 )
 
-C1 = Curvature(1.0)
+O2 = np.zeros((1, 2))
 
 
-def pt(*coords, c=1.0):
-    return PoincarePoint(np.array(coords, dtype=float), Curvature(c))
+def pt(*coords):
+    """One ball point as a (1, d) row."""
+    return np.array([coords], dtype=float)
 
 
-def rand_point(rng, dim, c, max_scaled_norm=0.9):
-    """Random point with sqrt(c)*||x|| <= max_scaled_norm."""
-    direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
-    r = rng.uniform(0.0, max_scaled_norm) / math.sqrt(c)
-    return PoincarePoint(r * direction, Curvature(c))
+def rand_rows(rng, n, dim, c, max_scaled_norm=0.9):
+    """Random rows with sqrt(c)*||x|| <= max_scaled_norm."""
+    direction = rng.normal(size=(n, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    r = rng.uniform(0.0, max_scaled_norm, size=(n, 1)) / math.sqrt(c)
+    return r * direction
+
+
+def dist(x, y, c=1.0):
+    return float(distance_rows(x, y, c)[0])
+
+
+def angle(x, y):
+    return float(exterior_angle_rows(x, y)[0])
+
+
+def aperture(x, K):
+    return float(aperture_rows(x, K)[0])
 
 
 class TestMobiusAdd:
     def test_right_identity_exact(self):
         x = pt(0.3, 0.0)
-        out = mobius_add(x, pt(0.0, 0.0))
-        assert np.array_equal(out.coords, x.coords)
+        assert np.array_equal(mobius_add_rows(x, O2, 1.0), x)
 
     def test_left_identity_exact(self):
         y = pt(0.4, 0.0)
-        out = mobius_add(pt(0.0, 0.0), y)
-        assert np.array_equal(out.coords, y.coords)
+        assert np.array_equal(mobius_add_rows(O2, y, 1.0), y)
 
     def test_collinear_oracle(self):
         # tanh(artanh 0.3 + artanh 0.4) = (0.3 + 0.4)/(1 + 0.12) = 0.625
-        out = mobius_add(pt(0.3, 0.0), pt(0.4, 0.0))
-        assert out.coords[0] == pytest.approx(0.625, abs=1e-12)
-        assert out.coords[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GeometryError):
-            mobius_add(pt(0.1, 0.0), pt(0.1, 0.0, 0.0))
-
-    def test_curvature_mismatch(self):
-        with pytest.raises(GeometryError):
-            mobius_add(pt(0.1, 0.0, c=1.0), pt(0.1, 0.0, c=2.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(GeometryError):
-            pt(float("nan"), 0.0)
+        out = mobius_add_rows(pt(0.3, 0.0), pt(0.4, 0.0), 1.0)[0]
+        assert out[0] == pytest.approx(0.625, abs=1e-12)
+        assert out[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_result_stays_inside(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            x = rand_point(rng, 3, 1.0, 0.99)
-            y = rand_point(rng, 3, 1.0, 0.99)
-            out = mobius_add(x, y)
-            assert out.norm < 1.0
+        x = rand_rows(rng, 200, 3, 1.0, 0.99)
+        y = rand_rows(rng, 200, 3, 1.0, 0.99)
+        out = project_rows(mobius_add_rows(x, y, 1.0), 1.0)
+        assert np.all(np.linalg.norm(out, axis=1) < 1.0)
 
 
 class TestConformalFactor:
+    """lambda(x) = 2 / (1 - c|x|^2) through the maps: d(x, exp_x(v)) = lambda(x) |v|."""
+
     def test_origin_is_two(self):
-        assert conformal_factor(origin(2, C1)) == 2.0
+        v = pt(0.3, -0.1)
+        assert dist(O2, exp_map_rows(O2, v, 1.0)) == pytest.approx(
+            2.0 * np.linalg.norm(v), rel=1e-12
+        )
 
     def test_half_radius(self):
-        assert conformal_factor(pt(0.5, 0.0)) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        x, v = pt(0.5, 0.0), pt(0.0, 0.05)
+        assert dist(x, exp_map_rows(x, v, 1.0)) == pytest.approx(
+            8.0 / 3.0 * 0.05, rel=1e-12
+        )
 
     def test_finite_at_projection_radius(self):
-        x = project_to_ball(np.array([2.0, 0.0]), C1)
-        lam = conformal_factor(x)
-        assert math.isfinite(lam) and lam > 2.0
+        x = project_rows(pt(2.0, 0.0), 1.0)
+        lam = 2.0 / (1.0 - float(x[0] @ x[0]))
+        v = log_map_rows(x, pt(0.0, 0.1), 1.0)
+        assert np.all(np.isfinite(v)) and lam > 2.0
+        assert lam * np.linalg.norm(v) == pytest.approx(dist(x, pt(0.0, 0.1)), rel=1e-6)
 
 
 class TestExpLogMaps:
     def test_zero_vector_returns_base(self):
         x = pt(0.3, 0.1)
-        v = TangentVector(np.zeros(2), x)
-        assert exp_map(x, v) is x
+        assert np.array_equal(exp_map_rows(x, np.zeros((1, 2)), 1.0), x)
 
     def test_exp_at_origin_closed_form(self):
-        o = origin(2, C1)
-        out = exp_map(o, TangentVector(np.array([1.0, 0.0]), o))
-        assert out.coords[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
+        out = exp_map_rows(O2, pt(1.0, 0.0), 1.0)
+        assert out[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
     def test_log_inverts_exp_example(self):
-        o = origin(2, C1)
-        v = log_map(o, pt(math.tanh(1.0), 0.0))
-        assert v.coords[0] == pytest.approx(1.0, abs=1e-9)
+        v = log_map_rows(O2, pt(math.tanh(1.0), 0.0), 1.0)
+        assert v[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_log_at_same_point_is_zero(self):
         x = pt(0.2, 0.0)
-        assert np.allclose(log_map(x, x).coords, 0.0, atol=1e-15)
-
-    def test_base_mismatch(self):
-        x, y = pt(0.3, 0.0), pt(0.2, 0.0)
-        with pytest.raises(GeometryError):
-            exp_map(x, TangentVector(np.array([0.1, 0.0]), y))
+        assert np.allclose(log_map_rows(x, x, 1.0), 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_roundtrip_property(self, c):
         rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(1000):
-            x = rand_point(rng, 4, c)
-            y = rand_point(rng, 4, c)
-            back = exp_map(x, log_map(x, y))
-            worst = max(worst, float(np.max(np.abs(back.coords - y.coords))))
-        assert worst < 1e-9
+        x = rand_rows(rng, 1000, 4, c)
+        y = rand_rows(rng, 1000, 4, c)
+        back = exp_map_rows(x, log_map_rows(x, y, c), c)
+        assert np.max(np.abs(back - y)) < 1e-9
 
 
 class TestDistance:
     def test_radial_closed_form(self):
-        d = poincare_distance(origin(2, C1), pt(0.5, 0.0))
-        assert d == pytest.approx(math.log(3.0), abs=1e-12)
+        assert dist(O2, pt(0.5, 0.0)) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert float(origin_distance_rows(pt(0.5, 0.0), 1.0)[0]) == pytest.approx(
+            math.log(3.0), abs=1e-12
+        )
 
     def test_self_distance_zero(self):
         x = pt(0.3, -0.2)
-        assert poincare_distance(x, x) == 0.0
+        assert dist(x, x) == 0.0
 
     def test_collinear_difference(self):
         # |2 artanh 0.4 - 2 artanh 0.3| for points on a common ray
         expect = 2.0 * (math.atanh(0.4) - math.atanh(0.3))
-        d = poincare_distance(pt(0.3, 0.0), pt(0.4, 0.0))
+        d = dist(pt(0.3, 0.0), pt(0.4, 0.0))
         assert d == pytest.approx(expect, abs=1e-12)
         assert d == pytest.approx(0.228259, abs=1e-6)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            x = rand_point(rng, 3, 1.0)
-            y = rand_point(rng, 3, 1.0)
-            z = rand_point(rng, 3, 1.0)
-            dxy = poincare_distance(x, y)
-            assert abs(dxy - poincare_distance(y, x)) < 1e-12
-            assert dxy >= 0.0
-            assert dxy + poincare_distance(y, z) - poincare_distance(x, z) > -1e-9
+        x, y, z = (rand_rows(rng, 1000, 3, 1.0) for _ in range(3))
+        dxy = distance_rows(x, y, 1.0)
+        assert np.max(np.abs(dxy - distance_rows(y, x, 1.0))) < 1e-12
+        assert np.all(dxy >= 0.0)
+        assert np.min(dxy + distance_rows(y, z, 1.0) - distance_rows(x, z, 1.0)) > -1e-9
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = rand_point(rng, 3, 1.0)
-            y = rand_point(rng, 3, 1.0)
-            if np.array_equal(x.coords, y.coords):
-                continue
-            assert poincare_distance(x, y) > 0.0
+        x = rand_rows(rng, 100, 3, 1.0)
+        y = rand_rows(rng, 100, 3, 1.0)
+        differ = np.any(x != y, axis=1)
+        assert np.all(distance_rows(x, y, 1.0)[differ] > 0.0)
 
     def test_radial_additivity(self):
         rng = np.random.default_rng(19)
-        o = origin(3, C1)
-        for _ in range(200):
-            z = rand_point(rng, 3, 1.0)
-            s = rng.uniform(0.05, 0.95)
-            x = PoincarePoint(s * z.coords, C1)
-            lhs = poincare_distance(o, z)
-            rhs = poincare_distance(o, x) + poincare_distance(x, z)
-            assert abs(lhs - rhs) < 1e-9
+        z = rand_rows(rng, 200, 3, 1.0)
+        x = rng.uniform(0.05, 0.95, size=(200, 1)) * z
+        lhs = origin_distance_rows(z, 1.0)
+        rhs = origin_distance_rows(x, 1.0) + distance_rows(x, z, 1.0)
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_monotone_along_ray(self):
-        direction = np.array([0.6, 0.8])
-        prev = -1.0
-        for r in np.linspace(0.01, 0.95, 40):
-            d = poincare_distance(origin(2, C1), PoincarePoint(r * direction, C1))
-            assert d > prev
-            prev = d
+        rays = np.linspace(0.01, 0.95, 40)[:, None] * np.array([[0.6, 0.8]])
+        d = distance_rows(np.zeros_like(rays), rays, 1.0)
+        assert np.all(np.diff(d) > 0.0)
 
 
 class TestExteriorAngle:
     def test_radially_outward_is_zero(self):
-        assert exterior_angle(pt(0.2, 0.0), pt(0.6, 0.0)) == pytest.approx(0.0, abs=1e-9)
+        assert angle(pt(0.2, 0.0), pt(0.6, 0.0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_pair(self):
         # Frozen from two independent evaluations of the cone-angle formula
         # (closed form and angle between x and the gyro-difference -x (+) y),
         # which agree to the last bit: cos = -0.8574929257125441.
-        theta = exterior_angle(pt(0.5, 0.0), pt(0.0, 0.5))
+        theta = angle(pt(0.5, 0.0), pt(0.0, 0.5))
         assert theta == pytest.approx(math.acos(-0.8574929257125441), abs=1e-12)
         assert theta == pytest.approx(2.6011731, abs=1e-6)
 
     def test_same_point_convention(self):
         x = pt(0.3, 0.1)
-        assert exterior_angle(x, x) == 0.0
+        assert angle(x, x) == 0.0
 
     def test_origin_base_convention(self):
-        assert exterior_angle(origin(2, C1), pt(0.3, 0.0)) == 0.0
+        assert angle(O2, pt(0.3, 0.0)) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(23)
-        for _ in range(500):
-            x = rand_point(rng, 3, 1.0)
-            y = rand_point(rng, 3, 1.0)
-            theta = exterior_angle(x, y)
-            assert 0.0 <= theta <= math.pi
+        theta = exterior_angle_rows(rand_rows(rng, 500, 3, 1.0), rand_rows(rng, 500, 3, 1.0))
+        assert np.all((0.0 <= theta) & (theta <= math.pi))
 
     def test_radial_scaling_property(self):
         rng = np.random.default_rng(29)
-        for _ in range(200):
-            x = rand_point(rng, 3, 1.0, 0.5)
-            if x.norm < 2 * BALL_EPS:
-                continue
-            s = rng.uniform(1.05, 1.8)
-            y = PoincarePoint(np.minimum(s, 0.99 / max(x.norm, 1e-9)) * x.coords, C1)
-            assert exterior_angle(x, y) < 1e-9
+        x = rand_rows(rng, 200, 3, 1.0, 0.5)
+        x = x[np.linalg.norm(x, axis=1) >= 2 * BALL_EPS]
+        s = rng.uniform(1.05, 1.8, size=(x.shape[0], 1))
+        y = np.minimum(s, 0.99 / np.linalg.norm(x, axis=1, keepdims=True)) * x
+        assert np.max(exterior_angle_rows(x, y)) < 1e-9
 
 
 class TestAperture:
@@ -235,53 +210,47 @@ class TestAperture:
         assert aperture(pt(0.05, 0.0), 0.1) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_origin_opens_fully(self):
-        assert aperture(origin(2, C1), 0.1) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert aperture(O2, 0.1) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_decreasing_in_norm(self):
-        values = [aperture(pt(r, 0.0), 0.1) for r in np.linspace(0.2, 0.95, 30)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        rows = np.linspace(0.2, 0.95, 30)[:, None] * np.array([[1.0, 0.0]])
+        assert np.all(np.diff(aperture_rows(rows, 0.1)) < 0.0)
 
 
 class TestProjection:
     def test_interior_unchanged(self):
-        v = np.array([0.3, 0.0])
-        out = project_to_ball(v, C1)
-        assert np.array_equal(out.coords, v)
+        v = pt(0.3, 0.0)
+        assert np.array_equal(project_rows(v, 1.0), v)
 
     def test_outside_rescaled(self):
-        out = project_to_ball(np.array([2.0, 0.0]), C1)
-        assert out.coords[0] == pytest.approx(1.0 - BALL_EPS, abs=1e-12)
+        out = project_rows(pt(2.0, 0.0), 1.0)
+        assert out[0, 0] == pytest.approx(1.0 - BALL_EPS, abs=1e-12)
 
     def test_zero_maps_to_origin(self):
-        out = project_to_ball(np.zeros(3), C1)
-        assert np.array_equal(out.coords, np.zeros(3))
+        assert np.array_equal(project_rows(np.zeros((1, 3)), 1.0), np.zeros((1, 3)))
 
     def test_scales_with_curvature(self):
-        out = project_to_ball(np.array([2.0, 0.0]), Curvature(4.0))
-        assert out.norm == pytest.approx((1.0 - BALL_EPS) / 2.0, abs=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(GeometryError):
-            project_to_ball(np.array([np.inf, 0.0]), C1)
+        out = project_rows(pt(2.0, 0.0), 4.0)
+        assert np.linalg.norm(out) == pytest.approx((1.0 - BALL_EPS) / 2.0, abs=1e-12)
 
 
 class TestBatchedAgreesWithTyped:
+    """Row kernels over many rows against one-row calls and a closed form."""
+
     def test_rows_match_pointwise(self):
         rng = np.random.default_rng(31)
         for c in (0.5, 1.0, 2.0):
-            X = np.stack([rand_point(rng, 3, c).coords for _ in range(50)])
-            Y = np.stack([rand_point(rng, 3, c).coords for _ in range(50)])
+            X = rand_rows(rng, 50, 3, c)
+            Y = rand_rows(rng, 50, 3, c)
             d_batch = distance_rows(X, Y, c)
-            curv = Curvature(c)
             for i in range(50):
-                d_one = poincare_distance(PoincarePoint(X[i], curv), PoincarePoint(Y[i], curv))
-                assert d_batch[i] == pytest.approx(d_one, abs=1e-12)
+                assert d_batch[i] == pytest.approx(dist(X[i : i + 1], Y[i : i + 1], c), abs=1e-12)
 
     def test_exp_log_rows_roundtrip(self):
         rng = np.random.default_rng(37)
         c = 1.0
-        X = np.stack([rand_point(rng, 4, c).coords for _ in range(100)])
-        Y = np.stack([rand_point(rng, 4, c).coords for _ in range(100)])
+        X = rand_rows(rng, 100, 4, c)
+        Y = rand_rows(rng, 100, 4, c)
         back = exp_map_rows(X, log_map_rows(X, Y, c), c)
         assert np.max(np.abs(back - Y)) < 1e-9
 

@@ -7,18 +7,18 @@ import pytest
 import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape, finite_diff_check
+from hyptas.data import RunConfig
 from hyptas.errors import ContractViolation, GeometryError, ShapeError
 from hyptas.losses import (
-    LossWeights,
+    PHASES,
     Prototypes,
     cross_entropy,
     decay_factor,
     geodesic_guidance,
-    guidance_total,
     phase_for_epoch,
+    phase_loss,
     prototype_margin,
     push_pull,
-    stabilization_total,
     temporal_entailment,
 )
 
@@ -223,76 +223,97 @@ class TestGeodesicGuidance:
         assert float(out.value) == pytest.approx(0.0, abs=1e-12)
 
 
+def _terms(tape, emb, proto_tan, logits, labels, config):
+    """Ball rows, prototypes, CE and every term value, evaluated directly."""
+    x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
+    z = bo.exp_map_origin_rows(tape.const(proto_tan), 1.0)
+    assigned = td.gather_rows(z, labels)
+    ce = cross_entropy(td.softmax(tape.const(logits)), np.eye(4)[labels])
+    values = {
+        "ce": float(ce.value),
+        "entail": float(temporal_entailment(x, config.cone_k).value),
+        "margin": float(prototype_margin(z, config.margin, 1.0).value),
+        "pp": float(push_pull(x, assigned, 100, config.timesteps, config.decay, 1.0).value),
+        "gg": float(geodesic_guidance(x, assigned, 1.0, frozen=True).value),
+    }
+    return x, z, ce, values
+
+
 class TestComposites:
     def test_all_weights_zero(self):
         rng = np.random.default_rng(5)
         emb, proto_tan, logits, labels = draw_safe_config(rng)
-        w = LossWeights(lam_ce=0.0, lam_entail=0.0, lam_margin=0.0, lam_pp=0.0, lam_gg=0.0)
-        tape = Tape()
-        x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
-        z = bo.exp_map_origin_rows(tape.const(proto_tan), 1.0)
-        assigned = td.gather_rows(z, labels)
-        y = np.eye(4)[labels]
-        ce = cross_entropy(td.softmax(tape.const(logits)), y)
-        ent = temporal_entailment(x, w.cone_k)
-        mar = prototype_margin(z, w.margin, 1.0)
-        pp = push_pull(x, assigned, 100, 1000, w.decay, 1.0)
-        gg = geodesic_guidance(x, assigned, 1.0, frozen=True)
-        assert float(stabilization_total(ce, ent, mar, pp, w).value) == 0.0
-        assert float(guidance_total(ce, ent, gg, w).value) == 0.0
+        config = RunConfig(lambda_ce=0.0, lambda_entail=0.0, lambda_margin=0.0,
+                           lambda_pp=0.0, lambda_gg=0.0)
+        for phase in PHASES:
+            tape = Tape()
+            x, z, ce, _ = _terms(tape, emb, proto_tan, logits, labels, config)
+            total, components = phase_loss(phase, config, ce, x, z, labels, 100, frozen=True)
+            assert float(total.value) == 0.0
+            assert list(components) == ["ce"]  # no term with lambda = 0 is computed
 
     def test_default_weights_match_documented_values(self):
-        w = LossWeights()
-        assert (w.lam_ce, w.lam_entail, w.lam_margin, w.lam_pp, w.lam_gg) == (
+        c = RunConfig()
+        assert (c.lambda_ce, c.lambda_entail, c.lambda_margin, c.lambda_pp, c.lambda_gg) == (
             0.5, 0.05, 0.1, 0.1, 0.1,
         )
-        assert (w.margin, w.cone_k, w.decay) == (2.0, 0.1, "exp")
+        assert (c.margin, c.cone_k, c.decay) == (2.0, 0.1, "exp")
+
+    def test_phase_table(self):
+        assert PHASES["stabilization"].terms == ("entail", "margin", "pp")
+        assert PHASES["guidance"].terms == ("entail", "gg")
+        assert PHASES["single"].terms == ("entail", "margin", "pp", "gg")
+        assert [PHASES[p].trains_prototypes for p in ("stabilization", "guidance", "single")] == [
+            True, False, True,
+        ]
 
     def test_recomposition_matches_hand_sum(self):
         rng = np.random.default_rng(9)
         emb, proto_tan, logits, labels = draw_safe_config(rng)
-        w = LossWeights()
+        config = RunConfig()
+        weight = {"ce": 0.5, "entail": 0.05, "margin": 0.1, "pp": 0.1, "gg": 0.1}
+        for phase, names in [("stabilization", ["ce", "entail", "margin", "pp"]),
+                             ("guidance", ["ce", "entail", "gg"]),
+                             ("single", ["ce", "entail", "margin", "pp", "gg"])]:
+            tape = Tape()
+            x, z, ce, values = _terms(tape, emb, proto_tan, logits, labels, config)
+            total, components = phase_loss(phase, config, ce, x, z, labels, 100, frozen=True)
+            assert components == {k: values[k] for k in names}
+            hand = 0.0
+            for k in names:
+                hand += weight[k] * values[k]
+            assert float(total.value) == hand  # same sums in the same order
+
+    def test_zero_weight_skips_only_that_term(self):
+        rng = np.random.default_rng(11)
+        emb, proto_tan, logits, labels = draw_safe_config(rng)
+        config = RunConfig(lambda_gg=0.0, lambda_margin=0.0)
         tape = Tape()
-        x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
-        z = bo.exp_map_origin_rows(tape.const(proto_tan), 1.0)
-        assigned = td.gather_rows(z, labels)
-        y = np.eye(4)[labels]
-        ce = cross_entropy(td.softmax(tape.const(logits)), y)
-        ent = temporal_entailment(x, w.cone_k)
-        mar = prototype_margin(z, w.margin, 1.0)
-        pp = push_pull(x, assigned, 100, 1000, w.decay, 1.0)
-        gg = geodesic_guidance(x, assigned, 1.0, frozen=True)
-        stable = float(stabilization_total(ce, ent, mar, pp, w).value)
-        hand = (
-            0.5 * float(ce.value)
-            + 0.05 * float(ent.value)
-            + 0.1 * float(mar.value)
-            + 0.1 * float(pp.value)
-        )
-        assert stable == pytest.approx(hand, abs=1e-12)
-        guide = float(guidance_total(ce, ent, gg, w).value)
-        hand_g = 0.5 * float(ce.value) + 0.05 * float(ent.value) + 0.1 * float(gg.value)
-        assert guide == pytest.approx(hand_g, abs=1e-12)
+        x, z, ce, values = _terms(tape, emb, proto_tan, logits, labels, config)
+        total, components = phase_loss("single", config, ce, x, z, labels, 100, frozen=False)
+        assert list(components) == ["ce", "entail", "pp"]
+        assert float(total.value) == 0.5 * values["ce"] + 0.05 * values["entail"] + 0.1 * values["pp"]
+
+    def test_guidance_keeps_frozen_contract(self):
+        rng = np.random.default_rng(12)
+        emb, proto_tan, logits, labels = draw_safe_config(rng)
+        tape = Tape()
+        x, z, ce, _ = _terms(tape, emb, proto_tan, logits, labels, RunConfig())
+        with pytest.raises(ContractViolation):
+            phase_loss("guidance", RunConfig(), ce, x, z, labels, 100, frozen=False)
 
     def test_gradients_reach_prototypes_only_via_margin_and_pp(self):
         rng = np.random.default_rng(13)
         emb, proto_tan, logits, labels = draw_safe_config(rng)
         y = np.eye(4)[labels]
-        w = LossWeights()
+        config = RunConfig()
 
         tape = Tape()
         proto_leaf = tape.leaf(proto_tan)
         x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
         z = bo.exp_map_origin_rows(proto_leaf, 1.0)
-        assigned = td.gather_rows(z, labels)
         ce = cross_entropy(td.softmax(tape.const(logits)), y)
-        total = stabilization_total(
-            ce,
-            temporal_entailment(x, w.cone_k),
-            prototype_margin(z, w.margin, 1.0),
-            push_pull(x, assigned, 100, 1000, w.decay, 1.0),
-            w,
-        )
+        total, _ = phase_loss("stabilization", config, ce, x, z, labels, 100, frozen=False)
         grads = tape.backward(total)
         assert np.any(grads[proto_leaf] != 0.0)
 
@@ -300,12 +321,8 @@ class TestComposites:
         proto_const = tape2.const(proto_tan)
         x2 = bo.exp_map_origin_rows(tape2.leaf(emb), 1.0)
         z2 = bo.exp_map_origin_rows(proto_const, 1.0)
-        total2 = guidance_total(
-            cross_entropy(td.softmax(tape2.const(logits)), y),
-            temporal_entailment(x2, w.cone_k),
-            geodesic_guidance(x2, td.gather_rows(z2, labels), 1.0, frozen=True),
-            w,
-        )
+        ce2 = cross_entropy(td.softmax(tape2.const(logits)), y)
+        total2, _ = phase_loss("guidance", config, ce2, x2, z2, labels, 100, frozen=True)
         grads2 = tape2.backward(total2)
         assert proto_const not in grads2
 
@@ -352,10 +369,6 @@ class TestPrototypesType:
         assert p.frozen
         with pytest.raises(ValueError):
             p.points[0, 0] = 0.5
-
-    def test_checksum_stable(self):
-        p = Prototypes(np.array([[0.1, 0.0], [0.0, 0.1]]), 1.0)
-        assert p.checksum() == p.checksum()
 
     def test_min_pairwise_distance(self):
         p = Prototypes(np.array([[0.3, 0.0], [0.4, 0.0], [0.0, 0.9]]), 1.0)

@@ -7,8 +7,8 @@ import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape
 from hyptas.errors import ShapeError
-from hyptas.losses import LossWeights, cross_entropy, prototype_margin, push_pull, \
-    stabilization_total, temporal_entailment
+from hyptas.data import RunConfig
+from hyptas.losses import cross_entropy, phase_loss
 from hyptas.metrics import segments_from_labels
 from hyptas.model import (
     BoundDenoiser,
@@ -16,7 +16,6 @@ from hyptas.model import (
     DenoiserConfig,
     apply_masking,
     mask_vector,
-    receptive_halfwidth,
     sample_mask_kind,
     sinusoidal_step_embedding,
 )
@@ -63,7 +62,7 @@ class TestEncode:
         moved = model.bind(tape2, trainable=False).encode(perturbed)[0].value
 
         changed = np.where(np.any(moved != base, axis=1))[0]
-        half = receptive_halfwidth(model.config)
+        half = sum(d * (model.config.kernel // 2) for d in model.config.dilations)
         assert half == 15
         assert changed.size > 0
         assert changed.min() >= probe - half
@@ -249,15 +248,9 @@ class TestGradientFlow:
         ball = bo.exp_map_origin_rows(emb, 1.0)
         proto_leaf = tape.leaf(0.05 * rng.normal(size=(C, model.config.embed_dim)))
         protos = bo.exp_map_origin_rows(proto_leaf, 1.0)
-        assigned = td.gather_rows(protos, labels)
-        w = LossWeights()
         ce = td.add(cross_entropy(probs, y_onehot), cross_entropy(p_enc, y_onehot))
-        total = stabilization_total(
-            ce,
-            temporal_entailment(ball, w.cone_k),
-            prototype_margin(protos, w.margin, 1.0),
-            push_pull(ball, assigned, 250, 1000, w.decay, 1.0),
-            w,
+        total, _ = phase_loss(
+            "stabilization", RunConfig(), ce, ball, protos, labels, 250, frozen=False
         )
         grads = tape.backward(total)
         for name, tensor in bound.bound.items():
@@ -267,4 +260,4 @@ class TestGradientFlow:
 
     def test_parameter_count_in_expected_band(self):
         model = Denoiser(DenoiserConfig(feature_dim=32, classes=6))
-        assert 15_000 < model.parameter_count() < 60_000
+        assert 15_000 < sum(p.size for p in model.params.values()) < 60_000
