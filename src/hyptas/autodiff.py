@@ -294,15 +294,6 @@ def tanh(a: Tensor) -> Tensor:
     return a.tape._register(out, (a,), push)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-
-    def push(g):
-        _accumulate(a, g * out)
-
-    return a.tape._register(out, (a,), push)
-
-
 def log(a: Tensor) -> Tensor:
     """Natural log; caller clamps the argument positive."""
     val = a.value
@@ -411,14 +402,18 @@ def rows_dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def row_norm(a: Tensor, floor: float = _DENOM_EPS) -> Tensor:
-    """Per-row Euclidean norm -> (N, 1), floored; gradient is flat below the floor."""
+    """Per-row Euclidean norm -> (N, 1), floored; gradient is flat below the floor.
+
+    With `floor=0.0` a zero row has norm exactly 0 and gradient 0.
+    """
     raw = np.linalg.norm(a.value, axis=1, keepdims=True)
     out = np.maximum(raw, floor)
     active = raw > floor
     val = a.value
 
     def push(g):
-        _accumulate(a, np.where(active, g * val / out, 0.0))
+        grad = np.zeros_like(val)
+        _accumulate(a, np.divide(g * val, out, out=grad, where=active))
 
     return a.tape._register(out, (a,), push)
 

@@ -1,11 +1,14 @@
-"""Differentiable Poincare-ball operations, composed from tape primitives.
+"""Every Poincare-ball formula the losses use, composed from tape primitives.
 
-Each function mirrors a kernel in `geometry` but is built entirely out of
-`autodiff` ops, so gradients are exact by construction rather than
-hand-derived. Forward values agree with the `geometry` module to float
-precision (tested), and the same clamping policy applies: norms floored,
-artanh arguments kept below 1, inverse-trig arguments clipped to their
-closed domains.
+Mobius addition, geodesic distance, distance to the origin, the exp map at
+the origin, the entailment-cone exterior angle and the cone aperture each
+have this one implementation. Training builds them on a recording tape, so
+gradients are exact by construction rather than hand-derived; inference,
+the prototype log value and the `hyptas check` suites run the same
+functions forward through `evaluate` on a non-recording tape. Clamping
+follows one policy: norms floored, artanh arguments kept below 1,
+inverse-trig arguments clipped to their closed domains. `geometry` keeps
+only the numpy kernels of Riemannian Adam's retraction.
 """
 
 from __future__ import annotations
@@ -15,8 +18,17 @@ import math
 import numpy as np
 
 from . import autodiff as td
-from .autodiff import Tensor
+from .autodiff import Tape, Tensor
 from .geometry import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
+
+
+def evaluate(op, *args) -> np.ndarray:
+    """`op(*args)` forward on a non-recording tape: numpy rows in, numpy out.
+
+    Array arguments become constants; scalars (curvature, cone_k) pass as is.
+    """
+    tape = Tape(record=False)
+    return op(*(tape.const(a) if isinstance(a, np.ndarray) else a for a in args)).value
 
 
 def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
@@ -32,10 +44,10 @@ def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
 
 
 def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
-    """Row-wise geodesic distance -> (N, 1)."""
+    """Row-wise geodesic distance -> (N, 1); exactly 0 for equal rows."""
     sqrt_c = math.sqrt(c)
     w = mobius_add_rows(td.neg(x), y, c)
-    arg = td.clamp(td.mul(td.row_norm(w), sqrt_c), hi=ARTANH_ARG_MAX)
+    arg = td.clamp(td.mul(td.row_norm(w, floor=0.0), sqrt_c), hi=ARTANH_ARG_MAX)
     return td.mul(td.artanh(arg), 2.0 / sqrt_c)
 
 
@@ -62,9 +74,14 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
 def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     """Row-wise entailment-cone exterior angle -> (N, 1).
 
+    Uses the nonsingular form
+        cos(theta) = (<x,y>(1+|x|^2) - |x|^2 (1+|y|^2))
+                     / (|x| |x-y| sqrt(1 + |x|^2 |y|^2 - 2<x,y>)).
     Rows with a degenerate base (|x| <= BALL_EPS) or coincident pair
-    (|x - y| <= BALL_EPS) are masked to 0 by convention; the mask is a
-    constant, so no gradient flows through those rows.
+    (|x - y| <= BALL_EPS) are masked to 0 by convention. So are rows with
+    cos(theta) >= 1 - 1e-12: arccos amplifies rounding there to ~1e-7, and
+    a radially outward y must come out exactly 0. The mask is a constant,
+    so no gradient flows through masked rows.
     """
     xx = td.rows_dot(x, x)
     yy = td.rows_dot(y, y)
@@ -79,7 +96,8 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     cos_theta = td.clamp(td.div(num, den), lo=-1.0, hi=1.0)
     theta = td.acos(cos_theta)
     keep = x.tape.const(
-        ((nx.value > BALL_EPS) & (nxy.value > BALL_EPS)).astype(np.float64)
+        ((nx.value > BALL_EPS) & (nxy.value > BALL_EPS)
+         & (cos_theta.value < 1.0 - 1e-12)).astype(np.float64)
     )
     return td.mul(theta, keep)
 

@@ -37,6 +37,7 @@ FEATURE_MAGIC = b"HTFE"
 CHECKPOINT_MAGIC = b"HTCK"
 FORMAT_VERSION = 1
 _MAX_ELEMENTS = 1 << 31  # dimension-overflow guard for file payloads
+_MAX_NDIM = 32           # tensor rank guard; numpy 1.x allows at most 32
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,8 @@ def read_features(path) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=14).reshape(L, D)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite feature values")
     return data.astype(np.float64)
 
 
@@ -514,8 +517,12 @@ def _unpack_sections(blob: bytes, path: str) -> dict[str, object]:
             sections[name] = r.text(raw_len)
         elif kind == 0:
             (ndim,) = struct.unpack("<B", r.take(1))
-            shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim)) if ndim else ()
-            n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            if ndim > _MAX_NDIM:
+                raise FormatError(
+                    f"{path}: tensor {name!r} has {ndim} dimensions, at most {_MAX_NDIM} allowed"
+                )
+            shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+            n = math.prod(shape)  # Python ints, so a huge product cannot wrap
             if n > _MAX_ELEMENTS:
                 raise FormatError(f"{path}: tensor {name!r} dimensions out of range")
             arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape)

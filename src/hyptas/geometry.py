@@ -1,12 +1,13 @@
-"""Poincare-ball geometry: Mobius arithmetic, exp/log maps, geodesic
-distance, entailment-cone angles, and safe projection into the open ball.
+"""Poincare-ball kernels of Riemannian Adam: Mobius addition, the exp and
+log maps at any base point, and safe projection into the open ball.
 
 Every kernel works row-wise on (N, d) float64 arrays in double precision.
 The ball of curvature magnitude c has Euclidean radius 1/sqrt(c);
 boundary-adjacent quantities are clamped (BALL_EPS on norms, DENOM_EPS on
-denominators, inverse-trig arguments to their closed domains) so no
-operation can leave the open ball or divide by zero. `ballops` builds the
-differentiable versions of the loss kernels on the tape.
+denominators, the artanh argument below 1) so no operation can leave the
+open ball or divide by zero. `optim` retracts with `exp_map_rows`, and
+`hyptas check` certifies its round trip with `log_map_rows`. Every formula
+the losses use lives once in `ballops`, which shares these constants.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ def exp_map_rows(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
     return project_rows(mobius_add_rows(x, second, c), c)
 
 
-def exp_map_origin_rows(v: np.ndarray, c: float) -> np.ndarray:
-    """exp at the origin: tanh(sqrt(c)|v|) v / (sqrt(c)|v|), projected inside."""
-    sqrt_c = math.sqrt(c)
-    vnorm = np.linalg.norm(v, axis=-1, keepdims=True)
-    safe = np.maximum(vnorm, DENOM_EPS)
-    radial = np.minimum(np.tanh(sqrt_c * vnorm), 1.0 - BALL_EPS)
-    return (radial / (sqrt_c * safe)) * v
-
-
 def log_map_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Logarithmic map at each row of x toward the matching row of y."""
     sqrt_c = math.sqrt(c)
@@ -73,56 +65,3 @@ def log_map_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     arg = np.minimum(sqrt_c * wnorm, ARTANH_ARG_MAX)
     gain = (2.0 / (sqrt_c * lam)) * np.arctanh(arg) / np.maximum(wnorm, DENOM_EPS)
     return np.where(wnorm > 0.0, gain * w, np.zeros_like(w))
-
-
-def distance_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
-    """Geodesic distance per row: (2/sqrt(c)) artanh(sqrt(c) |(-x) (+) y|)."""
-    sqrt_c = math.sqrt(c)
-    w = mobius_add_rows(-x, y, c)
-    arg = np.minimum(sqrt_c * np.linalg.norm(w, axis=-1), ARTANH_ARG_MAX)
-    return (2.0 / sqrt_c) * np.arctanh(arg)
-
-
-def origin_distance_rows(x: np.ndarray, c: float) -> np.ndarray:
-    sqrt_c = math.sqrt(c)
-    arg = np.minimum(sqrt_c * np.linalg.norm(x, axis=-1), ARTANH_ARG_MAX)
-    return (2.0 / sqrt_c) * np.arctanh(arg)
-
-
-def exterior_angle_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Angle at each row of x between the radially-outward cone axis and the
-    direction of the matching row of y.
-
-    Uses the nonsingular entailment-cone form
-        cos(theta) = (<x,y>(1+|x|^2) - |x|^2 (1+|y|^2))
-                     / (|x| |x-y| sqrt(1 + |x|^2 |y|^2 - 2<x,y>))
-    which is exactly 0 for y radially outward of x. Degenerate rows
-    (|x| <= BALL_EPS or |x-y| <= BALL_EPS) return 0 by convention.
-    """
-    xx = np.sum(x * x, axis=-1)
-    yy = np.sum(y * y, axis=-1)
-    xy = np.sum(x * y, axis=-1)
-    nx = np.sqrt(xx)
-    nxy = np.linalg.norm(x - y, axis=-1)
-    num = xy * (1.0 + xx) - xx * (1.0 + yy)
-    inner = np.maximum(1.0 + xx * yy - 2.0 * xy, DENOM_EPS)
-    den = np.maximum(nx * nxy * np.sqrt(inner), DENOM_EPS)
-    cos_theta = np.clip(num / den, -1.0, 1.0)
-    # arccos amplifies rounding near +/-1 to ~1e-8; radially outward pairs must
-    # come out exactly 0, so cosines within 1e-12 of the ends snap to them.
-    cos_theta = np.where(cos_theta >= 1.0 - 1e-12, 1.0, cos_theta)
-    cos_theta = np.where(cos_theta <= -1.0 + 1e-12, -1.0, cos_theta)
-    theta = np.arccos(cos_theta)
-    degenerate = (nx <= BALL_EPS) | (nxy <= BALL_EPS)
-    return np.where(degenerate, 0.0, theta)
-
-
-def aperture_rows(x: np.ndarray, K: float) -> np.ndarray:
-    """Half-angle of the entailment cone at each row: arcsin(K (1 - |x|^2) / |x|).
-
-    The arcsin argument is clamped to [-1, 1]; at the origin (|x| <= BALL_EPS)
-    or whenever the argument exceeds 1 the cone opens fully to pi/2.
-    """
-    nx = np.linalg.norm(x, axis=-1)
-    arg = K * (1.0 - nx * nx) / np.maximum(nx, BALL_EPS)
-    return np.arcsin(np.clip(arg, -1.0, 1.0))

@@ -64,19 +64,14 @@ class Prototypes:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def freeze(self) -> None:
         self.frozen = True
         self.points.flags.writeable = False
 
     def min_pairwise_distance(self) -> float:
-        from .geometry import distance_rows
-
         i, j = np.triu_indices(self.count, k=1)
-        return float(np.min(distance_rows(self.points[i], self.points[j], self.curvature)))
+        pairs = bo.evaluate(bo.distance_rows, self.points[i], self.points[j], self.curvature)
+        return float(np.min(pairs))
 
 
 def cross_entropy(p: Tensor, y_onehot: np.ndarray) -> Tensor:

@@ -33,10 +33,6 @@ class Segment:
         if self.start > self.end:
             raise ShapeError(f"segment start {self.start} after end {self.end}")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 def segments_from_labels(labels: Sequence[int]) -> list[Segment]:
     """Maximal runs of equal labels; concatenating them reproduces the input."""

@@ -31,7 +31,6 @@ from .diffusion import (
     sample,
 )
 from .errors import ConfigError, FormatError, NonFiniteLossError, ShapeError
-from .geometry import exp_map_origin_rows
 from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
 from .model import Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
@@ -292,11 +291,11 @@ def infer_videos(
     # One video needs no stacked copy (a 1000-frame one would be 256 KB).
     stacked = videos[0] if len(videos) == 1 else np.concatenate(videos)
     condition, _ = bound.encode(stacked, rows)
-    last_embedding: dict[str, np.ndarray] = {}
+    emb = None
 
     def denoiser(y_t: np.ndarray, t: int) -> np.ndarray:
+        nonlocal emb
         emb, probs = bound.decode(tape.const(y_t), condition, t, rows)
-        last_embedding["value"] = emb.value
         return probs.value
 
     noise = np.concatenate([
@@ -305,7 +304,7 @@ def infer_videos(
     ])
     probs = sample(denoiser, steps, state.schedule, noise)
     labels = label_decode(probs)
-    ball = exp_map_origin_rows(last_embedding["value"], state.prototypes.curvature)
+    ball = bo.exp_map_origin_rows(emb, state.prototypes.curvature).value
     return [
         (labels[end - n : end], probs[end - n : end], ball[end - n : end])
         for n, end in zip(rows, itertools.accumulate(rows))
@@ -354,7 +353,7 @@ def _section(sections: dict, path, name: str, ndim: int | None = None):
     return value
 
 
-def load_checkpoint(path, expected_config: RunConfig | None = None) -> TrainedState:
+def load_checkpoint(path) -> TrainedState:
     sections = read_checkpoint(path)
     meta = _section(sections, path, "denoiser/meta", 1)
     if meta.shape != (len(CHECKPOINT_FIELDS),):
@@ -423,9 +422,4 @@ def load_checkpoint(path, expected_config: RunConfig | None = None) -> TrainedSt
                 f"{path}: config_text has {field_name} = {getattr(run_config, field_name)}, "
                 f"but section {section!r} holds {value}"
             )
-    if expected_config is not None and expected_config.hash() != sections.get("config_hash"):
-        logger.warning(
-            "%s: checkpoint config hash %s does not match the requested config %s",
-            path, sections.get("config_hash"), expected_config.hash(),
-        )
     return TrainedState(model, prototypes, schedule, run_config)

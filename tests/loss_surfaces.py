@@ -12,12 +12,6 @@ import numpy as np
 import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas import losses
-from hyptas.geometry import (
-    aperture_rows,
-    distance_rows,
-    exp_map_origin_rows,
-    exterior_angle_rows,
-)
 from hyptas.data import RunConfig
 
 
@@ -35,19 +29,19 @@ def draw_safe_config(rng, frames=6, classes=4, dim=3, c=1.0, cone_k=0.1, margin=
         logits = rng.normal(size=(frames, classes))
         labels = rng.integers(0, classes, size=frames)
 
-        ball = exp_map_origin_rows(emb, c)
-        protos = exp_map_origin_rows(proto_tan, c)
-        theta = exterior_angle_rows(ball[:-1], ball[1:])
-        alpha = aperture_rows(ball[:-1], cone_k)
+        ball = bo.evaluate(bo.exp_map_origin_rows, emb, c)
+        protos = bo.evaluate(bo.exp_map_origin_rows, proto_tan, c)
+        theta = bo.evaluate(bo.exterior_angle_rows, ball[:-1], ball[1:])
+        alpha = bo.evaluate(bo.aperture_rows, ball[:-1], cone_k)
         if np.any(np.abs(theta - alpha) < 1e-3):
             continue
         if np.any(theta < 1e-3) or np.any(theta > np.pi - 1e-3):
             continue
         i, j = np.triu_indices(classes, k=1)
-        pair_d = distance_rows(protos[i], protos[j], c)
+        pair_d = bo.evaluate(bo.distance_rows, protos[i], protos[j], c)
         if np.any(np.abs(pair_d - margin) < 1e-3) or np.any(pair_d < 1e-2):
             continue
-        if np.any(distance_rows(ball, protos[labels], c) < 1e-2):
+        if np.any(bo.evaluate(bo.distance_rows, ball, protos[labels], c) < 1e-2):
             continue
         return emb, proto_tan, logits, labels
     raise RuntimeError("could not sample a kink-free configuration")

@@ -1,10 +1,22 @@
-"""Every public module-level function and class in `src/hyptas` is used by the
-package itself or by the benchmark harness, not only by tests.
+"""Every public function, class, method and property in `src/hyptas` is used by
+the package itself or by the benchmark harness, not only by tests.
 
-A name counts as used when it appears outside its own definition in
-`src/hyptas/*.py` or `perfbench/*.py`: as a name, an attribute, an import, or
-a dotted-name string constant (the harness names the loss terms it traces
-as strings). Free text such as docstrings does not count. The CLI entry point `main` is exempt; the console script calls it.
+Uses are resolved, not matched by bare name, in `src/hyptas/*.py` and
+`perfbench/*.py`, outside the definition itself:
+
+- A module-level function or class counts where a name is bound to it: a
+  name in its own module, a name imported from its module
+  (`from .losses import phase_loss`), or an attribute of its module
+  (`td.conv1d`, `hyptas.cli.run`).
+- A method or property counts as any attribute of its name (`opt.step`);
+  the receiver's type is not known without running the code.
+- In `perfbench/` only, a dotted-name string constant counts too, because
+  the harness looks functions up by name ("cross_entropy", and
+  ("optim", "Adam", "step") for methods).
+
+So a local variable or a string in `src/` that only shares a name (the
+`exp` subparser in `cli.py`, the decay kind "exp") is not a use. The CLI
+entry point `main` is exempt; the console script calls it.
 """
 
 import ast
@@ -12,50 +24,98 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "hyptas").glob("*.py"))
-USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+PACKAGE = "hyptas"
+SOURCES = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 EXEMPT = {"main"}
 
 
-def _names(node: ast.AST) -> list[str]:
+def _bindings(tree: ast.AST) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """Local names bound to package modules, and to names imported from them."""
+    modules: dict[str, str] = {}
+    names: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not node.level:
+                if source != PACKAGE and not source.startswith(PACKAGE + "."):
+                    continue
+                source = source[len(PACKAGE) + 1:]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source:  # from .losses import phase_loss
+                    names[local] = (source, alias.name)
+                else:  # from . import autodiff as td
+                    modules[local] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE and len(parts) == 2 and alias.asname:
+                    modules[alias.asname] = parts[1]  # import hyptas.autodiff as td
+    return modules, names
+
+
+def _module_of(node: ast.AST, modules: dict[str, str]) -> str | None:
+    """The package module an expression names: `td` or `hyptas.cli`."""
     if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, ast.Attribute):
-        return [node.attr]
-    if isinstance(node, ast.alias):
-        return [node.name.split(".")[-1]]
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        if re.fullmatch(r"[\w.]+", node.value):  # "cross_entropy", "optim.Adam.step"
-            return node.value.split(".")
-    return []
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == PACKAGE:
+        return node.attr
+    return None
 
 
-def _public_definitions():
+def _uses() -> tuple[dict[tuple, set], set[str]]:
+    """Key -> (file, line) of each use, where a key is (module, name) for a
+    module-level name and (None, name) for an attribute; plus every name the
+    harness spells in a string."""
+    uses: dict[tuple, set] = {}
+    spelled: set[str] = set()
+    for path in SOURCES + HARNESS:
+        tree = ast.parse(path.read_text())
+        own = path.stem if path in SOURCES else None
+        modules, names = _bindings(tree)
+        for node in ast.walk(tree):
+            keys = []
+            if isinstance(node, ast.Name):
+                if node.id in names:
+                    keys.append(names[node.id])
+                elif own:
+                    keys.append((own, node.id))
+            elif isinstance(node, ast.Attribute):
+                keys.append((None, node.attr))
+                module = _module_of(node.value, modules)
+                if module:
+                    keys.append((module, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and not own:
+                if re.fullmatch(r"[\w.]+", node.value):
+                    spelled.update(node.value.split("."))
+            for key in keys:
+                uses.setdefault(key, set()).add((path, node.lineno))
+    return uses, spelled
+
+
+def _definitions():
+    """(path, key, qualified name, node) of every public definition."""
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield path, node
-
-
-def _uses() -> dict[str, set[tuple[Path, int]]]:
-    """Name -> (file, line) of every node that mentions it."""
-    uses: dict[str, set[tuple[Path, int]]] = {}
-    for path in USERS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            for name in _names(node):
-                uses.setdefault(name, set()).add((path, getattr(node, "lineno", 0)))
-    return uses
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield path, (path.stem, node.name), f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield (path, (None, member.name),
+                               f"{path.stem}.{node.name}.{member.name}", member)
 
 
 def test_no_public_api_only_tests_call():
-    uses = _uses()
+    uses, spelled = _uses()
     unused = []
-    for path, node in _public_definitions():
-        if node.name in EXEMPT:
+    for path, key, qualified, node in _definitions():
+        if node.name in EXEMPT or node.name in spelled:
             continue
         inside = range(node.lineno, node.end_lineno + 1)
-        outside = [(p, line) for p, line in uses.get(node.name, ())
-                   if p != path or line not in inside]
-        if not outside:
-            unused.append(f"{path.stem}.{node.name}")
+        if not any(p != path or line not in inside for p, line in uses.get(key, ())):
+            unused.append(qualified)
     assert not unused, f"public API that nothing in src/ or perfbench/ uses: {unused}"

@@ -74,7 +74,7 @@ class TestSyntheticGeneration:
         lo, hi = spec.frames_per_segment
         for rec in data.train + data.test:
             for seg in segments_from_labels(rec.labels):
-                assert lo <= seg.length <= hi
+                assert lo <= seg.end - seg.start + 1 <= hi
 
     def test_split_sizes(self):
         data = generate_synthetic(SyntheticSpec(videos=50, seed=1))

@@ -1,0 +1,182 @@
+"""Seeded fuzzing of the checkpoint (.htck) and feature (.htfe) readers.
+
+Every damaged file goes through `hyptas infer`, which must succeed (exit 0)
+or reject it as malformed input (exit 1, naming the file); exit 2 means a
+bug in a reader. The checkpoint mutations truncate, flip bits, cut a byte
+range, drop a whole section, or swap a section's kind between tensor and
+string; the feature-file mutations truncate, flip bits, cut bytes and
+rewrite header fields. Fixed cases pin two tensor headers that once escaped
+as exit 2 and a NaN feature value that once exited 1 without naming its
+file.
+"""
+
+import shutil
+import struct
+
+import numpy as np
+import pytest
+
+from hyptas.cli import run
+
+GEN_ARGS = [
+    "--videos", "5", "--tasks", "2", "--actions-per-task", "1", "--shared-actions", "1",
+    "--feature-dim", "4", "--noise", "0.3", "--frames", "3", "4", "--segments", "2", "2",
+    "--seed", "3",
+]
+TRAIN_SETS = [
+    "--set", "epochs=2", "--set", "timesteps=20", "--set", "infer_steps=1",
+    "--set", "encoder_channels=4", "--set", "embed_dim=4",
+]
+CASES_PER_MUTATION = 150
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data, ckpt = root / "data", root / "model.htck"
+    assert run(["gen-data", "--out", str(data)] + GEN_ARGS) == 0
+    assert run(["train", "--data", str(data), "--out", str(ckpt), "--seed", "1"] + TRAIN_SETS) == 0
+    return root, data, ckpt
+
+
+def _sections(blob: bytes) -> list[tuple[int, int, int]]:
+    """(start, kind offset, end) of every section of a well-formed checkpoint."""
+    (count,) = struct.unpack_from("<I", blob, 6)
+    spans, pos = [], 10
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        kind_at = pos + 2 + name_len
+        if blob[kind_at] == 1:
+            (raw_len,) = struct.unpack_from("<I", blob, kind_at + 1)
+            end = kind_at + 5 + raw_len
+        else:
+            ndim = blob[kind_at + 1]
+            dims = struct.unpack_from(f"<{ndim}I", blob, kind_at + 2)
+            end = kind_at + 2 + 4 * ndim + 8 * int(np.prod(dims))
+        spans.append((pos, kind_at, end))
+        pos = end
+    assert pos == len(blob)
+    return spans
+
+
+def _with_count(blob: bytes, count: int) -> bytes:
+    return blob[:6] + struct.pack("<I", count) + blob[10:]
+
+
+def _truncate(blob, rng):
+    return blob[: rng.integers(0, len(blob))]
+
+
+def _flip_bits(blob, rng):
+    out = bytearray(blob)
+    for at in rng.integers(0, len(blob), size=rng.integers(1, 4)):
+        out[at] ^= 1 << int(rng.integers(0, 8))
+    return bytes(out)
+
+
+def _cut(blob, rng):
+    start = int(rng.integers(0, len(blob)))
+    stop = min(len(blob), start + int(rng.integers(1, 64)))
+    return blob[:start] + blob[stop:]
+
+
+def _drop_section(blob, rng):
+    spans = _sections(blob)
+    start, _, end = spans[rng.integers(0, len(spans))]
+    return _with_count(blob[:start] + blob[end:], len(spans) - 1)
+
+
+def _swap_kind(blob, rng):
+    spans = _sections(blob)
+    _, kind_at, _ = spans[rng.integers(0, len(spans))]
+    out = bytearray(blob)
+    out[kind_at] ^= 1
+    return bytes(out)
+
+
+def _feature_header(blob, rng):
+    """Rewrite version, L or D with a random u16/u32."""
+    field = rng.integers(0, 3)
+    if field == 0:
+        return blob[:4] + struct.pack("<H", int(rng.integers(0, 1 << 16))) + blob[6:]
+    at = 6 if field == 1 else 10
+    return blob[:at] + struct.pack("<I", int(rng.integers(0, 1 << 32))) + blob[at + 4:]
+
+
+CHECKPOINT_MUTATIONS = [_truncate, _flip_bits, _cut, _drop_section, _swap_kind]
+FEATURE_MUTATIONS = [_truncate, _flip_bits, _cut, _feature_header]
+
+
+def _infer(ckpt, data, out) -> int:
+    return run(["infer", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out),
+                "--steps", "1"])
+
+
+def _assert_handled(code, capsys, damaged, label):
+    """Exit 0, or exit 1 with a message that names the damaged file."""
+    err = capsys.readouterr().err
+    assert code in (0, 1), f"{label}: {err}"
+    assert code == 0 or str(damaged) in err, f"{label}: {err}"
+
+
+def test_damaged_checkpoints_exit_zero_or_one(trained, tmp_path, capsys):
+    _, data, ckpt = trained
+    blob = ckpt.read_bytes()
+    bad = tmp_path / "bad.htck"
+    rng = np.random.default_rng(0)
+    for mutate in CHECKPOINT_MUTATIONS:
+        for case in range(CASES_PER_MUTATION):
+            bad.write_bytes(mutate(blob, rng))
+            code = _infer(bad, data, tmp_path / "p")
+            _assert_handled(code, capsys, bad, f"{mutate.__name__} case {case}")
+
+
+def test_damaged_feature_files_exit_zero_or_one(trained, tmp_path, capsys):
+    _, data, ckpt = trained
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    first = (copy / "splits" / "test.txt").read_text().split()[0]
+    features = copy / "features" / f"{first}.htfe"
+    blob = features.read_bytes()
+    rng = np.random.default_rng(1)
+    for mutate in FEATURE_MUTATIONS:
+        for case in range(CASES_PER_MUTATION):
+            features.write_bytes(mutate(blob, rng))
+            code = _infer(ckpt, copy, tmp_path / "p")
+            _assert_handled(code, capsys, features, f"{mutate.__name__} case {case}")
+
+
+def _extra_tensor(ndim: int, dims: tuple[int, ...], payload: bytes) -> bytes:
+    name = b"extra"
+    return (struct.pack("<H", len(name)) + name + struct.pack("<BB", 0, ndim)
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+@pytest.mark.parametrize("section", [
+    _extra_tensor(65, (1,) * 65, bytes(8)),               # more dimensions than numpy allows
+    _extra_tensor(4, (1 << 16,) * 4, b""),                # product 2**64 wraps to 0 in int64
+], ids=["ndim_65", "dims_product_wraps"])
+def test_pinned_tensor_headers_exit_one(trained, tmp_path, capsys, section):
+    _, data, ckpt = trained
+    blob = ckpt.read_bytes()
+    bad = tmp_path / "bad.htck"
+    bad.write_bytes(_with_count(blob, len(_sections(blob)) + 1) + section)
+    code = _infer(bad, data, tmp_path / "p")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(bad) in err and "'extra'" in err
+
+
+def test_pinned_non_finite_feature_exits_one(trained, tmp_path, capsys):
+    _, data, ckpt = trained
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    first = (copy / "splits" / "test.txt").read_text().split()[0]
+    features = copy / "features" / f"{first}.htfe"
+    blob = bytearray(features.read_bytes())
+    blob[14:18] = struct.pack("<f", float("nan"))
+    features.write_bytes(bytes(blob))
+    code = _infer(ckpt, copy, tmp_path / "p")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(features) in err and "non-finite" in err

@@ -1,18 +1,23 @@
+"""Poincare-ball formulas against closed forms and metric properties.
+
+Mobius addition, projection and the exp/log maps at any base point are the
+numpy kernels of `geometry`. Distance, origin distance, exp at the origin,
+exterior angle and aperture are the `ballops` functions training uses, run
+forward on a non-recording tape.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
+import hyptas.ballops as bo
+from hyptas.autodiff import Tape
 from hyptas.geometry import (
     BALL_EPS,
-    aperture_rows,
-    distance_rows,
-    exp_map_origin_rows,
     exp_map_rows,
-    exterior_angle_rows,
     log_map_rows,
     mobius_add_rows,
-    origin_distance_rows,
     project_rows,
 )
 
@@ -30,6 +35,26 @@ def rand_rows(rng, n, dim, c, max_scaled_norm=0.9):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = rng.uniform(0.0, max_scaled_norm, size=(n, 1)) / math.sqrt(c)
     return r * direction
+
+
+def distance_rows(x, y, c):
+    return bo.evaluate(bo.distance_rows, x, y, c)[:, 0]
+
+
+def origin_distance_rows(x, c):
+    return bo.evaluate(bo.origin_distance_rows, x, c)[:, 0]
+
+
+def exp_map_origin_rows(v, c):
+    return bo.evaluate(bo.exp_map_origin_rows, v, c)
+
+
+def exterior_angle_rows(x, y):
+    return bo.evaluate(bo.exterior_angle_rows, x, y)[:, 0]
+
+
+def aperture_rows(x, K):
+    return bo.evaluate(bo.aperture_rows, x, K)[:, 0]
 
 
 def dist(x, y, c=1.0):
@@ -186,6 +211,18 @@ class TestExteriorAngle:
         rng = np.random.default_rng(23)
         theta = exterior_angle_rows(rand_rows(rng, 500, 3, 1.0), rand_rows(rng, 500, 3, 1.0))
         assert np.all((0.0 <= theta) & (theta <= math.pi))
+
+    def test_outward_rays_exactly_zero(self):
+        # The rays of the `hyptas check` cone-axis suite. Without the snap of
+        # cos >= 1 - 1e-12, arccos rounding leaves angles up to ~3e-7 here.
+        rng = np.random.default_rng(3)
+        x = rand_rows(rng, 1000, 3, 1.0, 0.6)
+        x = x[np.linalg.norm(x, axis=1) >= 0.05]
+        y = rng.uniform(1.01, 1.6, size=(x.shape[0], 1)) * x
+        assert np.all(exterior_angle_rows(x, y) == 0.0)
+        tape = Tape()
+        theta = bo.exterior_angle_rows(tape.leaf(x), tape.const(y))
+        assert np.all(theta.value == 0.0)
 
     def test_radial_scaling_property(self):
         rng = np.random.default_rng(29)

@@ -155,7 +155,7 @@ class TestSegments:
         for _ in range(100):
             labels = rng.integers(0, 4, size=rng.integers(1, 50))
             segs = segments_from_labels(labels)
-            rebuilt = np.concatenate([[s.label] * s.length for s in segs])
+            rebuilt = np.concatenate([[s.label] * (s.end - s.start + 1) for s in segs])
             assert np.array_equal(rebuilt, labels)
             for a, b in zip(segs, segs[1:]):
                 assert a.label != b.label and b.start == a.end + 1

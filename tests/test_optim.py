@@ -3,7 +3,6 @@ import pytest
 
 from hyptas.autodiff import Tape
 from hyptas.errors import ContractViolation, NonFiniteLossError, ShapeError
-from hyptas.geometry import distance_rows
 from hyptas.losses import Prototypes, prototype_margin
 from hyptas.optim import Adam, AdamConfig, RiemannianAdam
 
@@ -86,7 +85,7 @@ class TestRiemannianAdam:
         margin = 2.0
 
         def pair_distance():
-            return float(distance_rows(protos.points[:1], protos.points[1:], 1.0)[0])
+            return protos.min_pairwise_distance()
 
         before = pair_distance()
         distances = [before]

@@ -1,15 +1,14 @@
 import gc
-import logging
 import weakref
 
 import numpy as np
 import pytest
 
+import hyptas.ballops as bo
 from hyptas.autodiff import Tape
 from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
 from hyptas.diffusion import label_decode, sample
 from hyptas.errors import FormatError, ShapeError
-from hyptas.geometry import exp_map_origin_rows
 from hyptas.metrics import evaluate_videos
 from hyptas.trainer import (
     TrainedState,
@@ -270,7 +269,7 @@ def _infer_rebinding_every_step(state, features, steps, seed):
         (features.shape[0], state.model.config.classes)
     )
     probs = sample(denoiser, steps, state.schedule, noise)
-    ball = exp_map_origin_rows(last["emb"], state.config.curvature)
+    ball = bo.evaluate(bo.exp_map_origin_rows, last["emb"], state.config.curvature)
     return label_decode(probs), probs, ball
 
 
@@ -366,15 +365,6 @@ class TestCheckpointRoundtrip:
         path = tmp_path / "model.htck"
         save_checkpoint(state, path)
         assert load_checkpoint(path).config == config
-
-    def test_hash_mismatch_warns_but_loads(self, tiny_run, tmp_path, caplog):
-        state, _, _ = tiny_run
-        path = tmp_path / "model.htck"
-        save_checkpoint(state, path)
-        other = RunConfig(epochs=99)
-        with caplog.at_level(logging.WARNING):
-            load_checkpoint(path, expected_config=other)
-        assert any("hash" in r.message for r in caplog.records)
 
     def test_missing_tensor_is_error(self, tiny_run, tmp_path):
         state, _, _ = tiny_run
