@@ -17,7 +17,6 @@ import numpy as np
 
 from . import checks
 from .data import (
-    Dataset,
     RunConfig,
     SyntheticSpec,
     atomic_write_bytes,
@@ -26,7 +25,9 @@ from .data import (
     read_config,
     read_dataset,
     read_utf8,
+    split_path,
     write_dataset,
+    write_labels,
 )
 from .errors import ConfigError, FormatError, HyptasError
 from .metrics import evaluate_videos
@@ -144,13 +145,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _split(dataset: Dataset, name: str) -> list:
-    return dataset.train if name == "train" else dataset.test
-
-
 def _validate_steps(steps: int | None, timesteps: int) -> None:
     if steps is not None and not 1 <= steps <= timesteps:
         raise ConfigError(f"--steps must lie in [1, {timesteps}], got {steps}")
+
+
+def _inference_inputs(args):
+    """The checkpoint, the dataset and its chosen split, checked against each
+    other before any inference runs."""
+    state = load_checkpoint(args.ckpt)
+    _validate_steps(args.steps, state.schedule.T)
+    dataset = read_dataset(args.data)
+    if dataset.num_classes != state.model.config.classes:
+        raise FormatError(
+            f"{Path(args.data) / 'mapping.txt'}: {dataset.num_classes} classes, but "
+            f"{args.ckpt} was trained on {state.model.config.classes}"
+        )
+    records = dataset.train if args.split == "train" else dataset.test
+    if not records:
+        raise FormatError(f"{split_path(args.data, args.split)}: holds no videos")
+    return state, dataset, records
 
 
 def _infer_split(state, records: list, args) -> list:
@@ -161,15 +175,8 @@ def _infer_split(state, records: list, args) -> list:
 
 
 def _cmd_infer(args) -> int:
-    state = load_checkpoint(args.ckpt)
-    _validate_steps(args.steps, state.schedule.T)
-    dataset = read_dataset(args.data)
-    from .data import write_labels
-
+    state, dataset, records = _inference_inputs(args)
     out_dir = Path(args.out)
-    records = _split(dataset, args.split)
-    if not records:
-        raise FormatError(f"{args.data}: split {args.split!r} holds no videos")
     for record, (labels, _, _) in zip(records, _infer_split(state, records, args)):
         write_labels(out_dir / f"{record.id}.txt", labels, dataset.class_names)
     print(f"wrote {len(records)} prediction files -> {out_dir}")
@@ -219,12 +226,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    state = load_checkpoint(args.ckpt)
-    _validate_steps(args.steps, state.schedule.T)
-    dataset = read_dataset(args.data)
-    records = _split(dataset, args.split)
-    if not records:
-        raise FormatError(f"{args.data}: split {args.split!r} holds no videos")
+    state, dataset, records = _inference_inputs(args)
     dim = state.model.config.embed_dim
     lines = ["video,frame,pred_label,gt_label," + ",".join(f"x{k}" for k in range(dim))]
     for record, (labels, _, ball) in zip(records, _infer_split(state, records, args)):

@@ -7,10 +7,16 @@ Formats (all little-endian, written atomically via rename):
   labels    one class name per line (frame-per-line).
   mapping   ``index name`` per line, indices contiguous from 0.
   config    UTF-8 ``key = value`` lines, ``#`` comments, unknown keys
-            rejected; missing keys take the documented defaults.
+            rejected; missing keys take the documented defaults; sizes
+            above ``SIZE_CAPS`` rejected by key.
   checkpoint magic ``HTCK``, version u16, sectioned payload: each section is
             a name plus either a float64 tensor (kind 0: ndim u8, dims u32,
-            raw values) or a UTF-8 string (kind 1).
+            raw values) or a UTF-8 string (kind 1). Which sections a model
+            checkpoint holds, and what is derived from them, is the
+            trainer's schema.
+  dataset   ``mapping.txt``, ``features/<id>.htfe``, ``labels/<id>.txt`` and
+            ``splits/{train,test}.txt``; a listed video whose files are
+            missing is refused by the split file's path.
 
 Generation is a pure function of the spec's seed: per video a coarse task is
 drawn, a fine-action sequence walks that task's first-order transition
@@ -21,7 +27,6 @@ features are the class mean plus temporally smoothed Gaussian noise.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import os
 import struct
@@ -293,7 +298,9 @@ def write_labels(path, labels: np.ndarray, class_names: list[str]) -> None:
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_labels(path, class_names: list[str]) -> np.ndarray:
+def read_labels(path, class_names: list[str], mapping: str = "the mapping") -> np.ndarray:
+    """Class indices of a label file; `mapping` names where `class_names` came
+    from, for the message when a name is not among them."""
     path = Path(path)
     index = {name: i for i, name in enumerate(class_names)}
     out = []
@@ -303,7 +310,7 @@ def read_labels(path, class_names: list[str]) -> np.ndarray:
         if not name:
             continue
         if name not in index:
-            raise FormatError(f"{path}:{lineno}: unknown class name {name!r}")
+            raise FormatError(f"{path}:{lineno}: unknown class name {name!r}, not in {mapping}")
         out.append(index[name])
     if not out:
         raise FormatError(f"{path}: empty label file")
@@ -317,6 +324,11 @@ def read_labels(path, class_names: list[str]) -> np.ndarray:
 DECAY_KINDS = ("exp", "linear", "cosine")  # push-pull timestep decays
 _POSITIVE = ("lr", "proto_lr", "curvature", "cone_k", "margin")
 _NONNEGATIVE = ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lambda_gg")
+# Upper bounds on the sizes the model and schedule allocate from: the schedule
+# holds timesteps + 1 values built in a Python loop, and each width w sizes
+# (3, w, w) convolution weights. Far above any desk-scale run, far below
+# what numpy refuses or what exhausts memory.
+SIZE_CAPS = {"timesteps": 100_000, "embed_dim": 1024, "encoder_channels": 1024}
 
 
 @dataclass(frozen=True)
@@ -367,6 +379,9 @@ class RunConfig:
             raise ConfigError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
         if self.embed_dim < 1 or self.encoder_channels < 1:
             raise ConfigError("model dimensions must be positive")
+        for name, cap in SIZE_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} = {getattr(self, name)} is above its cap of {cap}")
 
     @property
     def stabilization_epochs(self) -> int:
@@ -384,9 +399,6 @@ class RunConfig:
                 value = self.stabilization_epochs
             pairs.append(f"{name} = {value}")
         return "\n".join(pairs) + "\n"
-
-    def hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -444,8 +456,8 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
         values.update(overrides)
     try:
         return RunConfig(**values)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    except (TypeError, ConfigError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def parse_override(item: str) -> tuple[str, object]:
@@ -563,20 +575,34 @@ def write_dataset(dataset: Dataset, root) -> None:
     )
 
 
+def split_path(root, name: str) -> Path:
+    return Path(root) / "splits" / f"{name}.txt"
+
+
 def read_dataset(root) -> Dataset:
     root = Path(root)
-    class_names = read_mapping(root / "mapping.txt")
+    mapping_path = root / "mapping.txt"
+    class_names = read_mapping(mapping_path)
 
     def read_split(name: str) -> list[VideoRecord]:
-        split_path = root / "splits" / f"{name}.txt"
-        if not split_path.exists():
-            raise FormatError(f"{split_path}: missing split file")
+        path = split_path(root, name)
+        if not path.exists():
+            raise FormatError(f"{path}: missing split file")
         records = []
-        for vid in read_utf8(split_path).split():
-            features = read_features(root / "features" / f"{vid}.htfe")
-            labels = read_labels(root / "labels" / f"{vid}.txt", class_names)
+        for vid in read_utf8(path).split():
+            feature_path = root / "features" / f"{vid}.htfe"
+            label_path = root / "labels" / f"{vid}.txt"
+            # os.path.exists is False for a name the OS refuses (a NUL byte,
+            # too long), where Path.exists raises.
+            if not (os.path.exists(feature_path) and os.path.exists(label_path)):
+                raise FormatError(f"{path}: video {vid!r} needs {feature_path} and {label_path}")
+            features = read_features(feature_path)
+            labels = read_labels(label_path, class_names, mapping=str(mapping_path))
             if features.shape[0] != labels.shape[0]:
-                raise FormatError(f"{root}: video {vid} has mismatched feature/label length")
+                raise FormatError(
+                    f"{label_path}: {labels.shape[0]} labels for the "
+                    f"{features.shape[0]} feature rows of {feature_path}"
+                )
             records.append(VideoRecord(vid, features, labels))
         return records
 

@@ -3,10 +3,16 @@ produces condition features (plus an auxiliary classification head), and a
 timestep-aware decoder that maps (noisy label signal, condition, step) to
 per-frame embeddings and class probabilities.
 
+Both stacks use the fixed MS-TCN layout (Farha & Gall, CVPR 2019): kernel
+`KERNEL` at dilations `DILATIONS`, and the decoder adds a projection of the
+`STEP_DIM`-wide sinusoidal step embedding to every layer. Only the widths
+vary, so a `DenoiserConfig` holds the input, output and hidden widths alone.
+
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
 position / boundary / relation priors by zeroing rows of the condition
-inside the graph, so masked frames contribute no encoder gradient.
+inside the graph, so masked frames contribute no encoder gradient; the
+boundary prior's half-width is fixed too (`BOUNDARY_HALFWIDTH`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from .metrics import Segment
 logger = logging.getLogger(__name__)
 
 MASK_KINDS = ("none", "position", "boundary", "relation")
+DILATIONS = (1, 2, 4, 8)
+KERNEL = 3
+STEP_DIM = 64
+BOUNDARY_HALFWIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -34,18 +44,11 @@ class DenoiserConfig:
     classes: int
     embed_dim: int = 16
     encoder_channels: int = 32
-    dilations: tuple[int, ...] = (1, 2, 4, 8)
-    kernel: int = 3
-    step_dim: int = 64
-    boundary_halfwidth: int = 2
-    aux_head: bool = True
 
     def __post_init__(self):
-        for name in ("feature_dim", "classes", "embed_dim", "encoder_channels", "kernel", "step_dim"):
+        for name in ("feature_dim", "classes", "embed_dim", "encoder_channels"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.boundary_halfwidth < 0:
-            raise ShapeError("boundary_halfwidth must be >= 0")
 
 
 @functools.lru_cache(maxsize=4096)  # every t of a T = 1000 schedule, at one dim
@@ -74,7 +77,7 @@ class Denoiser:
     def __init__(self, config: DenoiserConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        k, ch, d = config.kernel, config.encoder_channels, config.embed_dim
+        k, ch, d = KERNEL, config.encoder_channels, config.embed_dim
         params: dict[str, np.ndarray] = {}
 
         def conv_init(name, cin, cout):
@@ -83,16 +86,16 @@ class Denoiser:
             params[f"{name}.b"] = np.full((1, cout), 0.01)
 
         conv_init("enc.in", config.feature_dim, ch)
-        for i, _ in enumerate(config.dilations[1:], start=1):
+        for i in range(1, len(DILATIONS)):
             conv_init(f"enc.layer{i}", ch, ch)
         params["enc.head.w"] = _glorot(rng, (ch, config.classes), ch, config.classes)
         params["enc.head.b"] = np.zeros((1, config.classes))
 
         conv_init("dec.in", config.classes + ch, d)
-        for i, _ in enumerate(config.dilations[1:], start=1):
+        for i in range(1, len(DILATIONS)):
             conv_init(f"dec.layer{i}", d, d)
-        for i in range(len(config.dilations)):
-            params[f"dec.step{i}.w"] = _glorot(rng, (config.step_dim, d), config.step_dim, d)
+        for i in range(len(DILATIONS)):
+            params[f"dec.step{i}.w"] = _glorot(rng, (STEP_DIM, d), STEP_DIM, d)
             params[f"dec.step{i}.b"] = np.zeros((1, d))
         params["dec.head.w"] = _glorot(rng, (d, config.classes), d, config.classes)
         params["dec.head.b"] = np.zeros((1, config.classes))
@@ -131,9 +134,9 @@ class BoundDenoiser:
         if not np.all(np.isfinite(features)):
             raise ShapeError("non-finite features")
         h = td.relu(
-            self._conv("enc.in", self.tape.const(features), self.config.dilations[0], rows)
+            self._conv("enc.in", self.tape.const(features), DILATIONS[0], rows)
         )
-        for i, dil in enumerate(self.config.dilations[1:], start=1):
+        for i, dil in enumerate(DILATIONS[1:], start=1):
             h = td.relu(h + self._conv(f"enc.layer{i}", h, dil, rows))
         p_enc = td.softmax(
             td.add(td.matmul(h, self.bound["enc.head.w"]), self.bound["enc.head.b"])
@@ -152,7 +155,7 @@ class BoundDenoiser:
             )
         if y_t.value.shape[1] != self.config.classes:
             raise ShapeError(f"signal {y_t.value.shape} does not match classes {self.config.classes}")
-        step = self.tape.const(sinusoidal_step_embedding(t, self.config.step_dim))
+        step = self.tape.const(sinusoidal_step_embedding(t, STEP_DIM))
 
         def step_bias(i: int) -> Tensor:
             return td.add(
@@ -160,8 +163,8 @@ class BoundDenoiser:
             )
 
         h = td.concat_cols(y_t, condition)
-        h = td.relu(td.add(self._conv("dec.in", h, self.config.dilations[0], rows), step_bias(0)))
-        for i, dil in enumerate(self.config.dilations[1:], start=1):
+        h = td.relu(td.add(self._conv("dec.in", h, DILATIONS[0], rows), step_bias(0)))
+        for i, dil in enumerate(DILATIONS[1:], start=1):
             h = td.relu(h + td.add(self._conv(f"dec.layer{i}", h, dil, rows), step_bias(i)))
         probs = td.softmax(
             td.add(td.matmul(h, self.bound["dec.head.w"]), self.bound["dec.head.b"])
@@ -174,14 +177,14 @@ def mask_vector(
     segments: list[Segment],
     length: int,
     rng: np.random.Generator,
-    boundary_halfwidth: int = 2,
 ) -> np.ndarray:
     """(L, 1) keep-mask implementing one conditioning prior.
 
-    none: all ones. position: all zeros. boundary: zeros within +/- w of each
-    internal segment boundary (the first frame of every segment after the
-    first). relation: zeros over one uniformly chosen segment; with no
-    segments to choose from the mask falls back to none (logged).
+    none: all ones. position: all zeros. boundary: zeros within
+    +/- BOUNDARY_HALFWIDTH of each internal segment boundary (the first frame
+    of every segment after the first). relation: zeros over one uniformly
+    chosen segment; with no segments to choose from the mask falls back to
+    none (logged).
     """
     if kind not in MASK_KINDS:
         raise ShapeError(f"unknown mask kind {kind!r}; expected one of {MASK_KINDS}")
@@ -192,8 +195,8 @@ def mask_vector(
         return np.zeros((length, 1))
     if kind == "boundary":
         for seg in segments[1:]:
-            lo = max(seg.start - boundary_halfwidth, 0)
-            hi = min(seg.start + boundary_halfwidth, length - 1)
+            lo = max(seg.start - BOUNDARY_HALFWIDTH, 0)
+            hi = min(seg.start + BOUNDARY_HALFWIDTH, length - 1)
             keep[lo : hi + 1] = 0.0
         return keep
     if not segments:
@@ -209,12 +212,11 @@ def apply_masking(
     kind: str,
     segments: list[Segment],
     rng: np.random.Generator,
-    boundary_halfwidth: int = 2,
 ) -> Tensor:
     """Zero rows of the condition per the chosen prior; labels/signals untouched."""
     if kind == "none":
         return condition
-    keep = mask_vector(kind, segments, condition.value.shape[0], rng, boundary_halfwidth)
+    keep = mask_vector(kind, segments, condition.value.shape[0], rng)
     return td.scale_rows(condition, condition.tape.const(keep))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ballops as bo
 from .autodiff import Tape
-from .data import Dataset, RunConfig, read_checkpoint, write_checkpoint
+from .data import Dataset, RunConfig, parse_config_text, read_checkpoint, write_checkpoint
 from .diffusion import (
     NoiseSchedule,
     forward_corrupt,
@@ -30,16 +30,13 @@ from .diffusion import (
     make_schedule,
     sample,
 )
-from .errors import ConfigError, FormatError, NonFiniteLossError, ShapeError
+from .errors import ConfigError, FormatError, GeometryError, NonFiniteLossError, ShapeError
 from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
 from .model import Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
 from .optim import Adam, AdamConfig, RiemannianAdam
 
 logger = logging.getLogger(__name__)
-
-CHECKPOINT_FIELDS = ("feature_dim", "classes", "embed_dim", "encoder_channels",
-                     "kernel", "step_dim", "boundary_halfwidth", "aux_head")
 
 
 @dataclass
@@ -102,7 +99,6 @@ def _denoiser_config(dataset: Dataset, config: RunConfig) -> DenoiserConfig:
         classes=dataset.num_classes,
         embed_dim=config.embed_dim,
         encoder_channels=config.encoder_channels,
-        aux_head=config.aux_head,
     )
 
 
@@ -185,9 +181,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
             bound = model.bind(tape, trainable=True)
             condition, p_enc = bound.encode(video.features)
             segments = segments_from_labels(video.labels)
-            masked = apply_masking(
-                condition, mask_kind, segments, rng, model.config.boundary_halfwidth
-            )
+            masked = apply_masking(condition, mask_kind, segments, rng)
             x0 = label_encode(video.labels, dataset.num_classes)
             y_t = tape.const(forward_corrupt(x0, t, schedule, noise))
             emb, probs = bound.decode(y_t, masked, t)
@@ -316,19 +310,12 @@ def infer_videos(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: TrainedState, path) -> None:
-    cfg = state.model.config
+    """The config text, the prototypes and the parameters; `load_checkpoint`
+    derives every other fact (widths, curvature, schedule) from these."""
     sections: list[tuple[str, object]] = [
-        ("config_hash", state.config.hash()),
         ("config_text", state.config.canonical_text()),
-        ("denoiser/meta", np.array(
-            [getattr(cfg, f) if f != "aux_head" else float(cfg.aux_head)
-             for f in CHECKPOINT_FIELDS], dtype=np.float64,
-        )),
-        ("denoiser/dilations", np.array(cfg.dilations, dtype=np.float64)),
         ("prototypes/points", state.prototypes.points),
         ("prototypes/frozen", np.array(float(state.prototypes.frozen))),
-        ("prototypes/curvature", np.array(state.prototypes.curvature)),
-        ("schedule/gamma", state.schedule.gamma),
     ]
     sections += [(f"param/{name}", arr) for name, arr in sorted(state.model.params.items())]
     write_checkpoint(path, sections)
@@ -354,30 +341,41 @@ def _section(sections: dict, path, name: str, ndim: int | None = None):
 
 
 def load_checkpoint(path) -> TrainedState:
+    """Config first; the prototypes give the class count, `param/enc.in.w` the
+    feature width, and both are checked against the config's widths before
+    anything is allocated from them. Sections it does not read are ignored."""
     sections = read_checkpoint(path)
-    meta = _section(sections, path, "denoiser/meta", 1)
-    if meta.shape != (len(CHECKPOINT_FIELDS),):
-        raise FormatError(
-            f"{path}: tensor 'denoiser/meta' has shape {meta.shape}, "
-            f"expected ({len(CHECKPOINT_FIELDS)},)"
-        )
-    raw_dilations = _section(sections, path, "denoiser/dilations", 1)
-    if raw_dilations.size == 0 or np.any(raw_dilations < 1):
-        raise FormatError(f"{path}: tensor 'denoiser/dilations' needs positive entries")
-    dilations = tuple(int(d) for d in raw_dilations)
     config_text = _section(sections, path, "config_text")
+    values = parse_config_text(config_text, source=f"{path}:config_text")
+    try:
+        config = RunConfig(**values)
+    except (TypeError, ConfigError) as e:
+        raise FormatError(f"{path}: stored config invalid: {e}") from e
 
-    values = dict(zip(CHECKPOINT_FIELDS, meta))
+    points = _section(sections, path, "prototypes/points", 2)
+    enc_in = _section(sections, path, "param/enc.in.w", 3)
+    for name, width, field_name in (
+        ("prototypes/points", points.shape[1], "embed_dim"),
+        ("param/enc.in.w", enc_in.shape[2], "encoder_channels"),
+    ):
+        if width != getattr(config, field_name):
+            raise FormatError(
+                f"{path}: tensor {name!r} is {width} wide, but config_text has "
+                f"{field_name} = {getattr(config, field_name)}"
+            )
+    if enc_in.shape[1] == 0:
+        raise FormatError(f"{path}: tensor 'param/enc.in.w' has no feature columns")
+    try:
+        prototypes = Prototypes(points.copy(), config.curvature)
+    except (GeometryError, ShapeError) as e:
+        raise FormatError(f"{path}: tensor 'prototypes/points': {e}") from e
+    if bool(float(_section(sections, path, "prototypes/frozen", 0))):
+        prototypes.freeze()
     den_cfg = DenoiserConfig(
-        feature_dim=int(values["feature_dim"]),
-        classes=int(values["classes"]),
-        embed_dim=int(values["embed_dim"]),
-        encoder_channels=int(values["encoder_channels"]),
-        dilations=dilations,
-        kernel=int(values["kernel"]),
-        step_dim=int(values["step_dim"]),
-        boundary_halfwidth=int(values["boundary_halfwidth"]),
-        aux_head=bool(values["aux_head"]),
+        feature_dim=enc_in.shape[1],
+        classes=prototypes.count,
+        embed_dim=config.embed_dim,
+        encoder_channels=config.encoder_channels,
     )
     model = Denoiser(den_cfg, seed=0)
     for name, init in model.params.items():
@@ -388,38 +386,4 @@ def load_checkpoint(path) -> TrainedState:
                 f"{path}: tensor {key!r} has shape {stored.shape}, expected {init.shape}"
             )
         model.params[name] = stored
-
-    points = _section(sections, path, "prototypes/points", 2)
-    if points.shape != (den_cfg.classes, den_cfg.embed_dim):
-        raise FormatError(
-            f"{path}: tensor 'prototypes/points' has shape {points.shape}, "
-            f"expected {(den_cfg.classes, den_cfg.embed_dim)}"
-        )
-    prototypes = Prototypes(
-        points.copy(), float(_section(sections, path, "prototypes/curvature", 0))
-    )
-    if bool(float(_section(sections, path, "prototypes/frozen", 0))):
-        prototypes.freeze()
-    schedule = NoiseSchedule(_section(sections, path, "schedule/gamma", 1))
-
-    from .data import parse_config_text
-
-    config_values = parse_config_text(config_text, source=f"{path}:config_text")
-    try:
-        run_config = RunConfig(**config_values)
-    except (TypeError, ConfigError) as e:
-        raise FormatError(f"{path}: stored config invalid: {e}") from e
-    held = [
-        ("embed_dim", "denoiser/meta", den_cfg.embed_dim),
-        ("encoder_channels", "denoiser/meta", den_cfg.encoder_channels),
-        ("aux_head", "denoiser/meta", den_cfg.aux_head),
-        ("curvature", "prototypes/curvature", prototypes.curvature),
-        ("timesteps", "schedule/gamma", schedule.T),
-    ]
-    for field_name, section, value in held:
-        if getattr(run_config, field_name) != value:
-            raise FormatError(
-                f"{path}: config_text has {field_name} = {getattr(run_config, field_name)}, "
-                f"but section {section!r} holds {value}"
-            )
-    return TrainedState(model, prototypes, schedule, run_config)
+    return TrainedState(model, prototypes, make_schedule(config.timesteps), config)

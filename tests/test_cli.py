@@ -200,19 +200,20 @@ class TestExitCodes:
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("section,value", [
         ("prototypes/points", None),
-        ("prototypes/curvature", None),
         ("prototypes/frozen", None),
-        ("schedule/gamma", None),
         ("config_text", None),
-        ("denoiser/meta", "not a tensor"),
+        ("param/enc.in.w", None),
+        ("param/enc.in.w", "not a tensor"),
+        ("param/dec.head.w", "not a tensor"),
         ("config_text", np.zeros(3)),
         ("prototypes/points", np.zeros((2, 2))),
-        ("schedule/gamma", np.zeros((2, 2))),
-        ("denoiser/dilations", np.array([1.0, np.nan])),
-        ("param/dec.head.w", "not a tensor"),
+        ("prototypes/points", lambda points: points * 1e3),  # outside the ball
+        ("prototypes/points", lambda points: points[:1]),  # one class
+        ("param/enc.in.w", lambda w: w[:, :0]),  # no feature columns
     ])
     def test_exit_one_naming_path_and_section(self, workspace, tmp_path, capsys, section, value):
-        """`value` None drops the section; anything else replaces it."""
+        """`value` None drops the section, a function maps the stored value,
+        anything else replaces it."""
         from hyptas.data import read_checkpoint, write_checkpoint
 
         _, data, ckpt = workspace
@@ -220,7 +221,7 @@ class TestMalformedCheckpoint:
         if value is None:
             del sections[section]
         else:
-            sections[section] = value
+            sections[section] = value(sections[section]) if callable(value) else value
         bad = tmp_path / "bad.htck"
         write_checkpoint(bad, list(sections.items()))
         code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
@@ -228,11 +229,26 @@ class TestMalformedCheckpoint:
         assert code == 1, err
         assert str(bad) in err and section in err
 
+    def test_curvature_that_puts_prototypes_outside_the_ball(self, workspace, tmp_path, capsys):
+        from hyptas.data import read_checkpoint, write_checkpoint
+
+        _, data, ckpt = workspace
+        sections = read_checkpoint(ckpt)
+        sections["config_text"] = sections["config_text"].replace(
+            "curvature = 1.0", "curvature = 10000.0"
+        )
+        bad = tmp_path / "bad.htck"
+        write_checkpoint(bad, list(sections.items()))
+        code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(bad) in err and "prototypes/points" in err and "ball" in err
+
     def test_non_utf8_section_name(self, workspace, tmp_path, capsys):
         _, data, ckpt = workspace
         blob = ckpt.read_bytes()
         bad = tmp_path / "bad.htck"
-        bad.write_bytes(blob.replace(b"config_hash", b"\xffonfig_hash", 1))
+        bad.write_bytes(blob.replace(b"config_text", b"\xffonfig_text", 1))
         code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
         err = capsys.readouterr().err
         assert code == 1 and str(bad) in err and "UTF-8" in err
@@ -240,15 +256,12 @@ class TestMalformedCheckpoint:
 
 class TestConfigAgainstTensors:
     @pytest.mark.parametrize("line,edited,section", [
-        ("embed_dim = 8", "embed_dim = 4", "denoiser/meta"),
-        ("encoder_channels = 8", "encoder_channels = 16", "denoiser/meta"),
-        ("aux_head = True", "aux_head = False", "denoiser/meta"),
-        ("curvature = 1.0", "curvature = 0.5", "prototypes/curvature"),
-        ("timesteps = 50", "timesteps = 60", "schedule/gamma"),
+        ("embed_dim = 8", "embed_dim = 4", "prototypes/points"),
+        ("encoder_channels = 8", "encoder_channels = 16", "param/enc.in.w"),
     ])
     def test_disagreeing_config_text_is_exit_one(self, workspace, tmp_path, capsys,
                                                  line, edited, section):
-        """A stored config that contradicts the tensors refuses to load;
+        """A stored config whose widths contradict the tensors refuses to load;
         `export-embeddings` would otherwise label 8-wide rows with the
         config's column count."""
         from hyptas.data import read_checkpoint, write_checkpoint
@@ -292,6 +305,10 @@ def _break_dataset(data, kind):
         path = data / "mapping.txt"
         path.write_bytes(b"0 caf\xe9\n")
         return path
+    if kind == "mapping_extra_class":  # one class more than the checkpoint knows
+        path = data / "mapping.txt"
+        path.write_text(path.read_text() + "4 extra\n")
+        return path
     if kind == "split_unreadable":
         path = data / "splits" / "test.txt"
         path.unlink()
@@ -305,8 +322,8 @@ def _break_dataset(data, kind):
 
 class TestMalformedDataset:
     @pytest.mark.parametrize("kind", [
-        "missing_dir", "labels_not_utf8", "mapping_not_utf8", "split_unreadable",
-        "features_unreadable",
+        "missing_dir", "labels_not_utf8", "mapping_not_utf8", "mapping_extra_class",
+        "split_unreadable", "features_unreadable",
     ])
     def test_exit_one_naming_path(self, workspace, tmp_path, capsys, kind):
         _, data, ckpt = workspace

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyptas.data import (
+    SIZE_CAPS,
     Dataset,
     RunConfig,
     SyntheticSpec,
@@ -250,15 +251,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="infer_steps"):
             read_config(path, overrides={"infer_steps": 5000})
 
-    def test_hash_stable_and_sensitive(self):
-        a, b = RunConfig(), RunConfig(epochs=201)
-        assert a.hash() == RunConfig().hash()
-        assert a.hash() != b.hash()
+    def test_range_error_names_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 0\n")
+        with pytest.raises(ConfigError, match=f"^{path}: epochs"):
+            read_config(path)
+
+    @pytest.mark.parametrize("key", sorted(SIZE_CAPS))
+    def test_sizes_above_their_cap_rejected_by_key(self, key):
+        assert getattr(RunConfig(**{key: SIZE_CAPS[key]}), key) == SIZE_CAPS[key]
+        with pytest.raises(ConfigError, match=f"^{key} = "):
+            RunConfig(**{key: SIZE_CAPS[key] + 1})
 
 
 class TestCheckpoint:
     SECTIONS = [
-        ("config_hash", "abc123"),
+        ("config_text", "abc123"),
         ("weights/w", np.arange(12.0).reshape(3, 4)),
         ("scalar", np.array(2.5)),
     ]
@@ -267,7 +275,7 @@ class TestCheckpoint:
         path = tmp_path / "model.htck"
         write_checkpoint(path, self.SECTIONS)
         back = read_checkpoint(path)
-        assert back["config_hash"] == "abc123"
+        assert back["config_text"] == "abc123"
         assert back["weights/w"].tobytes() == self.SECTIONS[1][1].tobytes()
         assert float(back["scalar"]) == 2.5
 

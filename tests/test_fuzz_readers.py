@@ -1,13 +1,18 @@
-"""Seeded fuzzing of the checkpoint (.htck) and feature (.htfe) readers.
+"""Seeded fuzzing of every reader: checkpoints (.htck), feature files
+(.htfe), the mapping, label and split text files, and config text.
 
-Every damaged file goes through `hyptas infer`, which must succeed (exit 0)
-or reject it as malformed input (exit 1, naming the file); exit 2 means a
-bug in a reader. The checkpoint mutations truncate, flip bits, cut a byte
+Every damaged file goes through the CLI, which must succeed (exit 0) or
+reject it as malformed input (exit 1, naming the file); exit 2 means a bug
+in a reader. The checkpoint mutations truncate, flip bits, cut a byte
 range, drop a whole section, or swap a section's kind between tensor and
 string; the feature-file mutations truncate, flip bits, cut bytes and
-rewrite header fields. Fixed cases pin two tensor headers that once escaped
-as exit 2 and a NaN feature value that once exited 1 without naming its
-file.
+rewrite header fields; the text mutations truncate, flip bits, cut bytes,
+repeat a line, or (config text only) give a key a random value. Config
+text is damaged both as a `train --config` file, parsed before the missing
+`--data` directory is read, and as the checkpoint's `config_text` section.
+Fixed cases pin two tensor headers that once escaped as exit 2, a NaN
+feature value that once exited 1 without naming its file, and sizes of
+10**30 that once exited 2 from inside numpy.
 """
 
 import shutil
@@ -17,6 +22,7 @@ import numpy as np
 import pytest
 
 from hyptas.cli import run
+from hyptas.data import read_checkpoint
 
 GEN_ARGS = [
     "--videos", "5", "--tasks", "2", "--actions-per-task", "1", "--shared-actions", "1",
@@ -103,8 +109,30 @@ def _feature_header(blob, rng):
     return blob[:at] + struct.pack("<I", int(rng.integers(0, 1 << 32))) + blob[at + 4:]
 
 
+def _repeat_line(blob, rng):
+    lines = blob.splitlines(keepends=True) or [b""]
+    at = int(rng.integers(0, len(lines)))
+    return b"".join(lines[: at + 1] + lines[at:])
+
+
+HUGE = str(10**30)
+CONFIG_VALUES = ["", "0", "-1", "2", "1.5", "1e309", "nan", "-inf", HUGE, "true", "cosine", "x"]
+
+
+def _config_value(blob, rng):
+    """One `key = value` line gets a random value from CONFIG_VALUES."""
+    lines = blob.splitlines(keepends=True)
+    at = int(rng.integers(0, len(lines)))
+    key = lines[at].split(b"=")[0]
+    lines[at] = key + b"= " + CONFIG_VALUES[rng.integers(0, len(CONFIG_VALUES))].encode() + b"\n"
+    return b"".join(lines)
+
+
 CHECKPOINT_MUTATIONS = [_truncate, _flip_bits, _cut, _drop_section, _swap_kind]
 FEATURE_MUTATIONS = [_truncate, _flip_bits, _cut, _feature_header]
+TEXT_MUTATIONS = [_truncate, _flip_bits, _cut, _repeat_line]
+CONFIG_MUTATIONS = TEXT_MUTATIONS + [_config_value]
+TEXT_CASES_PER_MUTATION = 60
 
 
 def _infer(ckpt, data, out) -> int:
@@ -180,3 +208,81 @@ def test_pinned_non_finite_feature_exits_one(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert str(features) in err and "non-finite" in err
+
+
+def _with_config_text(blob: bytes, text: bytes) -> bytes:
+    """The checkpoint with the payload of its `config_text` section replaced."""
+    for start, kind_at, end in _sections(blob):
+        if blob[start + 2 : kind_at] == b"config_text":
+            return blob[: kind_at + 1] + struct.pack("<I", len(text)) + text + blob[end:]
+    raise AssertionError("no config_text section")
+
+
+@pytest.mark.parametrize("target", ["mapping.txt", "labels", "splits/test.txt", "splits/train.txt"])
+def test_damaged_dataset_text_files_exit_zero_or_one(trained, tmp_path, capsys, target):
+    _, data, ckpt = trained
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    if target == "labels":
+        target = f"labels/{(copy / 'splits' / 'test.txt').read_text().split()[0]}.txt"
+    damaged = copy / target
+    blob = damaged.read_bytes()
+    rng = np.random.default_rng(2)
+    for mutate in TEXT_MUTATIONS:
+        for case in range(TEXT_CASES_PER_MUTATION):
+            damaged.write_bytes(mutate(blob, rng))
+            code = _infer(ckpt, copy, tmp_path / "p")
+            _assert_handled(code, capsys, damaged, f"{mutate.__name__} case {case}")
+
+
+def test_damaged_config_files_exit_one_before_reading_data(trained, tmp_path, capsys):
+    """A config that parses reaches the missing --data directory, which is
+    refused by its own path; one that does not is refused by the config's."""
+    _, _, ckpt = trained
+    blob = read_checkpoint(ckpt)["config_text"].encode()
+    config, missing = tmp_path / "run.cfg", tmp_path / "no-data"
+    rng = np.random.default_rng(3)
+    for mutate in CONFIG_MUTATIONS:
+        for case in range(TEXT_CASES_PER_MUTATION):
+            config.write_bytes(mutate(blob, rng))
+            code = run(["train", "--config", str(config), "--data", str(missing),
+                        "--out", str(tmp_path / "m.htck")])
+            err = capsys.readouterr().err
+            assert code == 1, f"{mutate.__name__} case {case}: {err}"
+            assert str(config) in err or str(missing) in err, f"{mutate.__name__} case {case}: {err}"
+
+
+def test_damaged_config_text_sections_exit_zero_or_one(trained, tmp_path, capsys):
+    _, data, ckpt = trained
+    blob = ckpt.read_bytes()
+    text = read_checkpoint(ckpt)["config_text"].encode()
+    bad = tmp_path / "bad.htck"
+    rng = np.random.default_rng(4)
+    for mutate in CONFIG_MUTATIONS:
+        for case in range(TEXT_CASES_PER_MUTATION):
+            bad.write_bytes(_with_config_text(blob, mutate(text, rng)))
+            code = _infer(bad, data, tmp_path / "p")
+            _assert_handled(code, capsys, bad, f"{mutate.__name__} case {case}")
+
+
+@pytest.mark.parametrize("key", ["timesteps", "embed_dim", "encoder_channels"])
+def test_pinned_huge_sizes_exit_one(trained, tmp_path, capsys, key):
+    """10**30 is refused by key from --set before any data is read, and by
+    path from a checkpoint's config_text."""
+    _, data, ckpt = trained
+    missing = tmp_path / "no-data"
+    code = run(["train", "--data", str(missing), "--out", str(tmp_path / "m.htck"),
+                "--set", f"{key}={HUGE}"])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert key in err and str(missing) not in err
+
+    text = read_checkpoint(ckpt)["config_text"]
+    line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    bad = tmp_path / "bad.htck"
+    bad.write_bytes(_with_config_text(ckpt.read_bytes(),
+                                      text.replace(line, f"{key} = {HUGE}").encode()))
+    code = _infer(bad, data, tmp_path / "p")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(bad) in err and key in err

@@ -11,6 +11,8 @@ from hyptas.data import RunConfig
 from hyptas.losses import cross_entropy, phase_loss
 from hyptas.metrics import segments_from_labels
 from hyptas.model import (
+    DILATIONS,
+    KERNEL,
     BoundDenoiser,
     Denoiser,
     DenoiserConfig,
@@ -62,7 +64,7 @@ class TestEncode:
         moved = model.bind(tape2, trainable=False).encode(perturbed)[0].value
 
         changed = np.where(np.any(moved != base, axis=1))[0]
-        half = sum(d * (model.config.kernel // 2) for d in model.config.dilations)
+        half = sum(d * (KERNEL // 2) for d in DILATIONS)
         assert half == 15
         assert changed.size > 0
         assert changed.min() >= probe - half
@@ -179,7 +181,7 @@ class TestMasking:
         assert np.array_equal(out.value, np.zeros((12, 3)))
 
     def test_boundary_windows(self):
-        keep = mask_vector("boundary", self.SEGMENTS, 12, np.random.default_rng(0), 2)
+        keep = mask_vector("boundary", self.SEGMENTS, 12, np.random.default_rng(0))
         # boundaries at first frames of later segments: 3 and 7
         expect = np.ones(12)
         for b in (3, 7):

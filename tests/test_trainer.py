@@ -354,6 +354,18 @@ class TestCheckpointRoundtrip:
         assert a[1].tobytes() == b[1].tobytes()
         assert a[2].tobytes() == b[2].tobytes()
 
+    def test_sections_are_config_prototypes_and_params(self, tiny_run, tmp_path):
+        """Every other fact (widths, curvature, schedule) is derived on load."""
+        from hyptas.data import read_checkpoint
+
+        state, _, _ = tiny_run
+        path = tmp_path / "model.htck"
+        save_checkpoint(state, path)
+        params = [f"param/{name}" for name in sorted(state.model.params)]
+        assert list(read_checkpoint(path)) == [
+            "config_text", "prototypes/points", "prototypes/frozen", *params
+        ]
+
     def test_frozen_flag_survives(self, tiny_run, tmp_path):
         state, _, _ = tiny_run
         path = tmp_path / "model.htck"
