@@ -15,10 +15,12 @@ raises.
 
 Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias or a
 0-d scalar, every other mixed-shape combination has its own named op
-(`scale_rows`, `div_rows`, ...). This keeps each node's backward rule
+(`scale_rows`, `rows_dot`, ...). This keeps each node's backward rule
 one line and the whole tape auditable. A gradient rule computes only the
 gradients of operands that need one: a constant operand (features, masks,
-the step embedding, a scalar factor) costs no backward arithmetic.
+the step embedding, a scalar factor) costs no backward arithmetic. The
+Poincare-ball formulas are fused ops of their own in `ballops`, registered
+through `Tape._register` like the primitives here.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -142,8 +144,6 @@ class Tape:
             raise AutodiffError("output tensor does not belong to this tape")
         if output.value.ndim != 0:
             raise AutodiffError(f"backward needs a scalar output, got shape {output.value.shape}")
-        for node in self.nodes:
-            node.grad = None
         output.grad = np.ones(())
         for node in reversed(self.nodes):
             if node.grad is None or node._push is None or not node.needs_grad:
@@ -195,7 +195,8 @@ def add(a: Tensor, b) -> Tensor:
     elif bv.ndim == 0:
         def push(g):
             _accumulate(a, g)
-            _accumulate(b, np.sum(g).reshape(()))
+            if b.needs_grad:
+                _accumulate(b, np.sum(g).reshape(()))
     elif av.ndim == 2 and bv.shape == (1, av.shape[1]):  # row bias
         def push(g):
             _accumulate(a, g)
@@ -285,15 +286,6 @@ def relu(a: Tensor) -> Tensor:
     return a.tape._register(a.value * mask, (a,), push)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-
-    def push(g):
-        _accumulate(a, g * (1.0 - out * out))
-
-    return a.tape._register(out, (a,), push)
-
-
 def log(a: Tensor) -> Tensor:
     """Natural log; caller clamps the argument positive."""
     val = a.value
@@ -304,15 +296,6 @@ def log(a: Tensor) -> Tensor:
     return a.tape._register(np.log(val), (a,), push)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.value)
-
-    def push(g):
-        _accumulate(a, g / np.maximum(2.0 * out, _DENOM_EPS))
-
-    return a.tape._register(out, (a,), push)
-
-
 def square(a: Tensor) -> Tensor:
     val = a.value
 
@@ -320,34 +303,6 @@ def square(a: Tensor) -> Tensor:
         _accumulate(a, g * (2.0 * val))
 
     return a.tape._register(val * val, (a,), push)
-
-
-def artanh(a: Tensor) -> Tensor:
-    """Inverse hyperbolic tangent; caller clamps |argument| < 1."""
-    val = a.value
-
-    def push(g):
-        _accumulate(a, g / (1.0 - val * val))
-
-    return a.tape._register(np.arctanh(val), (a,), push)
-
-
-def asin(a: Tensor) -> Tensor:
-    val = a.value
-
-    def push(g):
-        _accumulate(a, g / np.sqrt(np.maximum(1.0 - val * val, _DENOM_EPS)))
-
-    return a.tape._register(np.arcsin(val), (a,), push)
-
-
-def acos(a: Tensor) -> Tensor:
-    val = a.value
-
-    def push(g):
-        _accumulate(a, -g / np.sqrt(np.maximum(1.0 - val * val, _DENOM_EPS)))
-
-    return a.tape._register(np.arccos(val), (a,), push)
 
 
 def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
@@ -432,23 +387,6 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
             _accumulate(s, np.sum(g * av, axis=1, keepdims=True))
 
     return tape._register(av * sv, (a, s), push)
-
-
-def div_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Divide each row of a (N, d) tensor by the matching (N, 1) scalar."""
-    tape = _same_tape(a, s)
-    av, sv = a.value, s.value
-    if av.ndim != 2 or sv.shape != (av.shape[0], 1):
-        raise ShapeError(f"div_rows: got {av.shape} divided by {sv.shape}")
-    out = av / sv
-
-    def push(g):
-        if a.needs_grad:
-            _accumulate(a, g / sv)
-        if s.needs_grad:
-            _accumulate(s, np.sum(-g * out / sv, axis=1, keepdims=True))
-
-    return tape._register(out, (a, s), push)
 
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:

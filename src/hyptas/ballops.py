@@ -1,14 +1,20 @@
-"""Every Poincare-ball formula the losses use, composed from tape primitives.
+"""Every Poincare-ball formula the losses use, each one fused tape op.
 
-Mobius addition, geodesic distance, distance to the origin, the exp map at
-the origin, the entailment-cone exterior angle and the cone aperture each
-have this one implementation. Training builds them on a recording tape, so
-gradients are exact by construction rather than hand-derived; inference,
-the prototype log value and the `hyptas check` suites run the same
-functions forward through `evaluate` on a non-recording tape. Clamping
-follows one policy: norms floored, artanh arguments kept below 1,
-inverse-trig arguments clipped to their closed domains. `geometry` keeps
-only the numpy kernels of Riemannian Adam's retraction.
+Geodesic distance, distance to the origin, the exp map at the origin, the
+entailment-cone exterior angle and the cone aperture each have this one
+implementation. Each is a single tape node: its forward computes in numpy
+the expressions, in the order, of the tape-primitive composition it
+replaces, and its gradient rule replays the gradient arithmetic that
+`Tape.backward` would run over that composition, node by node in reverse
+creation order, with one `_accumulate` per contribution to each input. So
+values and gradients keep the composed form's bits, clamps included, and a
+branch whose input needs no gradient is skipped. The composed forms live in
+`tests/ball_oracles.py` as forward and gradient oracles. Inference, the
+prototype log value and the `hyptas check` suites run the same ops forward
+through `evaluate` on a non-recording tape. Clamping follows one policy:
+norms floored, artanh arguments kept below 1, inverse-trig arguments clipped
+to their closed domains. `geometry` keeps only the numpy kernels of
+Riemannian Adam's retraction.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import math
 
 import numpy as np
 
-from . import autodiff as td
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, _accumulate, _same_tape
+from .errors import ShapeError
 from .geometry import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
 
 
@@ -31,31 +37,114 @@ def evaluate(op, *args) -> np.ndarray:
     return op(*(tape.const(a) if isinstance(a, np.ndarray) else a for a in args)).value
 
 
-def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
-    """Row-wise gyrovector addition of two (N, d) tensors."""
-    xx = td.rows_dot(x, x)
-    yy = td.rows_dot(y, y)
-    xy = td.rows_dot(x, y)
-    coef_x = td.add(td.mul(xy, 2.0 * c) + td.mul(yy, c), 1.0)
-    coef_y = td.add(td.mul(xx, -c), 1.0)
-    num = td.scale_rows(x, coef_x) + td.scale_rows(y, coef_y)
-    den = td.add(td.mul(xy, 2.0 * c) + td.mul(td.mul(xx, c * c), yy), 1.0)
-    return td.div_rows(num, td.clamp(den, lo=DENOM_EPS))
+# numpy forms of the primitives' forward and backward steps, named after the
+# `autodiff` op each one stands for.
+
+def _rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=1, keepdims=True)
+
+
+def _row_norm(a: np.ndarray, floor: float = DENOM_EPS):
+    """Floored row norms and the rows above the floor, which alone pass a gradient."""
+    raw = np.linalg.norm(a, axis=1, keepdims=True)
+    return np.maximum(raw, floor), raw > floor
+
+
+def _row_norm_grad(g: np.ndarray, a: np.ndarray, norm: np.ndarray, active: np.ndarray):
+    return np.divide(g * a, norm, out=np.zeros_like(a), where=active)
+
+
+def _clamp(a: np.ndarray, lo: float | None = None, hi: float | None = None):
+    """Clipped values and the mask of values left unchanged."""
+    out = np.clip(a, lo, hi)
+    return out, out == a
+
+
+def _artanh_distance(norm: np.ndarray, sqrt_c: float):
+    """2/sqrt(c) artanh(sqrt(c) norm), the argument capped below 1, and the rule
+    that takes the gradient of that value to the gradient of `norm`."""
+    arg, kept = _clamp(norm * sqrt_c, hi=ARTANH_ARG_MAX)
+
+    def norm_grad(g):
+        return g * (2.0 / sqrt_c) / (1.0 - arg * arg) * kept * sqrt_c
+
+    return np.arctanh(arg) * (2.0 / sqrt_c), norm_grad
+
+
+def _row_pair(x: Tensor, y: Tensor) -> Tape:
+    if x.value.shape != y.value.shape or x.value.ndim != 2:
+        raise ShapeError(f"need matching (N, d) rows, got {x.value.shape}, {y.value.shape}")
+    return _same_tape(x, y)
 
 
 def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
-    """Row-wise geodesic distance -> (N, 1); exactly 0 for equal rows."""
-    sqrt_c = math.sqrt(c)
-    w = mobius_add_rows(td.neg(x), y, c)
-    arg = td.clamp(td.mul(td.row_norm(w, floor=0.0), sqrt_c), hi=ARTANH_ARG_MAX)
-    return td.mul(td.artanh(arg), 2.0 / sqrt_c)
+    """Row-wise geodesic distance 2/sqrt(c) artanh(sqrt(c) |(-x) (+) y|) -> (N, 1).
+
+    Exactly 0 for equal rows (the norm of the Mobius sum has floor 0), with
+    zero gradient there. The Mobius sum is
+        ((1 + 2c<u,y> + c|y|^2) u + (1 - c|u|^2) y) / (1 + 2c<u,y> + c^2 |u|^2 |y|^2)
+    for u = -x, its denominator floored at DENOM_EPS.
+    """
+    tape = _row_pair(x, y)
+    yv, u = y.value, -x.value
+    uu, yy, uy = _rows_dot(u, u), _rows_dot(yv, yv), _rows_dot(u, yv)
+    coef_u = (uy * (2.0 * c) + yy * c) + 1.0
+    coef_y = uu * -c + 1.0
+    num = u * coef_u + yv * coef_y
+    uu_cc = uu * (c * c)
+    den, den_kept = _clamp((uy * (2.0 * c) + uu_cc * yy) + 1.0, lo=DENOM_EPS)
+    w = num / den
+    w_norm, w_active = _row_norm(w, floor=0.0)
+    out, norm_grad = _artanh_distance(w_norm, math.sqrt(c))
+
+    def push(g):
+        gx, gy = x.needs_grad, y.needs_grad
+        g_w = _row_norm_grad(norm_grad(g), w, w_norm, w_active)
+        g_num = g_w / den
+        g_den = np.sum(-g_w * w / den, axis=1, keepdims=True) * den_kept
+        # den = 1 + 2c<u,y> + (c^2 |u|^2) |y|^2
+        if gx:
+            g_uu = g_den * yy * (c * c)
+        if gy:
+            g_yy = g_den * uu_cc
+        g_uy = g_den * (2.0 * c)
+        # num = coef_u u + coef_y y
+        if gy:
+            _accumulate(y, g_num * coef_y)
+        if gx:
+            g_coef_y = np.sum(g_num * yv, axis=1, keepdims=True)
+            g_u = g_num * coef_u
+        g_coef_u = np.sum(g_num * u, axis=1, keepdims=True)
+        if gx:
+            g_uu = g_uu + g_coef_y * -c
+        if gy:
+            g_yy = g_yy + g_coef_u * c
+        g_uy = g_uy + g_coef_u * (2.0 * c)
+        # the three inner products, then u = -x
+        if gx:
+            g_u = g_u + g_uy * yv
+        if gy:
+            _accumulate(y, g_uy * u)
+            _accumulate(y, g_yy * yv)
+            _accumulate(y, g_yy * yv)
+        if gx:
+            g_u = g_u + g_uu * u
+            g_u = g_u + g_uu * u
+            _accumulate(x, -g_u)
+
+    return tape._register(out, (x, y), push)
 
 
 def origin_distance_rows(x: Tensor, c: float) -> Tensor:
-    """Row-wise distance to the origin -> (N, 1)."""
-    sqrt_c = math.sqrt(c)
-    arg = td.clamp(td.mul(td.row_norm(x), sqrt_c), hi=ARTANH_ARG_MAX)
-    return td.mul(td.artanh(arg), 2.0 / sqrt_c)
+    """Row-wise distance to the origin 2/sqrt(c) artanh(sqrt(c) |x|) -> (N, 1)."""
+    xv = x.value
+    norm, active = _row_norm(xv)
+    out, norm_grad = _artanh_distance(norm, math.sqrt(c))
+
+    def push(g):
+        _accumulate(x, _row_norm_grad(norm_grad(g), xv, norm, active))
+
+    return x.tape._register(out, (x,), push)
 
 
 def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
@@ -63,12 +152,24 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
 
     The radial tanh gain is capped at 1 - BALL_EPS so every output row stays
     strictly inside with the same clearance `geometry.project_rows` enforces.
+    Past the cap the gain is constant, so such rows pass no gradient through
+    their norm.
     """
-    sqrt_c = math.sqrt(c)
-    n = td.row_norm(v)
-    scaled = td.mul(n, sqrt_c)
-    radial = td.clamp(td.tanh(scaled), hi=1.0 - BALL_EPS)
-    return td.scale_rows(v, td.div(radial, scaled))
+    sqrt_c, vv = math.sqrt(c), v.value
+    norm, active = _row_norm(vv)
+    scaled = norm * sqrt_c
+    gain = np.tanh(scaled)
+    radial, kept = _clamp(gain, hi=1.0 - BALL_EPS)
+    ratio = radial / scaled
+
+    def push(g):
+        _accumulate(v, g * ratio)
+        g_ratio = np.sum(g * vv, axis=1, keepdims=True)
+        g_scaled = -g_ratio * ratio / scaled
+        g_scaled = g_scaled + g_ratio / scaled * kept * (1.0 - gain * gain)
+        _accumulate(v, _row_norm_grad(g_scaled * sqrt_c, vv, norm, active))
+
+    return v.tape._register(vv * ratio, (v,), push)
 
 
 def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
@@ -80,26 +181,68 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     Rows with a degenerate base (|x| <= BALL_EPS) or coincident pair
     (|x - y| <= BALL_EPS) are masked to 0 by convention. So are rows with
     cos(theta) >= 1 - 1e-12: arccos amplifies rounding there to ~1e-7, and
-    a radially outward y must come out exactly 0. The mask is a constant,
-    so no gradient flows through masked rows.
+    a radially outward y must come out exactly 0. No gradient flows through
+    masked rows.
     """
-    xx = td.rows_dot(x, x)
-    yy = td.rows_dot(y, y)
-    xy = td.rows_dot(x, y)
-    nx = td.row_norm(x)
-    diff = x - y
-    nxy = td.row_norm(diff)
-    one = x.tape.const(np.ones_like(xx.value))
-    num = td.mul(xy, one + xx) - td.mul(xx, one + yy)
-    inner = td.clamp(one + td.mul(xx, yy) - td.mul(xy, 2.0), lo=DENOM_EPS)
-    den = td.clamp(td.mul(td.mul(nx, nxy), td.sqrt(inner)), lo=DENOM_EPS)
-    cos_theta = td.clamp(td.div(num, den), lo=-1.0, hi=1.0)
-    theta = td.acos(cos_theta)
-    keep = x.tape.const(
-        ((nx.value > BALL_EPS) & (nxy.value > BALL_EPS)
-         & (cos_theta.value < 1.0 - 1e-12)).astype(np.float64)
-    )
-    return td.mul(theta, keep)
+    tape = _row_pair(x, y)
+    xv, yv = x.value, y.value
+    xx, yy, xy = _rows_dot(xv, xv), _rows_dot(yv, yv), _rows_dot(xv, yv)
+    nx, nx_active = _row_norm(xv)
+    diff = xv - yv
+    nxy, nxy_active = _row_norm(diff)
+    xx1, yy1 = 1.0 + xx, 1.0 + yy
+    num = xy * xx1 - xx * yy1
+    inner, inner_kept = _clamp((1.0 + xx * yy) - xy * 2.0, lo=DENOM_EPS)
+    lengths, root = nx * nxy, np.sqrt(inner)
+    den, den_kept = _clamp(lengths * root, lo=DENOM_EPS)
+    quotient = num / den
+    cos_theta, cos_kept = _clamp(quotient, lo=-1.0, hi=1.0)
+    keep = ((nx > BALL_EPS) & (nxy > BALL_EPS) & (cos_theta < 1.0 - 1e-12)).astype(np.float64)
+
+    def push(g):
+        gx, gy = x.needs_grad, y.needs_grad
+        g_cos = -(g * keep) / np.sqrt(np.maximum(1.0 - cos_theta * cos_theta, DENOM_EPS))
+        g_quotient = g_cos * cos_kept
+        g_num = g_quotient / den
+        g_prod = -g_quotient * quotient / den * den_kept
+        # den = (|x| |x-y|) sqrt(inner)
+        g_lengths = g_prod * root
+        g_inner = g_prod * lengths / np.maximum(2.0 * root, DENOM_EPS) * inner_kept
+        if gx:
+            g_nx = g_lengths * nxy
+        g_nxy = g_lengths * nx
+        # inner = (1 + |x|^2 |y|^2) - 2<x,y>
+        g_xy = -g_inner * 2.0
+        if gx:
+            g_xx = g_inner * yy
+        if gy:
+            g_yy = g_inner * xx
+        # num = <x,y>(1 + |x|^2) - |x|^2 (1 + |y|^2)
+        if gx:
+            g_xx = g_xx + -g_num * yy1
+        if gy:
+            g_yy = g_yy + -g_num * xx
+        g_xy = g_xy + g_num * xx1
+        if gx:
+            g_xx = g_xx + g_num * xy
+        # the norms, then the three inner products
+        g_diff = _row_norm_grad(g_nxy, diff, nxy, nxy_active)
+        if gx:
+            _accumulate(x, g_diff)
+        if gy:
+            _accumulate(y, -g_diff)
+        if gx:
+            _accumulate(x, _row_norm_grad(g_nx, xv, nx, nx_active))
+            _accumulate(x, g_xy * yv)
+        if gy:
+            _accumulate(y, g_xy * xv)
+            _accumulate(y, g_yy * yv)
+            _accumulate(y, g_yy * yv)
+        if gx:
+            _accumulate(x, g_xx * xv)
+            _accumulate(x, g_xx * xv)
+
+    return tape._register(np.arccos(cos_theta) * keep, (x, y), push)
 
 
 def aperture_rows(x: Tensor, K: float) -> Tensor:
@@ -109,8 +252,17 @@ def aperture_rows(x: Tensor, K: float) -> Tensor:
     floor get an argument >> 1 and therefore open fully to pi/2, matching
     the origin convention.
     """
-    n = td.row_norm(x, floor=BALL_EPS)
-    nn = td.rows_dot(x, x)
-    one = x.tape.const(np.ones_like(nn.value))
-    arg = td.div(td.mul(one - nn, K), n)
-    return td.asin(td.clamp(arg, lo=-1.0, hi=1.0))
+    xv = x.value
+    norm, active = _row_norm(xv, floor=BALL_EPS)
+    xx = _rows_dot(xv, xv)
+    arg = (1.0 - xx) * K / norm
+    clipped, kept = _clamp(arg, lo=-1.0, hi=1.0)
+
+    def push(g):
+        g_arg = g / np.sqrt(np.maximum(1.0 - clipped * clipped, DENOM_EPS)) * kept
+        g_xx = -(g_arg / norm * K)
+        _accumulate(x, g_xx * xv)
+        _accumulate(x, g_xx * xv)
+        _accumulate(x, _row_norm_grad(-g_arg * arg / norm, xv, norm, active))
+
+    return x.tape._register(np.arcsin(clipped), (x,), push)

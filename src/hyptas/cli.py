@@ -20,6 +20,7 @@ from .data import (
     RunConfig,
     SyntheticSpec,
     atomic_write_bytes,
+    feature_path,
     generate_synthetic,
     parse_override,
     read_config,
@@ -134,6 +135,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = _resolve_config(args)
     dataset = read_dataset(args.data)
+    if not dataset.train:
+        raise FormatError(f"{split_path(args.data, 'train')}: holds no videos")
     state, log = train(dataset, config)
     save_checkpoint(state, args.out)
     log_path = args.log or (args.out + ".log")
@@ -164,6 +167,12 @@ def _inference_inputs(args):
     records = dataset.train if args.split == "train" else dataset.test
     if not records:
         raise FormatError(f"{split_path(args.data, args.split)}: holds no videos")
+    if dataset.feature_dim != state.model.config.feature_dim:
+        raise FormatError(
+            f"{feature_path(args.data, records[0].id)}: "
+            f"{dataset.feature_dim} feature columns, but {args.ckpt} (param/enc.in.w) "
+            f"expects {state.model.config.feature_dim}"
+        )
     return state, dataset, records
 
 

@@ -563,7 +563,7 @@ def write_dataset(dataset: Dataset, root) -> None:
     root = Path(root)
     write_mapping(root / "mapping.txt", dataset.class_names)
     for record in dataset.train + dataset.test:
-        write_features(root / "features" / f"{record.id}.htfe", record.features)
+        write_features(feature_path(root, record.id), record.features)
         write_labels(root / "labels" / f"{record.id}.txt", record.labels, dataset.class_names)
     atomic_write_bytes(
         root / "splits" / "train.txt",
@@ -579,34 +579,45 @@ def split_path(root, name: str) -> Path:
     return Path(root) / "splits" / f"{name}.txt"
 
 
+def feature_path(root, vid: str) -> Path:
+    return Path(root) / "features" / f"{vid}.htfe"
+
+
 def read_dataset(root) -> Dataset:
     root = Path(root)
     mapping_path = root / "mapping.txt"
     class_names = read_mapping(mapping_path)
+    width = 0  # feature columns of the first video read; every video must match
 
     def read_split(name: str) -> list[VideoRecord]:
+        nonlocal width
         path = split_path(root, name)
         if not path.exists():
             raise FormatError(f"{path}: missing split file")
         records = []
         for vid in read_utf8(path).split():
-            feature_path = root / "features" / f"{vid}.htfe"
+            features_file = feature_path(root, vid)
             label_path = root / "labels" / f"{vid}.txt"
             # os.path.exists is False for a name the OS refuses (a NUL byte,
             # too long), where Path.exists raises.
-            if not (os.path.exists(feature_path) and os.path.exists(label_path)):
-                raise FormatError(f"{path}: video {vid!r} needs {feature_path} and {label_path}")
-            features = read_features(feature_path)
+            if not (os.path.exists(features_file) and os.path.exists(label_path)):
+                raise FormatError(f"{path}: video {vid!r} needs {features_file} and {label_path}")
+            features = read_features(features_file)
+            width = width or features.shape[1]
+            if features.shape[1] != width:
+                raise FormatError(
+                    f"{features_file}: {features.shape[1]} feature columns, but the videos "
+                    f"read before it have {width}"
+                )
             labels = read_labels(label_path, class_names, mapping=str(mapping_path))
             if features.shape[0] != labels.shape[0]:
                 raise FormatError(
                     f"{label_path}: {labels.shape[0]} labels for the "
-                    f"{features.shape[0]} feature rows of {feature_path}"
+                    f"{features.shape[0]} feature rows of {features_file}"
                 )
             records.append(VideoRecord(vid, features, labels))
         return records
 
     train = read_split("train")
     test = read_split("test")
-    dim = train[0].features.shape[1] if train else (test[0].features.shape[1] if test else 0)
-    return Dataset(train, test, class_names, dim)
+    return Dataset(train, test, class_names, width)

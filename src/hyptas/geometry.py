@@ -7,7 +7,9 @@ boundary-adjacent quantities are clamped (BALL_EPS on norms, DENOM_EPS on
 denominators, the artanh argument below 1) so no operation can leave the
 open ball or divide by zero. `optim` retracts with `exp_map_rows`, and
 `hyptas check` certifies its round trip with `log_map_rows`. Every formula
-the losses use lives once in `ballops`, which shares these constants.
+the losses use lives once in `ballops`, as a fused tape op that shares
+these constants; its Mobius addition is inlined in `ballops.distance_rows`,
+so until the two forms are merged `mobius_add_rows` here is the retraction's.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ training phase adds to cross-entropy and whether the prototypes train;
 `phase_loss` builds that weighted total with the weights of a `RunConfig`.
 
 Ball inputs (`x`, `z`) are (L, d) rows already inside the ball of curvature
-`c` (use `ballops.exp_map_origin_rows` to get there).
+`c` (use `ballops.exp_map_origin_rows` to get there). The ball terms call
+the fused `ballops` ops, one tape node per formula, whose gradients carry
+the bits of the primitive compositions they replaced.
 """
 
 from __future__ import annotations

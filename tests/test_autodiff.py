@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+import ball_oracles as oracle
 import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape, finite_diff_check
@@ -70,7 +71,7 @@ class TestBackwardBasics:
             tape = Tape()
             x = tape.leaf(rng.normal(size=(7, 4)))
             w = tape.leaf(rng.normal(size=(4, 3)))
-            out = td.mean(td.square(td.tanh(td.matmul(x, w))))
+            out = td.mean(td.square(oracle.tanh(td.matmul(x, w))))
             g = tape.backward(out)
             return [g[t].tobytes() for t in g]
 
@@ -143,12 +144,12 @@ def _op_cases():
         "div": lambda t, l: td.mean(td.div(l[0], td.add(td.square(l[1]), 0.5))),
         "matmul": lambda t, l: td.mean(td.matmul(l[0], td.matmul(l[1], t.const(w52)))),
         "relu": lambda t, l: td.mean(td.relu(td.sub(l[0], 0.01))),
-        "tanh": lambda t, l: td.mean(td.tanh(l[0])),
+        "tanh": lambda t, l: td.mean(oracle.tanh(l[0])),
         "log": lambda t, l: td.mean(td.log(td.add(td.square(l[0]), 1.0))),
-        "sqrt": lambda t, l: td.mean(td.sqrt(td.add(td.square(l[0]), 0.3))),
-        "artanh": lambda t, l: td.mean(td.artanh(td.mul(td.tanh(l[0]), 0.9))),
-        "asin_acos": lambda t, l: td.mean(td.add(td.asin(td.mul(td.tanh(l[0]), 0.8)),
-                                                 td.acos(td.mul(td.tanh(l[1]), 0.8)))),
+        "sqrt": lambda t, l: td.mean(oracle.sqrt(td.add(td.square(l[0]), 0.3))),
+        "artanh": lambda t, l: td.mean(oracle.artanh(td.mul(oracle.tanh(l[0]), 0.9))),
+        "asin_acos": lambda t, l: td.mean(td.add(oracle.asin(td.mul(oracle.tanh(l[0]), 0.8)),
+                                                 oracle.acos(td.mul(oracle.tanh(l[1]), 0.8)))),
         "clamp": lambda t, l: td.mean(td.clamp(l[0], lo=-0.5, hi=0.5)),
         "softmax": lambda t, l: td.mean(td.square(td.softmax(l[0]))),
         "sum_mean": lambda t, l: td.add(td.total(td.square(l[0])), td.mean(l[1])),
@@ -193,8 +194,9 @@ class TestPrimitiveGradients:
 
 class TestBallOps:
     def test_forward_agrees_with_geometry(self):
-        # Mobius addition keeps two forms: numpy for the retraction, tape ops
-        # for the losses. Every other ball formula exists only in `ballops`.
+        # Mobius addition keeps two forms: numpy for the retraction, and the
+        # tape composition inside the fused `ballops.distance_rows`, which the
+        # oracle spells out.
         rng = np.random.default_rng(41)
         for c in (0.5, 1.0, 2.0):
             X = rand_rows(rng, 20, 3, 0.05, 0.9 / math.sqrt(c))
@@ -202,7 +204,8 @@ class TestBallOps:
             tape = Tape()
             tx, ty = tape.const(X), tape.const(Y)
             assert np.allclose(
-                bo.mobius_add_rows(tx, ty, c).value, geometry.mobius_add_rows(X, Y, c), atol=1e-12
+                oracle.mobius_add_rows(tx, ty, c).value, geometry.mobius_add_rows(X, Y, c),
+                atol=1e-12,
             )
 
     def test_distance_of_equal_rows_is_zero_with_zero_gradient(self):
@@ -308,7 +311,7 @@ class TestPaddedConv1d:
         rng = np.random.default_rng(dilation * 31 + length)
 
         def f(tape, leaves):
-            return td.mean(td.tanh(td.conv1d(leaves[0], leaves[1], dilation)))
+            return td.mean(oracle.tanh(td.conv1d(leaves[0], leaves[1], dilation)))
 
         pt = [rng.normal(size=(length, 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -436,7 +439,7 @@ class TestPackedConv1d:
         rows = (5, 2, 6)
 
         def f(tape, leaves):
-            return td.mean(td.tanh(td.conv1d(leaves[0], leaves[1], dilation, rows)))
+            return td.mean(oracle.tanh(td.conv1d(leaves[0], leaves[1], dilation, rows)))
 
         pt = [rng.normal(size=(sum(rows), 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyptas.cli import run
+from hyptas.data import read_features, write_features
 
 GEN_ARGS = [
     "--videos", "8", "--tasks", "2", "--actions-per-task", "1", "--shared-actions", "2",
@@ -334,6 +335,46 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert code == 1, err
         assert str(broken) in err
+
+    def test_empty_train_split(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        split = copy / "splits" / "train.txt"
+        split.write_text("")
+        code = run(["train", "--data", str(copy), "--out", str(tmp_path / "m.htck")] + TRAIN_SETS)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(split) in err
+
+    def test_video_wider_than_the_others(self, workspace, tmp_path, capsys):
+        _, data, ckpt = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        first = (copy / "splits" / "test.txt").read_text().split()[0]
+        path = copy / "features" / f"{first}.htfe"
+        features = read_features(path)
+        write_features(path, np.hstack([features, features[:, :1]]))
+        code = run(["infer", "--ckpt", str(ckpt), "--data", str(copy), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(path) in err and "7 feature columns" in err
+
+    @pytest.mark.parametrize("command", ["infer", "export-embeddings"])
+    def test_dataset_width_differs_from_checkpoint(self, workspace, tmp_path, capsys, command):
+        _, _, ckpt = workspace
+        data = tmp_path / "data"
+        args = list(GEN_ARGS)
+        args[args.index("--feature-dim") + 1] = "5"
+        assert run(["gen-data", "--out", str(data)] + args) == 0
+        capsys.readouterr()
+        first = (data / "splits" / "test.txt").read_text().split()[0]
+        out = tmp_path / ("p" if command == "infer" else "e.csv")
+        code = run([command, "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(data / "features" / f"{first}.htfe") in err and str(ckpt) in err
+        assert "param/enc.in.w" in err
 
     def test_eval_label_file_not_utf8(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import ball_oracles
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape
 from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
@@ -339,6 +340,26 @@ class TestSkippedGradients:
         skipped = step_gradients(False)
         assert len(skipped) == config.epochs * len(tiny_data.train)
         assert skipped == step_gradients(True)
+
+
+class TestFusedBallOps:
+    def test_oracles_train_to_the_same_bytes(self, tiny_data, monkeypatch, tmp_path):
+        """Training with the tape-primitive compositions of `ball_oracles` in
+        place of the fused ops writes the same checkpoint and log bytes. Two
+        epochs with e1 = 1 run both phases, so every formula is used."""
+        config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
+
+        def run(name):
+            state, log = train(tiny_data, config)
+            save_checkpoint(state, tmp_path / name)
+            return (tmp_path / name).read_bytes(), "\n".join(log.format_lines())
+
+        fused = run("fused.htck")
+        with monkeypatch.context() as m:
+            for name in ball_oracles.FORMULAS:
+                m.setattr(bo, name, getattr(ball_oracles, name))
+            composed = run("composed.htck")
+        assert fused == composed
 
 
 class TestCheckpointRoundtrip:
