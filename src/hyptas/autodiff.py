@@ -1,26 +1,27 @@
 """Minimal reverse-mode differentiation over dense float64 arrays.
 
-A Tape records every primitive operation in creation order (which is a
-topological order); `Tape.backward` seeds the scalar output with 1 and walks
-the record once in reverse, accumulating gradients into every leaf. All
-values are numpy float64 arrays; scalars are 0-d arrays.
+A Tape records, in creation order (a topological order), exactly the nodes
+that `Tape.backward` visits: the leaves, and every op with at least one
+parent that needs a gradient. A constant, and an op over constants only, is
+a bare value tensor that is never recorded, so a pass with no leaves
+(inference, finite-difference probes) records nothing. `Tape.backward`
+seeds the scalar output with 1 and walks the record once in reverse,
+accumulating gradients into every leaf. All values are numpy float64
+arrays; scalars are 0-d arrays.
 
 A tape is single use: `backward` drops the record once it has built its
 result, so no Tensor -> Tape -> nodes cycle outlives the step and reference
 counting frees the graph as soon as the caller lets go of it. A second
-`backward` raises. `Tape(record=False)` is for forward-only passes
-(inference, finite-difference probes): every op computes the same value
-bytes but keeps no parents, no gradient rule and no record, and `backward`
-raises.
+`backward` raises.
 
-Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias or a
-0-d scalar, every other mixed-shape combination has its own named op
-(`scale_rows`, `rows_dot`, ...). This keeps each node's backward rule
-one line and the whole tape auditable. A gradient rule computes only the
-gradients of operands that need one: a constant operand (features, masks,
-the step embedding, a scalar factor) costs no backward arithmetic. The
-Poincare-ball formulas are fused ops of their own in `ballops`, registered
-through `Tape._register` like the primitives here.
+Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias, `add`,
+`sub` and `mul` accept a Python float, and every other mixed-shape
+combination has its own named op (`scale_rows`, `gather_rows`, ...). This
+keeps each node's backward rule one line and the whole tape auditable. A
+gradient rule computes only the gradients of operands that need one: a
+constant operand (features, masks, the step embedding) costs no backward
+arithmetic. The Poincare-ball formulas are fused ops of their own in
+`ballops`, registered through `Tape._register` like the primitives here.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -36,18 +37,16 @@ import numpy as np
 
 from .errors import AutodiffError, ShapeError
 
-_DENOM_EPS = 1e-15
-
 
 class Tensor:
-    """One node on a tape: a value plus the rule for pushing gradients back."""
+    """A value on a tape; a recorded op also holds the rule that pushes its
+    gradient back to its parents."""
 
-    __slots__ = ("tape", "value", "parents", "_push", "needs_grad", "grad", "name")
+    __slots__ = ("tape", "value", "_push", "needs_grad", "grad", "name")
 
-    def __init__(self, tape, value, parents=(), push=None, needs_grad=False, name=None):
+    def __init__(self, tape, value, push=None, needs_grad=False, name=None):
         self.tape = tape
         self.value = value
-        self.parents = parents
         self._push = push
         self.needs_grad = needs_grad
         self.grad = None
@@ -87,46 +86,33 @@ class Tensor:
 class Tape:
     """Single-owner op record; build a graph, call backward(scalar) once.
 
-    The tape is single use: backward drops the record, and a second call
-    raises. With `record=False` nothing is recorded: tensors carry values
-    only, so a forward pass allocates no graph and `backward` is refused.
+    Only the leaves and the ops that need a gradient are recorded. The tape
+    is single use: backward drops the record, and a second call raises.
     """
 
-    def __init__(self, record: bool = True):
-        self.record = record
+    def __init__(self):
         self.nodes: list[Tensor] = []
         self._spent = False
 
-    def _wrap(self, value) -> np.ndarray:
-        arr = np.asarray(value, dtype=np.float64)
-        return arr
-
     def leaf(self, value, name: str | None = None) -> Tensor:
-        """A trainable input; backward() reports its gradient."""
-        node = Tensor(self, self._wrap(value), needs_grad=self.record, name=name)
-        if self.record:
-            self.nodes.append(node)
+        """A trainable input, recorded; backward() reports its gradient."""
+        node = Tensor(self, np.asarray(value, dtype=np.float64), needs_grad=True, name=name)
+        self.nodes.append(node)
         return node
 
     def const(self, value, name: str | None = None) -> Tensor:
-        """A fixed input; gradients are not propagated into it."""
-        node = Tensor(self, self._wrap(value), needs_grad=False, name=name)
-        if self.record:
-            self.nodes.append(node)
-        return node
+        """A fixed input, not recorded; gradients are not propagated into it."""
+        return Tensor(self, np.asarray(value, dtype=np.float64), name=name)
 
     def _register(self, value, parents, push) -> Tensor:
-        if not self.record:
-            return Tensor(self, value)
-        node = Tensor(
-            self,
-            value,
-            parents=tuple(parents),
-            push=push,
-            needs_grad=any(p.needs_grad for p in parents),
-        )
-        self.nodes.append(node)
-        return node
+        """The op's output: recorded with its gradient rule if a parent needs
+        a gradient, otherwise a bare value."""
+        for p in parents:
+            if p.needs_grad:
+                node = Tensor(self, value, push=push, needs_grad=True)
+                self.nodes.append(node)
+                return node
+        return Tensor(self, value)
 
     def backward(self, output: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate d(output)/d(leaf) for every leaf on this tape.
@@ -136,8 +122,6 @@ class Tape:
         depend on); the same gradients are left on each node's `.grad`.
         The record is then dropped: the tape is spent.
         """
-        if not self.record:
-            raise AutodiffError("backward on a non-recording tape")
         if self._spent:
             raise AutodiffError("backward already ran on this tape; a tape is single use")
         if output.tape is not self:
@@ -146,12 +130,11 @@ class Tape:
             raise AutodiffError(f"backward needs a scalar output, got shape {output.value.shape}")
         output.grad = np.ones(())
         for node in reversed(self.nodes):
-            if node.grad is None or node._push is None or not node.needs_grad:
-                continue
-            node._push(node.grad)
+            if node.grad is not None and node._push is not None:
+                node._push(node.grad)
         out = {}
         for node in self.nodes:
-            if node._push is None and node.needs_grad:
+            if node._push is None:
                 out[node] = node.grad if node.grad is not None else np.zeros_like(node.value)
         self.nodes = []
         self._spent = True
@@ -174,29 +157,22 @@ def _same_tape(*tensors: Tensor):
     return tape
 
 
-def _coerce(ref: Tensor, other) -> Tensor:
-    if isinstance(other, Tensor):
-        return other
-    return ref.tape.const(np.asarray(other, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(a, b)
+def add(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise sum with a tensor of a's shape, a (1, C) row bias, or a float."""
+    if not isinstance(b, Tensor):
+        def push(g):
+            _accumulate(a, g)
+        return a.tape._register(a.value + b, (a,), push)
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     if av.shape == bv.shape:
         def push(g):
             _accumulate(a, g)
             _accumulate(b, g)
-    elif bv.ndim == 0:
-        def push(g):
-            _accumulate(a, g)
-            if b.needs_grad:
-                _accumulate(b, np.sum(g).reshape(()))
     elif av.ndim == 2 and bv.shape == (1, av.shape[1]):  # row bias
         def push(g):
             _accumulate(a, g)
@@ -212,39 +188,35 @@ def neg(a: Tensor) -> Tensor:
     return a.tape._register(-a.value, (a,), push)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return add(a, neg(_coerce(a, b)))
+def sub(a: Tensor, b: Tensor | float) -> Tensor:
+    return add(a, -b)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; same shapes or a 0-d/python scalar on either side."""
-    b = _coerce(a, b)
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise product with a tensor of a's shape or a float."""
+    if not isinstance(b, Tensor):
+        def push(g):
+            _accumulate(a, g * b)
+        return a.tape._register(a.value * b, (a,), push)
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    if av.shape != bv.shape and av.ndim != 0 and bv.ndim != 0:
+    if av.shape != bv.shape:
         raise ShapeError(f"mul: unsupported shapes {av.shape} * {bv.shape}")
 
     def push(g):
         if a.needs_grad:
-            ga = g * bv
-            if av.ndim == 0 and bv.ndim != 0:
-                ga = np.sum(ga).reshape(())
-            _accumulate(a, ga)
+            _accumulate(a, g * bv)
         if b.needs_grad:
-            gb = g * av
-            if bv.ndim == 0 and av.ndim != 0:
-                gb = np.sum(gb).reshape(())
-            _accumulate(b, gb)
+            _accumulate(b, g * av)
 
     return tape._register(av * bv, (a, b), push)
 
 
-def div(a: Tensor, b) -> Tensor:
-    """Elementwise quotient; same shapes or 0-d divisor. Caller keeps b away from 0."""
-    b = _coerce(a, b)
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise quotient of same-shape tensors. Caller keeps b away from 0."""
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    if av.shape != bv.shape and bv.ndim != 0:
+    if av.shape != bv.shape:
         raise ShapeError(f"div: unsupported shapes {av.shape} / {bv.shape}")
     out = av / bv
 
@@ -252,10 +224,7 @@ def div(a: Tensor, b) -> Tensor:
         if a.needs_grad:
             _accumulate(a, g / bv)
         if b.needs_grad:
-            gb = -g * out / bv
-            if bv.ndim == 0 and av.ndim != 0:
-                gb = np.sum(gb).reshape(())
-            _accumulate(b, gb)
+            _accumulate(b, -g * out / bv)
 
     return tape._register(out, (a, b), push)
 
@@ -337,40 +306,6 @@ def mean(a: Tensor) -> Tensor:
         _accumulate(a, np.full(shape, float(g) / n))
 
     return a.tape._register(np.mean(a.value).reshape(()), (a,), push)
-
-
-def rows_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row inner product of two (N, d) tensors -> (N, 1)."""
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-    if av.shape != bv.shape or av.ndim != 2:
-        raise ShapeError(f"rows_dot: need matching 2-D shapes, got {av.shape}, {bv.shape}")
-    out = np.sum(av * bv, axis=1, keepdims=True)
-
-    def push(g):
-        if a.needs_grad:
-            _accumulate(a, g * bv)
-        if b.needs_grad:
-            _accumulate(b, g * av)
-
-    return tape._register(out, (a, b), push)
-
-
-def row_norm(a: Tensor, floor: float = _DENOM_EPS) -> Tensor:
-    """Per-row Euclidean norm -> (N, 1), floored; gradient is flat below the floor.
-
-    With `floor=0.0` a zero row has norm exactly 0 and gradient 0.
-    """
-    raw = np.linalg.norm(a.value, axis=1, keepdims=True)
-    out = np.maximum(raw, floor)
-    active = raw > floor
-    val = a.value
-
-    def push(g):
-        grad = np.zeros_like(val)
-        _accumulate(a, np.divide(g * val, out, out=grad, where=active))
-
-    return a.tape._register(out, (a,), push)
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
@@ -524,9 +459,9 @@ def finite_diff_check(
 ) -> float:
     """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
 
-    `f` builds a scalar on the tape it is given from the leaves it is given;
-    it is re-evaluated 2 * total_coordinates times at perturbed points, each
-    time on a non-recording tape.
+    `f` builds a scalar on the tape it is given from the tensors it is given:
+    leaves at the base point, then, 2 * total_coordinates times, constants at
+    the perturbed points, on a tape that records nothing.
     """
     if step <= 0.0:
         raise AutodiffError(f"finite-difference step must be > 0, got {step}")
@@ -542,8 +477,8 @@ def finite_diff_check(
     analytic = [grads[leaf] for leaf in leaves]
 
     def value_at(arrays) -> float:
-        t = Tape(record=False)
-        v = float(f(t, [t.leaf(a) for a in arrays]).value)
+        t = Tape()
+        v = float(f(t, [t.const(a) for a in arrays]).value)
         if not math.isfinite(v):
             raise AutodiffError("function evaluated non-finite at a perturbed point")
         return v

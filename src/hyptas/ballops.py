@@ -11,10 +11,10 @@ values and gradients keep the composed form's bits, clamps included, and a
 branch whose input needs no gradient is skipped. The composed forms live in
 `tests/ball_oracles.py` as forward and gradient oracles. Inference, the
 prototype log value and the `hyptas check` suites run the same ops forward
-through `evaluate` on a non-recording tape. Clamping follows one policy:
-norms floored, artanh arguments kept below 1, inverse-trig arguments clipped
-to their closed domains. `geometry` keeps only the numpy kernels of
-Riemannian Adam's retraction.
+through `evaluate` on constants, which the tape does not record. Clamping
+follows one policy: norms floored, artanh arguments kept below 1,
+inverse-trig arguments clipped to their closed domains. `geometry` keeps
+only the numpy kernels of Riemannian Adam's retraction.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from .geometry import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
 
 
 def evaluate(op, *args) -> np.ndarray:
-    """`op(*args)` forward on a non-recording tape: numpy rows in, numpy out.
-
-    Array arguments become constants; scalars (curvature, cone_k) pass as is.
+    """`op(*args)` forward on a tape of constants, which records nothing:
+    numpy rows in, numpy out. Scalars (curvature, cone_k) pass as is.
     """
-    tape = Tape(record=False)
+    tape = Tape()
     return op(*(tape.const(a) if isinstance(a, np.ndarray) else a for a in args)).value
 
 

@@ -4,9 +4,9 @@ Each suite re-derives expected behavior through an independent route —
 closed forms, central finite differences, a perfect-predictor sampler run,
 and brute-force metric references over frame sets — and reports pass/fail
 with a one-line detail. The geometry suites run the `ballops` formulas that
-training runs, forward on a non-recording tape, and the round trip runs the
-`geometry` kernels of the Riemannian Adam retraction. The acceptance tests
-run the same suites at their full sizes.
+training runs, forward on constants that no tape records, and the round
+trip runs the `geometry` kernels of the Riemannian Adam retraction. The
+acceptance tests run the same suites at their full sizes.
 """
 
 from __future__ import annotations

@@ -46,10 +46,8 @@ def _add_set_flag(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> RunConfig:
     overrides = dict(parse_override(item) for item in args.set)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        overrides["infer_steps"] = args.steps
     if args.config:
         return read_config(args.config, overrides=overrides)
     try:

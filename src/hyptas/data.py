@@ -31,7 +31,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -403,14 +403,11 @@ class RunConfig:
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# The parse type of every key, read from its `RunConfig` annotation (a
+# string, with postponed evaluation); `e1: int | None` parses as an int.
 _CONFIG_TYPES: dict[str, type] = {
-    "epochs": int, "e1": int, "batch_size": int, "timesteps": int, "infer_steps": int,
-    "seed": int, "embed_dim": int, "encoder_channels": int,
-    "lr": float, "proto_lr": float, "lambda_ce": float, "lambda_entail": float, "lambda_margin": float,
-    "lambda_pp": float, "lambda_gg": float, "curvature": float, "cone_k": float,
-    "margin": float,
-    "decay": str,
-    "aux_head": bool, "single_phase": bool,
+    f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.type.removesuffix(" | None")]
+    for f in fields(RunConfig)
 }
 
 

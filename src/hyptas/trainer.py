@@ -34,7 +34,7 @@ from .errors import ConfigError, FormatError, GeometryError, NonFiniteLossError,
 from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
 from .model import Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
-from .optim import Adam, AdamConfig, RiemannianAdam
+from .optim import Adam, RiemannianAdam
 
 logger = logging.getLogger(__name__)
 
@@ -140,8 +140,8 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         dataset.num_classes, config.embed_dim, config.curvature, config.seed + 1
     )
     schedule = make_schedule(config.timesteps)
-    net_opt = Adam(model.params, AdamConfig(lr=config.lr))
-    proto_opt = RiemannianAdam(prototypes, AdamConfig(lr=config.proto_lr))
+    net_opt = Adam(model.params, config.lr)
+    proto_opt = RiemannianAdam(prototypes, config.proto_lr)
     rng = np.random.default_rng(config.seed + 2)
     e1 = config.stabilization_epochs
     log = TrainLog()
@@ -256,15 +256,15 @@ def infer_videos(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Unmasked condition, deterministic reverse pass, every video at once.
 
-    The videos are stacked in time on one non-recording tape: parameters are
-    bound once, all features are encoded once, and every sampler step is one
-    decode over all rows (the convolutions get the row counts, so no video
-    sees another). Video i starts from the noise of `seeds[i]`, so each gets
-    the bytes it would get alone, except a 1-frame video: alone it goes
-    through 1-row matmuls, and its probabilities and embeddings may differ
-    from its packed ones by about 2e-16 (same labels). Returns per video
-    (labels, per-frame probabilities, ball embeddings from the final
-    denoiser call).
+    The videos are stacked in time on one tape that records nothing, since
+    the parameters are bound once as constants: all features are encoded
+    once, and every sampler step is one decode over all rows (the
+    convolutions get the row counts, so no video sees another). Video i
+    starts from the noise of `seeds[i]`, so each gets the bytes it would
+    get alone, except a 1-frame video: alone it goes through 1-row
+    matmuls, and its probabilities and embeddings may differ from its
+    packed ones by about 2e-16 (same labels). Returns per video (labels,
+    per-frame probabilities, ball embeddings from the final denoiser call).
     """
     steps = state.config.infer_steps if steps is None else steps
     cfg = state.model.config
@@ -280,7 +280,7 @@ def infer_videos(
         if f.shape[0] == 0:
             raise ShapeError("a video needs at least one frame")
     rows = tuple(f.shape[0] for f in videos)
-    tape = Tape(record=False)
+    tape = Tape()
     bound = state.model.bind(tape, trainable=False)
     # One video needs no stacked copy (a 1000-frame one would be 256 KB).
     stacked = videos[0] if len(videos) == 1 else np.concatenate(videos)
@@ -308,6 +308,14 @@ def infer_videos(
 # ---------------------------------------------------------------------------
 # Checkpoint schema
 # ---------------------------------------------------------------------------
+
+# Upper bound on |parameter| in a checkpoint. Trained weights stay below 1
+# (at most 0.99 over the nine 180-epoch acceptance trainings); a value far
+# above is damage, such as a flipped exponent bit, and would overflow the
+# embedding norm in `exp_map_origin_rows` into garbage ball coordinates.
+# With every desk-width weight at +-cap, inference stays finite.
+PARAM_MAGNITUDE_CAP = 1e4
+
 
 def save_checkpoint(state: TrainedState, path) -> None:
     """The config text, the prototypes and the parameters; `load_checkpoint`
@@ -384,6 +392,11 @@ def load_checkpoint(path) -> TrainedState:
         if stored.shape != init.shape:
             raise FormatError(
                 f"{path}: tensor {key!r} has shape {stored.shape}, expected {init.shape}"
+            )
+        if np.any(np.abs(stored) > PARAM_MAGNITUDE_CAP):
+            raise FormatError(
+                f"{path}: tensor {key!r} holds a value above the magnitude cap "
+                f"{PARAM_MAGNITUDE_CAP:g}"
             )
         model.params[name] = stored
     return TrainedState(model, prototypes, make_schedule(config.timesteps), config)

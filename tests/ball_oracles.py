@@ -7,8 +7,8 @@ this composition's gradient arithmetic, so on every input, clamped rows
 included, they must agree with these oracles to the bit, in the value and
 in the gradient of every input. `mobius_add_rows` exists only here: the
 fused `distance_rows` inlines it. So do the tape primitives that only these
-compositions use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, `div_rows`),
-with the gradient rules they had in `autodiff`.
+compositions use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, `div_rows`,
+`rows_dot`, `row_norm`), with the gradient rules they had in `autodiff`.
 """
 
 from __future__ import annotations
@@ -86,11 +86,45 @@ def div_rows(a: Tensor, s: Tensor) -> Tensor:
     return tape._register(out, (a, s), push)
 
 
+def rows_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Per-row inner product of two (N, d) tensors -> (N, 1)."""
+    tape = _same_tape(a, b)
+    av, bv = a.value, b.value
+    if av.shape != bv.shape or av.ndim != 2:
+        raise ShapeError(f"rows_dot: need matching 2-D shapes, got {av.shape}, {bv.shape}")
+    out = np.sum(av * bv, axis=1, keepdims=True)
+
+    def push(g):
+        if a.needs_grad:
+            _accumulate(a, g * bv)
+        if b.needs_grad:
+            _accumulate(b, g * av)
+
+    return tape._register(out, (a, b), push)
+
+
+def row_norm(a: Tensor, floor: float = DENOM_EPS) -> Tensor:
+    """Per-row Euclidean norm -> (N, 1), floored; gradient is flat below the floor.
+
+    With `floor=0.0` a zero row has norm exactly 0 and gradient 0.
+    """
+    raw = np.linalg.norm(a.value, axis=1, keepdims=True)
+    out = np.maximum(raw, floor)
+    active = raw > floor
+    val = a.value
+
+    def push(g):
+        grad = np.zeros_like(val)
+        _accumulate(a, np.divide(g * val, out, out=grad, where=active))
+
+    return a.tape._register(out, (a,), push)
+
+
 def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     """Row-wise gyrovector addition of two (N, d) tensors."""
-    xx = td.rows_dot(x, x)
-    yy = td.rows_dot(y, y)
-    xy = td.rows_dot(x, y)
+    xx = rows_dot(x, x)
+    yy = rows_dot(y, y)
+    xy = rows_dot(x, y)
     coef_x = td.add(td.mul(xy, 2.0 * c) + td.mul(yy, c), 1.0)
     coef_y = td.add(td.mul(xx, -c), 1.0)
     num = td.scale_rows(x, coef_x) + td.scale_rows(y, coef_y)
@@ -102,14 +136,14 @@ def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     """Row-wise geodesic distance -> (N, 1); exactly 0 for equal rows."""
     sqrt_c = math.sqrt(c)
     w = mobius_add_rows(td.neg(x), y, c)
-    arg = td.clamp(td.mul(td.row_norm(w, floor=0.0), sqrt_c), hi=ARTANH_ARG_MAX)
+    arg = td.clamp(td.mul(row_norm(w, floor=0.0), sqrt_c), hi=ARTANH_ARG_MAX)
     return td.mul(artanh(arg), 2.0 / sqrt_c)
 
 
 def origin_distance_rows(x: Tensor, c: float) -> Tensor:
     """Row-wise distance to the origin -> (N, 1)."""
     sqrt_c = math.sqrt(c)
-    arg = td.clamp(td.mul(td.row_norm(x), sqrt_c), hi=ARTANH_ARG_MAX)
+    arg = td.clamp(td.mul(row_norm(x), sqrt_c), hi=ARTANH_ARG_MAX)
     return td.mul(artanh(arg), 2.0 / sqrt_c)
 
 
@@ -117,7 +151,7 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
     """Rows of a Euclidean (N, d) tensor mapped into the ball by exp at the
     origin, the radial tanh gain capped at 1 - BALL_EPS."""
     sqrt_c = math.sqrt(c)
-    n = td.row_norm(v)
+    n = row_norm(v)
     scaled = td.mul(n, sqrt_c)
     radial = td.clamp(tanh(scaled), hi=1.0 - BALL_EPS)
     return td.scale_rows(v, td.div(radial, scaled))
@@ -127,12 +161,12 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     """Row-wise entailment-cone exterior angle -> (N, 1), with the masked
     rows (degenerate base, coincident pair, cos(theta) >= 1 - 1e-12) at 0
     through a constant mask."""
-    xx = td.rows_dot(x, x)
-    yy = td.rows_dot(y, y)
-    xy = td.rows_dot(x, y)
-    nx = td.row_norm(x)
+    xx = rows_dot(x, x)
+    yy = rows_dot(y, y)
+    xy = rows_dot(x, y)
+    nx = row_norm(x)
     diff = x - y
-    nxy = td.row_norm(diff)
+    nxy = row_norm(diff)
     one = x.tape.const(np.ones_like(xx.value))
     num = td.mul(xy, one + xx) - td.mul(xx, one + yy)
     inner = td.clamp(one + td.mul(xx, yy) - td.mul(xy, 2.0), lo=DENOM_EPS)
@@ -149,8 +183,8 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
 def aperture_rows(x: Tensor, K: float) -> Tensor:
     """Row-wise cone aperture arcsin(K (1 - |x|^2) / |x|) -> (N, 1), the
     argument clipped to [-1, 1]."""
-    n = td.row_norm(x, floor=BALL_EPS)
-    nn = td.rows_dot(x, x)
+    n = row_norm(x, floor=BALL_EPS)
+    nn = rows_dot(x, x)
     one = x.tape.const(np.ones_like(nn.value))
     arg = td.div(td.mul(one - nn, K), n)
     return asin(td.clamp(arg, lo=-1.0, hi=1.0))

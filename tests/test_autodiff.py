@@ -29,7 +29,7 @@ class TestBackwardBasics:
     def test_squared_norm_hand_gradient(self):
         tape = Tape()
         x = tape.leaf(np.array([[1.0, 2.0]]))
-        out = td.total(td.rows_dot(x, x))
+        out = td.total(oracle.rows_dot(x, x))
         grads = tape.backward(out)
         assert np.allclose(grads[x], [[2.0, 4.0]])
 
@@ -153,9 +153,9 @@ def _op_cases():
         "clamp": lambda t, l: td.mean(td.clamp(l[0], lo=-0.5, hi=0.5)),
         "softmax": lambda t, l: td.mean(td.square(td.softmax(l[0]))),
         "sum_mean": lambda t, l: td.add(td.total(td.square(l[0])), td.mean(l[1])),
-        "rows_dot": lambda t, l: td.mean(td.rows_dot(l[0], l[1])),
-        "row_norm": lambda t, l: td.mean(td.row_norm(l[0])),
-        "scale_div_rows": lambda t, l: td.mean(td.scale_rows(l[0], td.add(td.row_norm(l[1]), 0.2))),
+        "rows_dot": lambda t, l: td.mean(oracle.rows_dot(l[0], l[1])),
+        "row_norm": lambda t, l: td.mean(oracle.row_norm(l[0])),
+        "scale_div_rows": lambda t, l: td.mean(td.scale_rows(l[0], td.add(oracle.row_norm(l[1]), 0.2))),
         "gather_rows": lambda t, l: td.mean(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
         "slice_concat": lambda t, l: td.mean(td.concat_cols(td.slice_rows(l[0], 0, 2),
                                                             td.slice_rows(l[1], 1, 3))),
@@ -318,6 +318,9 @@ class TestPaddedConv1d:
 
 
 class TestNonRecordingTape:
+    """A tape of constants computes the bytes a tape of leaves computes and
+    records nothing."""
+
     @pytest.mark.parametrize("name", sorted(_op_cases()))
     def test_same_bytes_as_recording_and_no_record(self, name):
         f = _op_cases()[name]
@@ -326,18 +329,12 @@ class TestNonRecordingTape:
             point = [rand_rows(rng, 2, 3), rand_rows(rng, 3, 5)]
         else:
             point = [rand_rows(rng, 3, 4), rand_rows(rng, 3, 4)]
-        recording, bare = Tape(), Tape(record=False)
+        recording, bare = Tape(), Tape()
         expected = f(recording, [recording.leaf(p) for p in point])
-        got = f(bare, [bare.leaf(p) for p in point])
+        got = f(bare, [bare.const(p) for p in point])
         assert got.value.tobytes() == expected.value.tobytes()
         assert recording.nodes and bare.nodes == []
-        assert got.parents == () and got._push is None and not got.needs_grad
-
-    def test_backward_refused(self):
-        tape = Tape(record=False)
-        x = tape.leaf(np.array(2.0))
-        with pytest.raises(AutodiffError, match="non-recording"):
-            tape.backward(td.mul(x, x))
+        assert got._push is None and not got.needs_grad
 
     def test_model_forward_matches_recording_tape(self):
         from hyptas.model import Denoiser, DenoiserConfig
@@ -345,13 +342,36 @@ class TestNonRecordingTape:
         model = Denoiser(DenoiserConfig(feature_dim=6, classes=4, encoder_channels=8), seed=2)
         rng = np.random.default_rng(2)
         features, y_t = rng.normal(size=(30, 6)), rng.normal(size=(30, 4))
-        outs = []
-        for tape in (Tape(), Tape(record=False)):
-            bound = model.bind(tape, trainable=False)
+        outs, tapes = [], (Tape(), Tape())
+        for tape, trainable in zip(tapes, (True, False)):
+            bound = model.bind(tape, trainable=trainable)
             condition, p_enc = bound.encode(features)
             emb, probs = bound.decode(tape.const(y_t), condition, 17)
             outs.append([t.value.tobytes() for t in (condition, p_enc, emb, probs)])
         assert outs[0] == outs[1]
+        assert tapes[0].nodes and tapes[1].nodes == []
+
+
+class TestScalarOperands:
+    """A Python float operand is no tape node: the op records one node, and
+    its value and gradient are the float expressions."""
+
+    @pytest.mark.parametrize("op,scalar,value,grad", [
+        (td.mul, 2.0, lambda x: x * 2.0, lambda g: g * 2.0),
+        (td.add, 1.0, lambda x: x + 1.0, lambda g: g),
+        (td.sub, 0.5, lambda x: x + -0.5, lambda g: g),
+    ], ids=["mul", "add", "sub"])
+    def test_one_node_with_the_float_bytes(self, op, scalar, value, grad):
+        rng = np.random.default_rng(3)
+        xv, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        tape = Tape()
+        x = tape.leaf(xv)
+        out = op(x, scalar)
+        assert tape.nodes == [x, out]
+        assert out.value.tobytes() == value(xv).tobytes()
+        # total(out * g) hands the op's backward exactly g
+        grads = tape.backward(td.total(td.mul(out, tape.const(g))))
+        assert grads[x].tobytes() == grad(g).tobytes()
 
 
 class TestSingleUseTape:

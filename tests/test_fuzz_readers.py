@@ -11,8 +11,9 @@ repeat a line, or (config text only) give a key a random value. Config
 text is damaged both as a `train --config` file, parsed before the missing
 `--data` directory is read, and as the checkpoint's `config_text` section.
 Fixed cases pin two tensor headers that once escaped as exit 2, a NaN
-feature value that once exited 1 without naming its file, and sizes of
-10**30 that once exited 2 from inside numpy.
+feature value that once exited 1 without naming its file, a parameter of
+4.8e307 that once exited 0 with garbage, and sizes of 10**30 that once
+exited 2 from inside numpy.
 """
 
 import shutil
@@ -208,6 +209,25 @@ def test_pinned_non_finite_feature_exits_one(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert str(features) in err and "non-finite" in err
+
+
+def test_pinned_huge_parameter_exits_one(trained, tmp_path, capsys):
+    """`_flip_bits` case 48 of the checkpoint fuzz: the top exponent bit of
+    entry 34 of `param/dec.step3.w` turns it into 4.8e307. Such a checkpoint
+    once loaded, overflowed the embedding norm, and exited 0 with every ball
+    coordinate 0."""
+    _, data, ckpt = trained
+    blob = bytearray(ckpt.read_bytes())
+    _, kind_at, _ = next(span for span in _sections(bytes(blob))
+                         if blob[span[0] + 2 : span[1]] == b"param/dec.step3.w")
+    payload = kind_at + 2 + 4 * blob[kind_at + 1]
+    blob[payload + 8 * 34 + 7] ^= 0x40
+    bad = tmp_path / "bad.htck"
+    bad.write_bytes(bytes(blob))
+    code = _infer(bad, data, tmp_path / "p")
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(bad) in err and "'param/dec.step3.w'" in err and "magnitude cap" in err
 
 
 def _with_config_text(blob: bytes, text: bytes) -> bytes:

@@ -3,7 +3,7 @@
 Mobius addition, projection and the exp/log maps at any base point are the
 numpy kernels of `geometry`. Distance, origin distance, exp at the origin,
 exterior angle and aperture are the `ballops` functions training uses, run
-forward on a non-recording tape.
+forward on constants, which the tape does not record.
 """
 
 import math

@@ -149,7 +149,7 @@ class TestDecode:
         features, y_t = rng.normal(size=(53, 10)), rng.normal(size=(53, 4))
 
         def run(feats, signal):
-            tape = Tape(record=False)
+            tape = Tape()
             bound = model.bind(tape, trainable=False)
             cond, p_enc = bound.encode(feats, rows)
             emb, probs = bound.decode(tape.const(signal), cond, 40, rows)

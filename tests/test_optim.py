@@ -4,19 +4,19 @@ import pytest
 from hyptas.autodiff import Tape
 from hyptas.errors import ContractViolation, NonFiniteLossError, ShapeError
 from hyptas.losses import Prototypes, prototype_margin
-from hyptas.optim import Adam, AdamConfig, RiemannianAdam
+from hyptas.optim import Adam, RiemannianAdam
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0])}
-        opt = Adam(params)
+        opt = Adam(params, 5e-4)
         opt.step(params, {"w": np.zeros(2)})
         assert np.array_equal(params["w"], [1.0, -2.0])
 
     def test_first_step_moves_by_lr_sign(self):
         params = {"w": np.array([0.0])}
-        opt = Adam(params, AdamConfig(lr=1e-3))
+        opt = Adam(params, 1e-3)
         opt.step(params, {"w": np.array([1.0])})
         assert params["w"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-9)
 
@@ -24,7 +24,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(3)
             params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
-            opt = Adam(params, AdamConfig(lr=1e-2))
+            opt = Adam(params, 1e-2)
             for _ in range(50):
                 grads = {k: np.sin(v) + 0.1 for k, v in params.items()}
                 opt.step(params, grads)
@@ -34,13 +34,13 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts_with_name(self):
         params = {"layer.w": np.zeros(2)}
-        opt = Adam(params)
+        opt = Adam(params, 5e-4)
         with pytest.raises(NonFiniteLossError, match="layer.w"):
             opt.step(params, {"layer.w": np.array([np.nan, 0.0])})
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(2)}
-        opt = Adam(params)
+        opt = Adam(params, 5e-4)
         with pytest.raises(ShapeError):
             opt.step(params, {"w": np.zeros(3)})
 
@@ -48,7 +48,7 @@ class TestAdam:
 class TestRiemannianAdam:
     def test_zero_gradient_keeps_prototype(self):
         protos = Prototypes(np.array([[0.2, 0.0], [0.0, 0.3]]), 1.0)
-        opt = RiemannianAdam(protos)
+        opt = RiemannianAdam(protos, 0.02)
         before = protos.points.copy()
         opt.step(protos, np.zeros((2, 2)))
         assert np.array_equal(protos.points, before)
@@ -64,7 +64,7 @@ class TestRiemannianAdam:
         rng = np.random.default_rng(5)
         for c in (0.5, 1.0, 2.0):
             protos = Prototypes(0.05 * rng.normal(size=(4, 3)), c)
-            opt = RiemannianAdam(protos, AdamConfig(lr=0.1))
+            opt = RiemannianAdam(protos, 0.1)
             for _ in range(500):
                 opt.step(protos, rng.normal(size=(4, 3)))
                 assert np.all(c * np.sum(protos.points**2, axis=1) < 1.0)
@@ -72,7 +72,7 @@ class TestRiemannianAdam:
     def test_frozen_prototypes_rejected(self):
         protos = Prototypes(np.array([[0.1, 0.0], [0.0, 0.1]]), 1.0)
         protos.freeze()
-        opt = RiemannianAdam(protos)
+        opt = RiemannianAdam(protos, 0.02)
         with pytest.raises(ContractViolation):
             opt.step(protos, np.zeros((2, 2)))
 
@@ -81,7 +81,7 @@ class TestRiemannianAdam:
         # gradient vanishes by symmetry; init guarantees pairwise-distinct
         # points, so the test starts from a tight but distinct pair.
         protos = Prototypes(np.array([[0.05, 0.0], [0.05 + 1e-3, 1e-3]]), 1.0)
-        opt = RiemannianAdam(protos, AdamConfig(lr=5e-3))
+        opt = RiemannianAdam(protos, 5e-3)
         margin = 2.0
 
         def pair_distance():
@@ -101,6 +101,6 @@ class TestRiemannianAdam:
 
     def test_non_finite_gradient_rejected(self):
         protos = Prototypes(np.array([[0.1, 0.0], [0.0, 0.1]]), 1.0)
-        opt = RiemannianAdam(protos)
+        opt = RiemannianAdam(protos, 0.02)
         with pytest.raises(NonFiniteLossError):
             opt.step(protos, np.array([[np.inf, 0.0], [0.0, 0.0]]))

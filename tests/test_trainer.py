@@ -6,6 +6,7 @@ import pytest
 
 import ball_oracles
 import hyptas.ballops as bo
+import hyptas.trainer
 from hyptas.autodiff import Tape
 from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
 from hyptas.diffusion import label_decode, sample
@@ -241,6 +242,19 @@ class TestPackedInference:
         b = infer_video(other, video.features, 2, seed=1)
         assert a[2].tobytes() == b[2].tobytes()
 
+    def test_one_plain_tape_that_records_no_node(self, tiny_run, tiny_data, monkeypatch):
+        state, _, _ = tiny_run
+        tapes = []
+
+        class CountedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(hyptas.trainer, "Tape", CountedTape)
+        infer_videos(state, [v.features for v in tiny_data.test], 4, [0, 1])
+        assert len(tapes) == 1 and tapes[0].nodes == []
+
     @pytest.mark.parametrize("features,seeds", [
         ([], []),
         ([np.zeros((5, 8))], [0, 1]),
@@ -305,6 +319,27 @@ class TestStepGraphLifetime:
         assert max(live_outputs) == 0
         assert max(live_tapes) <= 1
         assert alive_after == 0
+
+
+class TestRecordedNodes:
+    def test_training_steps_record_only_nodes_backward_visits(self, tiny_data, monkeypatch):
+        """Every node a training step records is a leaf or an op that needs a
+        gradient, in the stabilization (epoch 0) and guidance (epoch 1)
+        phases alike: constants, and ops over constants only, stay off the
+        tape."""
+        config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
+        backward, steps = Tape.backward, []
+
+        def inspect(tape, output):
+            steps.append([(node.needs_grad, node._push is None) for node in tape.nodes])
+            return backward(tape, output)
+
+        monkeypatch.setattr(Tape, "backward", inspect)
+        train(tiny_data, config)
+        assert len(steps) == config.epochs * len(tiny_data.train)
+        for nodes in steps:
+            assert all(needs_grad for needs_grad, _ in nodes)
+            assert any(is_leaf for _, is_leaf in nodes) and not all(is_leaf for _, is_leaf in nodes)
 
 
 class TestSkippedGradients:
@@ -410,6 +445,19 @@ class TestCheckpointRoundtrip:
         del sections[first_param]
         write_checkpoint(path, list(sections.items()))
         with pytest.raises(FormatError, match="missing tensor"):
+            load_checkpoint(path)
+
+    def test_huge_parameter_is_error(self, tiny_run, tmp_path):
+        state, _, _ = tiny_run
+        from hyptas.data import read_checkpoint, write_checkpoint
+
+        path = tmp_path / "model.htck"
+        save_checkpoint(state, path)
+        sections = read_checkpoint(path)
+        sections["param/dec.head.b"] = sections["param/dec.head.b"].copy()
+        sections["param/dec.head.b"][0, 1] = -2e4
+        write_checkpoint(path, list(sections.items()))
+        with pytest.raises(FormatError, match=r"'param/dec.head.b' holds a value above"):
             load_checkpoint(path)
 
     def test_shape_mismatch_is_error(self, tiny_run, tmp_path):
