@@ -14,14 +14,21 @@ result, so no Tensor -> Tape -> nodes cycle outlives the step and reference
 counting frees the graph as soon as the caller lets go of it. A second
 `backward` raises.
 
-Broadcasting is deliberately narrow: `add` accepts a (1, C) row bias, `add`,
-`sub` and `mul` accept a Python float, and every other mixed-shape
-combination has its own named op (`scale_rows`, `gather_rows`, ...). This
-keeps each node's backward rule one line and the whole tape auditable. A
-gradient rule computes only the gradients of operands that need one: a
-constant operand (features, masks, the step embedding) costs no backward
-arithmetic. The Poincare-ball formulas are fused ops of their own in
-`ballops`, registered through `Tape._register` like the primitives here.
+Broadcasting is deliberately narrow: `add`, `sub` and `mul` accept a Python
+float, and every other mixed-shape combination has its own named op
+(`scale_rows`, `gather_rows`, ...). This keeps each node's backward rule
+one line and the whole tape auditable. A gradient rule computes only the
+gradients of operands that need one: a constant operand (features, masks)
+costs no backward arithmetic.
+
+Fused ops stand for a whole composition of primitives: each denoiser layer
+is one `conv_layer` node (dilated convolution, biases, the decoder's step
+projection, residual and relu) and each classification head one
+`softmax_head` node, and the Poincare-ball formulas are fused ops of their
+own in `ballops`, registered through `Tape._register` like the primitives
+here. A fused op computes the composition's numpy expressions in the same
+order and replays its gradient arithmetic, so values and gradients keep the
+composition's bits; the compositions live in the test suite as oracles.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -78,9 +85,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -162,23 +166,20 @@ def _same_tape(*tensors: Tensor):
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor | float) -> Tensor:
-    """Elementwise sum with a tensor of a's shape, a (1, C) row bias, or a float."""
+    """Elementwise sum with a tensor of a's shape or a float."""
     if not isinstance(b, Tensor):
         def push(g):
             _accumulate(a, g)
         return a.tape._register(a.value + b, (a,), push)
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    if av.shape == bv.shape:
-        def push(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-    elif av.ndim == 2 and bv.shape == (1, av.shape[1]):  # row bias
-        def push(g):
-            _accumulate(a, g)
-            _accumulate(b, np.sum(g, axis=0, keepdims=True))
-    else:
+    if av.shape != bv.shape:
         raise ShapeError(f"add: unsupported shapes {av.shape} + {bv.shape}")
+
+    def push(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+
     return tape._register(av + bv, (a, b), push)
 
 
@@ -227,19 +228,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, -g * out / bv)
 
     return tape._register(out, (a, b), push)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-
-    def push(g):
-        if a.needs_grad:
-            _accumulate(a, g @ bv.T)
-        if b.needs_grad:
-            _accumulate(b, av.T @ g)
-
-    return tape._register(av @ bv, (a, b), push)
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +351,53 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 # Softmax (row-wise over class columns)
 # ---------------------------------------------------------------------------
 
-def softmax(a: Tensor) -> Tensor:
-    val = a.value
+def _softmax_rows(val: np.ndarray) -> np.ndarray:
     shifted = val - np.max(val, axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=1, keepdims=True)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return out * (g - np.sum(g * out, axis=1, keepdims=True))
+
+
+def softmax(a: Tensor) -> Tensor:
+    out = _softmax_rows(a.value)
 
     def push(g):
-        _accumulate(a, out * (g - np.sum(g * out, axis=1, keepdims=True)))
+        _accumulate(a, _softmax_grad(out, g))
 
     return a.tape._register(out, (a,), push)
 
 
+def softmax_head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Class probabilities softmax(h @ w + b) of h (L, d), w (d, C), b (1, C).
+
+    One op for the composition matmul -> row-bias add -> softmax, with its
+    arithmetic: the same forward expressions, and a backward that hands the
+    softmax gradient to b and through the matmul to h and w.
+    """
+    tape = _same_tape(h, w, b)
+    hv, wv, bv = h.value, w.value, b.value
+    z = hv @ wv
+    if bv.shape != (1, z.shape[1]):
+        raise ShapeError(f"softmax_head: bias {bv.shape} for logits {z.shape}")
+    out = _softmax_rows(z + bv)
+
+    def push(g):
+        gz = _softmax_grad(out, g)
+        if b.needs_grad:
+            _accumulate(b, np.sum(gz, axis=0, keepdims=True))
+        if h.needs_grad:
+            _accumulate(h, gz @ wv.T)
+        if w.needs_grad:
+            _accumulate(w, hv.T @ gz)
+
+    return tape._register(out, (h, w, b), push)
+
+
 # ---------------------------------------------------------------------------
-# 1-D dilated convolution over the time axis
+# Dilated temporal-convolution layer
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
@@ -389,14 +410,13 @@ def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
     return index
 
 
-def conv1d(
-    x: Tensor, w: Tensor, dilation: int = 1, rows: Sequence[int] | None = None
-) -> Tensor:
-    """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout).
+def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
+    """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout),
+    and its backward `grads(g, need_x, need_w) -> (gx, gw)` (None where not needed).
 
     Tap j reads frames offset by (j - k//2) * dilation; out-of-range frames
     contribute zero. `rows` gives the frame counts of the videos stacked in
-    x (default: one video of L frames), and no tap reads across a video
+    x (None: one video of L frames), and no tap reads across a video
     boundary. Both passes work on one zero-padded buffer that holds every
     video with pad = (k//2) * dilation zero rows on each side (pad rows
     between neighbours, since a tap reaches at most pad rows past a video's
@@ -406,14 +426,12 @@ def conv1d(
     A single im2col matmul would reorder the float sums and change the
     result bits.
     """
-    tape = _same_tape(x, w)
-    xv, wv = x.value, w.value
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
-        raise ShapeError(f"conv1d: got input {xv.shape}, kernel {wv.shape}")
+        raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
     k, L = wv.shape[0], xv.shape[0]
     rows = (L,) if rows is None else tuple(rows)
     if sum(rows) != L or min(rows) < 1:
-        raise ShapeError(f"conv1d: row counts {rows} do not split {L} input rows")
+        raise ShapeError(f"conv_layer: row counts {rows} do not split {L} input rows")
     pad = (k // 2) * dilation
     span = L + pad * (len(rows) - 1)  # output rows over the buffer, gaps included
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
@@ -429,23 +447,82 @@ def conv1d(
     if valid is not None:
         out = out[valid]
 
-    def push(g):
+    def grads(g, need_x, need_w):
+        gx = gw = None
+        if not (need_x or need_w):
+            return gx, gw
         if valid is not None:
             full = np.zeros((span, g.shape[1]))
             full[valid] = g
             g = full
-        if x.needs_grad:
+        if need_x:
             gp = np.zeros_like(xp)
             for j, s in enumerate(starts):
                 gp[s : s + span] += g @ wv[j].T
-            _accumulate(x, gp[pad : pad + L] if valid is None else gp[valid + pad])
-        if w.needs_grad:
+            gx = gp[pad : pad + L] if valid is None else gp[valid + pad]
+        if need_w:
             gw = np.empty_like(wv)
             for j, s in enumerate(starts):
                 gw[j] = xp[s : s + span].T @ g
+        return gx, gw
+
+    return out, grads
+
+
+def conv_layer(
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    dilation: int,
+    rows: Sequence[int] | None = None,
+    step: tuple[np.ndarray, Tensor, Tensor] | None = None,
+    residual: bool = False,
+) -> Tensor:
+    """One dilated temporal-convolution layer as one op:
+    relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])).
+
+    x (L, Cin), w (k, Cin, Cout), b (1, Cout); `rows` as in `_dilated_conv`.
+    `step = (e, sw, sb)` adds the projection of a fixed (1, E) array by the
+    (E, Cout) weight sw and (1, Cout) bias sb to every row; `residual` adds
+    the input. The backward replays the composition's gradient arithmetic:
+    the residual's gradient reaches x before the convolution's, each bias
+    gets the column sum of the relu's gradient, and sw gets e.T times it.
+    """
+    parents = (x, w, b) if step is None else (x, w, b) + tuple(step[1:])
+    tape = _same_tape(*parents)
+    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows)
+    bias_shape = (1, conv.shape[1])
+    if b.value.shape != bias_shape:
+        raise ShapeError(f"conv_layer: bias {b.value.shape} for output {conv.shape}")
+    z = conv + b.value
+    if step is not None:
+        e, sw, sb = step
+        if sb.value.shape != bias_shape:
+            raise ShapeError(f"conv_layer: step bias {sb.value.shape} for output {conv.shape}")
+        z = z + (e @ sw.value + sb.value)
+    if residual:
+        if x.value.shape != z.shape:
+            raise ShapeError(f"conv_layer: residual input {x.value.shape} for output {z.shape}")
+        z = x.value + z
+    mask = z > 0.0
+
+    def push(g):
+        g = g * mask
+        if residual:
+            _accumulate(x, g)
+        gsum = np.sum(g, axis=0, keepdims=True)
+        if step is not None:
+            if sw.needs_grad:
+                _accumulate(sw, e.T @ gsum)
+            _accumulate(sb, gsum)
+        _accumulate(b, gsum)
+        gx, gw = conv_grads(g, x.needs_grad, w.needs_grad)
+        if gx is not None:
+            _accumulate(x, gx)
+        if gw is not None:
             _accumulate(w, gw)
 
-    return tape._register(out, (x, w), push)
+    return tape._register(z * mask, parents, push)
 
 
 # ---------------------------------------------------------------------------

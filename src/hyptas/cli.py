@@ -37,6 +37,13 @@ from .trainer import infer_videos, load_checkpoint, save_checkpoint, train
 logger = logging.getLogger(__name__)
 
 
+def _seed(text: str) -> int:
+    """`--seed` value: a non-negative integer, refused while the flags are parsed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_set_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -73,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI"))
     gen.add_argument("--segments", type=int, nargs=2, default=list(SyntheticSpec.segments_per_video),
                      metavar=("LO", "HI"))
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
 
     tr = sub.add_parser("train", help="train on a dataset directory, write a checkpoint")
     tr.add_argument("--config", help="key = value config file")
     tr.add_argument("--data", required=True, help="dataset directory from gen-data")
     tr.add_argument("--out", required=True, help="checkpoint path to write")
     tr.add_argument("--log", help="training log path (default: <out>.log)")
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=_seed)
     _add_set_flag(tr)
 
     inf = sub.add_parser("infer", help="write predicted label files for a split")
@@ -89,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--split", choices=("train", "test"), default="test")
     inf.add_argument("--out", required=True, help="directory for predicted label files")
     inf.add_argument("--steps", type=int)
-    inf.add_argument("--seed", type=int, default=0)
+    inf.add_argument("--seed", type=_seed, default=0)
 
     ev = sub.add_parser("eval", help="compare prediction and ground-truth label directories")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
 
     chk = sub.add_parser("check", help="run the geometry/gradient/sampler/metric property suites")
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=_seed, default=0)
 
     exp = sub.add_parser("export-embeddings", help="write ball coordinates + labels as CSV")
     exp.add_argument("--ckpt", required=True)
@@ -104,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--split", choices=("train", "test"), default="test")
     exp.add_argument("--out", required=True, help="CSV path")
     exp.add_argument("--steps", type=int)
-    exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -214,7 +221,12 @@ def _cmd_eval(args) -> int:
         gt_file = gt_dir / pred_file.name
         if not gt_file.exists():
             raise FormatError(f"{gt_file}: missing ground truth for {pred_file.name}")
-        pairs.append((load_names(pred_file), load_names(gt_file)))
+        pred, gt = load_names(pred_file), load_names(gt_file)
+        if pred.size != gt.size:
+            raise FormatError(
+                f"{pred_file}: {pred.size} labels, but ground truth {gt_file} has {gt.size}"
+            )
+        pairs.append((pred, gt))
     report = evaluate_videos(pairs)
     for key in ("F1@10", "F1@25", "F1@50", "Edit", "Acc", "Avg"):
         print(f"{key} = {report[key]:.4f}")

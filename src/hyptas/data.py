@@ -74,8 +74,8 @@ class SyntheticSpec:
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
                 raise ShapeError(f"{name} range ({lo}, {hi}) is empty")
-        if self.feature_noise < 0.0:
-            raise ShapeError("feature_noise must be >= 0")
+        if not (math.isfinite(self.feature_noise) and self.feature_noise >= 0.0):
+            raise ShapeError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
         if self.videos < 1 or self.feature_dim < 1:
             raise ShapeError("need at least one video and one feature dimension")
         if not 0.0 <= self.test_fraction < 1.0:

@@ -39,14 +39,9 @@ def segments_from_labels(labels: Sequence[int]) -> list[Segment]:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ShapeError("need a nonempty 1-D label sequence")
-    out = []
-    start = 0
-    for i in range(1, labels.size):
-        if labels[i] != labels[start]:
-            out.append(Segment(int(labels[start]), start, i - 1))
-            start = i
-    out.append(Segment(int(labels[start]), start, labels.size - 1))
-    return out
+    starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+    ends = [s - 1 for s in starts[1:]] + [labels.size - 1]
+    return [Segment(int(labels[s]), s, e) for s, e in zip(starts, ends)]
 
 
 def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
@@ -63,23 +58,25 @@ def frame_accuracy(pred: Sequence[int], gt: Sequence[int]) -> float:
 
 
 def _levenshtein(a: list[int], b: list[int]) -> int:
-    m, n = len(a), len(b)
-    dist = np.zeros((m + 1, n + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(m + 1)
-    dist[0, :] = np.arange(n + 1)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            sub = dist[i - 1, j - 1] + (a[i - 1] != b[j - 1])
-            dist[i, j] = min(sub, dist[i - 1, j] + 1, dist[i, j - 1] + 1)
-    return int(dist[m, n])
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        row = [i]
+        for j, y in enumerate(b, start=1):
+            row.append(min(prev[j - 1] + (x != y), prev[j] + 1, row[j - 1] + 1))
+        prev = row
+    return prev[-1]
+
+
+def _edit(p_segs: list[Segment], g_segs: list[Segment]) -> float:
+    p_labels = [s.label for s in p_segs]
+    g_labels = [s.label for s in g_segs]
+    return 100.0 * (1.0 - _levenshtein(p_labels, g_labels) / max(len(p_labels), len(g_labels)))
 
 
 def edit_score(pred: Sequence[int], gt: Sequence[int]) -> float:
     """100 * (1 - Levenshtein(segment labels) / max(segment counts))."""
     pred, gt = _check_pair(pred, gt)
-    p_labels = [s.label for s in segments_from_labels(pred)]
-    g_labels = [s.label for s in segments_from_labels(gt)]
-    return 100.0 * (1.0 - _levenshtein(p_labels, g_labels) / max(len(p_labels), len(g_labels)))
+    return _edit(segments_from_labels(pred), segments_from_labels(gt))
 
 
 def _segment_iou(a: Segment, b: Segment) -> float:
@@ -90,13 +87,9 @@ def _segment_iou(a: Segment, b: Segment) -> float:
     return inter / union
 
 
-def match_counts(pred: Sequence[int], gt: Sequence[int], tau: float) -> tuple[int, int, int]:
-    """Greedy (TP, FP, FN) under the pinned rule described in the module docstring."""
-    pred, gt = _check_pair(pred, gt)
+def _match(p_segs: list[Segment], g_segs: list[Segment], tau: float) -> tuple[int, int, int]:
     if not 0.0 < tau < 1.0:
         raise ShapeError(f"overlap threshold must lie in (0, 1), got {tau}")
-    p_segs = segments_from_labels(pred)
-    g_segs = segments_from_labels(gt)
     used = [False] * len(g_segs)
     tp = 0
     for p in p_segs:
@@ -113,6 +106,12 @@ def match_counts(pred: Sequence[int], gt: Sequence[int], tau: float) -> tuple[in
     fp = len(p_segs) - tp
     fn = len(g_segs) - tp
     return tp, fp, fn
+
+
+def match_counts(pred: Sequence[int], gt: Sequence[int], tau: float) -> tuple[int, int, int]:
+    """Greedy (TP, FP, FN) under the pinned rule described in the module docstring."""
+    pred, gt = _check_pair(pred, gt)
+    return _match(segments_from_labels(pred), segments_from_labels(gt), tau)
 
 
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -148,10 +147,11 @@ def evaluate_videos(
         pred, gt = _check_pair(pred, gt)
         correct += int(np.sum(pred == gt))
         frames += pred.size
-        edit_sum += edit_score(pred, gt)
+        p_segs, g_segs = segments_from_labels(pred), segments_from_labels(gt)
+        edit_sum += _edit(p_segs, g_segs)
         count += 1
         for tau in thresholds:
-            tp, fp, fn = match_counts(pred, gt, tau)
+            tp, fp, fn = _match(p_segs, g_segs, tau)
             pooled[tau][0] += tp
             pooled[tau][1] += fp
             pooled[tau][2] += fn

@@ -7,6 +7,9 @@ Both stacks use the fixed MS-TCN layout (Farha & Gall, CVPR 2019): kernel
 `KERNEL` at dilations `DILATIONS`, and the decoder adds a projection of the
 `STEP_DIM`-wide sinusoidal step embedding to every layer. Only the widths
 vary, so a `DenoiserConfig` holds the input, output and hidden widths alone.
+Each layer (convolution, bias, step projection, residual, relu) is one
+`autodiff.conv_layer` tape op and each classification head one
+`autodiff.softmax_head`, so a trainable encode + decode records 11 nodes.
 
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
@@ -111,17 +114,20 @@ class Denoiser:
 class BoundDenoiser:
     """Forward passes over bound parameters. Every pass takes the frame
     counts `rows` of the videos stacked in its inputs (default: one video);
-    every layer is row-local except the convolutions, which get `rows` so
-    that no tap reads across a video boundary."""
+    every layer is row-local except the convolution inside each
+    `conv_layer`, which gets `rows` so that no tap reads across a video
+    boundary."""
 
     def __init__(self, config: DenoiserConfig, tape: Tape, bound: dict[str, Tensor]):
         self.config = config
         self.tape = tape
         self.bound = bound
 
-    def _conv(self, name: str, x: Tensor, dilation: int, rows) -> Tensor:
-        return td.add(
-            td.conv1d(x, self.bound[f"{name}.w"], dilation, rows), self.bound[f"{name}.b"]
+    def _layer(self, stack: str, i: int, x: Tensor, rows, step=None) -> Tensor:
+        name = f"{stack}.in" if i == 0 else f"{stack}.layer{i}"
+        return td.conv_layer(
+            x, self.bound[f"{name}.w"], self.bound[f"{name}.b"], DILATIONS[i], rows,
+            step=step, residual=i > 0,
         )
 
     def encode(self, features: np.ndarray, rows=None) -> tuple[Tensor, Tensor]:
@@ -133,14 +139,10 @@ class BoundDenoiser:
             )
         if not np.all(np.isfinite(features)):
             raise ShapeError("non-finite features")
-        h = td.relu(
-            self._conv("enc.in", self.tape.const(features), DILATIONS[0], rows)
-        )
-        for i, dil in enumerate(DILATIONS[1:], start=1):
-            h = td.relu(h + self._conv(f"enc.layer{i}", h, dil, rows))
-        p_enc = td.softmax(
-            td.add(td.matmul(h, self.bound["enc.head.w"]), self.bound["enc.head.b"])
-        )
+        h = self.tape.const(features)
+        for i in range(len(DILATIONS)):
+            h = self._layer("enc", i, h, rows)
+        p_enc = td.softmax_head(h, self.bound["enc.head.w"], self.bound["enc.head.b"])
         return h, p_enc
 
     def decode(self, y_t: Tensor, condition: Tensor, t: int, rows=None) -> tuple[Tensor, Tensor]:
@@ -155,20 +157,12 @@ class BoundDenoiser:
             )
         if y_t.value.shape[1] != self.config.classes:
             raise ShapeError(f"signal {y_t.value.shape} does not match classes {self.config.classes}")
-        step = self.tape.const(sinusoidal_step_embedding(t, STEP_DIM))
-
-        def step_bias(i: int) -> Tensor:
-            return td.add(
-                td.matmul(step, self.bound[f"dec.step{i}.w"]), self.bound[f"dec.step{i}.b"]
-            )
-
+        e = sinusoidal_step_embedding(t, STEP_DIM)
         h = td.concat_cols(y_t, condition)
-        h = td.relu(td.add(self._conv("dec.in", h, DILATIONS[0], rows), step_bias(0)))
-        for i, dil in enumerate(DILATIONS[1:], start=1):
-            h = td.relu(h + td.add(self._conv(f"dec.layer{i}", h, dil, rows), step_bias(i)))
-        probs = td.softmax(
-            td.add(td.matmul(h, self.bound["dec.head.w"]), self.bound["dec.head.b"])
-        )
+        for i in range(len(DILATIONS)):
+            step = (e, self.bound[f"dec.step{i}.w"], self.bound[f"dec.step{i}.b"])
+            h = self._layer("dec", i, h, rows, step)
+        probs = td.softmax_head(h, self.bound["dec.head.w"], self.bound["dec.head.b"])
         return h, probs
 
 

@@ -145,6 +145,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
     rng = np.random.default_rng(config.seed + 2)
     e1 = config.stabilization_epochs
     log = TrainLog()
+    train_segments = [segments_from_labels(video.labels) for video in dataset.train]
 
     for epoch in range(config.epochs):
         phase = "single" if config.single_phase else phase_for_epoch(epoch, e1)
@@ -180,8 +181,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
             tape = Tape()
             bound = model.bind(tape, trainable=True)
             condition, p_enc = bound.encode(video.features)
-            segments = segments_from_labels(video.labels)
-            masked = apply_masking(condition, mask_kind, segments, rng)
+            masked = apply_masking(condition, mask_kind, train_segments[idx], rng)
             x0 = label_encode(video.labels, dataset.num_classes)
             y_t = tape.const(forward_corrupt(x0, t, schedule, noise))
             emb, probs = bound.decode(y_t, masked, t)

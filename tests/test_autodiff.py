@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ball_oracles as oracle
+import layer_oracles as layers
 import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape, finite_diff_check
@@ -71,7 +72,7 @@ class TestBackwardBasics:
             tape = Tape()
             x = tape.leaf(rng.normal(size=(7, 4)))
             w = tape.leaf(rng.normal(size=(4, 3)))
-            out = td.mean(td.square(oracle.tanh(td.matmul(x, w))))
+            out = td.mean(td.square(oracle.tanh(layers.matmul(x, w))))
             g = tape.backward(out)
             return [g[t].tobytes() for t in g]
 
@@ -90,7 +91,9 @@ class TestBackwardBasics:
         tape = Tape()
         a = tape.leaf(np.zeros((4, 3)))
         b = tape.leaf(np.array([[1.0, 2.0, 3.0]]))
-        out = td.total(td.add(a, b))
+        with pytest.raises(ShapeError):
+            td.add(a, b)  # a row bias has its own rule, inside the fused layer ops
+        out = td.total(layers.add_row(a, b))
         grads = tape.backward(out)
         assert np.allclose(grads[b], [[4.0, 4.0, 4.0]])
 
@@ -100,7 +103,7 @@ class TestFiniteDiffOracle:
         w = np.array([[2.0], [-3.0], [0.5]])
 
         def f(tape, leaves):
-            return td.total(td.matmul(leaves[0], tape.const(w)))
+            return td.total(layers.matmul(leaves[0], tape.const(w)))
 
         err = finite_diff_check(f, [np.array([[0.3, -0.2, 0.7]])])
         assert err < 1e-9
@@ -142,7 +145,7 @@ def _op_cases():
     return {
         "add_mul_sub": lambda t, l: td.mean(td.sub(td.mul(l[0], l[1]), td.add(l[0], l[1]))),
         "div": lambda t, l: td.mean(td.div(l[0], td.add(td.square(l[1]), 0.5))),
-        "matmul": lambda t, l: td.mean(td.matmul(l[0], td.matmul(l[1], t.const(w52)))),
+        "matmul": lambda t, l: td.mean(layers.matmul(l[0], layers.matmul(l[1], t.const(w52)))),
         "relu": lambda t, l: td.mean(td.relu(td.sub(l[0], 0.01))),
         "tanh": lambda t, l: td.mean(oracle.tanh(l[0])),
         "log": lambda t, l: td.mean(td.log(td.add(td.square(l[0]), 1.0))),
@@ -159,7 +162,7 @@ def _op_cases():
         "gather_rows": lambda t, l: td.mean(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
         "slice_concat": lambda t, l: td.mean(td.concat_cols(td.slice_rows(l[0], 0, 2),
                                                             td.slice_rows(l[1], 1, 3))),
-        "conv1d": lambda t, l: td.mean(td.conv1d(l[0], t.const(w3), dilation=2)),
+        "conv1d": lambda t, l: td.mean(layers.conv1d(l[0], t.const(w3), dilation=2)),
     }
 
 
@@ -298,7 +301,7 @@ class TestPaddedConv1d:
         g = rng.normal(size=(length, 4))
         tape = Tape()
         x, w = tape.leaf(xv), tape.leaf(wv)
-        out = td.conv1d(x, w, dilation)
+        out = layers.conv1d(x, w, dilation)
         # total(out * g) hands conv1d's backward exactly g
         grads = tape.backward(td.total(td.mul(out, tape.const(g))))
         ref_out, ref_gx, ref_gw = shifted_conv1d(xv, wv, g, dilation)
@@ -311,7 +314,7 @@ class TestPaddedConv1d:
         rng = np.random.default_rng(dilation * 31 + length)
 
         def f(tape, leaves):
-            return td.mean(oracle.tanh(td.conv1d(leaves[0], leaves[1], dilation)))
+            return td.mean(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation)))
 
         pt = [rng.normal(size=(length, 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -402,7 +405,7 @@ def _conv_with_grads(xv, wv, g, dilation, rows=None):
     """conv1d output and, for upstream gradient g, the gradients of x and w."""
     tape = Tape()
     x, w = tape.leaf(xv), tape.leaf(wv)
-    out = td.conv1d(x, w, dilation, rows)
+    out = layers.conv1d(x, w, dilation, rows)
     grads = tape.backward(td.total(td.mul(out, tape.const(g))))
     return out.value, grads[x], grads[w]
 
@@ -459,7 +462,7 @@ class TestPackedConv1d:
         rows = (5, 2, 6)
 
         def f(tape, leaves):
-            return td.mean(oracle.tanh(td.conv1d(leaves[0], leaves[1], dilation, rows)))
+            return td.mean(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, rows)))
 
         pt = [rng.normal(size=(sum(rows), 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -469,4 +472,145 @@ class TestPackedConv1d:
         tape = Tape()
         x, w = tape.const(np.ones((10, 3))), tape.const(np.ones((3, 3, 2)))
         with pytest.raises(ShapeError, match="row counts"):
-            td.conv1d(x, w, 1, rows)
+            layers.conv1d(x, w, 1, rows)
+
+
+def _layer_inputs(rng, rows, residual, step, cin=5, cout=5, kernel=3, edim=6, dead=True):
+    """Inputs of one dilated layer. With `dead`, output channels 0 and 1 have
+    a bias that keeps them negative on every row, and channel 2 is exactly
+    0 before the relu: all three pass no gradient."""
+    if not residual:
+        cin = cout + 2
+    arrays = {
+        "x": rng.normal(size=(sum(rows), cin)),
+        "w": rng.normal(size=(kernel, cin, cout)),
+        "b": rng.normal(size=(1, cout)) * 0.3,
+    }
+    if step:
+        arrays.update(e=rng.normal(size=(1, edim)), sw=rng.normal(size=(edim, cout)),
+                      sb=rng.normal(size=(1, cout)) * 0.3)
+    if dead:
+        arrays["b"][0, :2] = -50.0
+        for name, index in (("w", (..., 2)), ("b", (0, 2)), ("sw", (..., 2)), ("sb", (0, 2))):
+            if name in arrays:
+                arrays[name][index] = 0.0
+        if residual:
+            arrays["x"][:, 2] = 0.0
+    return arrays
+
+
+def _run_layer(impl, arrays, dilation, rows, residual, x_leaf, g, gx):
+    """One layer on a fresh tape, and the gradients of loss = total(out * g)
+    + total(x * gx), where the second term, built after the layer, hands x a
+    gradient before the layer pushes its own."""
+    tape = Tape()
+    x = tape.leaf(arrays["x"]) if x_leaf else tape.const(arrays["x"])
+    w, b = tape.leaf(arrays["w"]), tape.leaf(arrays["b"])
+    leaves = {"w": w, "b": b}
+    step = None
+    if "e" in arrays:
+        sw, sb = tape.leaf(arrays["sw"]), tape.leaf(arrays["sb"])
+        leaves.update(sw=sw, sb=sb)
+        step = (arrays["e"], sw, sb)
+    if x_leaf:
+        leaves["x"] = x
+    before = len(tape.nodes)
+    out = impl(x, w, b, dilation, rows, step=step, residual=residual)
+    layer_nodes = len(tape.nodes) - before
+    loss = td.total(td.mul(out, tape.const(g)))
+    if x_leaf:
+        loss = td.add(loss, td.total(td.mul(x, tape.const(gx))))
+    grads = tape.backward(loss)
+    return out.value, {k: grads[t] for k, t in leaves.items()}, layer_nodes
+
+
+class TestFusedConvLayer:
+    """`conv_layer` against the node-by-node composition in `layer_oracles`:
+    the same bytes in the value and in the gradient of every input."""
+
+    PACKED = (7, 1, 3, 12)  # a 1-frame video, and videos shorter than pad at dilations 4, 8
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    @pytest.mark.parametrize("rows", [None, PACKED], ids=["one", "packed"])
+    @pytest.mark.parametrize("x_leaf", [False, True], ids=["xconst", "xleaf"])
+    @pytest.mark.parametrize("step", [False, True], ids=["nostep", "step"])
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    def test_bit_identical_to_composition(self, residual, step, x_leaf, rows, dilation):
+        rng = np.random.default_rng([dilation, rows is None, x_leaf, step, residual])
+        frames = (20,) if rows is None else rows
+        arrays = _layer_inputs(rng, frames, residual, step)
+        g = rng.normal(size=(sum(frames), arrays["w"].shape[2]))
+        gx = rng.normal(size=arrays["x"].shape)
+        fused = _run_layer(td.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
+        composed = _run_layer(layers.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
+        assert fused[0].tobytes() == composed[0].tobytes()
+        assert fused[1].keys() == composed[1].keys()
+        for name in fused[1]:
+            assert fused[1][name].tobytes() == composed[1][name].tobytes(), name
+        assert fused[2] == 1
+        assert np.all(fused[0][:, :3] == 0.0) and np.any(fused[0][:, 3:] > 0.0)
+        assert np.all(fused[1]["b"][0, :3] == 0.0)
+
+    @pytest.mark.parametrize("rows", [None, (5, 2, 6)], ids=["one", "packed"])
+    @pytest.mark.parametrize("residual,step", [(False, False), (True, True)],
+                             ids=["plain", "residual_step"])
+    def test_against_central_differences(self, residual, step, rows):
+        rng = np.random.default_rng(61 + 2 * residual + (rows is None))
+        frames = (9,) if rows is None else rows
+        arrays = _layer_inputs(rng, frames, residual, step, cin=3, cout=3, edim=4, dead=False)
+        e = arrays.pop("e", None)
+
+        def f(tape, leaves):
+            x, w, b, *rest = leaves
+            return td.mean(td.square(td.conv_layer(
+                x, w, b, 2, rows, step=(e, *rest) if step else None, residual=residual)))
+
+        assert finite_diff_check(f, list(arrays.values())) < 1e-6
+
+    def test_shapes_are_checked(self):
+        tape = Tape()
+        x, w = tape.const(np.ones((6, 3))), tape.const(np.ones((3, 3, 2)))
+        with pytest.raises(ShapeError, match="bias"):
+            td.conv_layer(x, w, tape.const(np.ones((1, 3))), 1)
+        with pytest.raises(ShapeError, match="residual"):
+            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, residual=True)
+        with pytest.raises(ShapeError, match="row counts"):
+            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(4, 4))
+
+
+class TestFusedSoftmaxHead:
+    @pytest.mark.parametrize("h_leaf", [False, True], ids=["hconst", "hleaf"])
+    def test_bit_identical_to_composition(self, h_leaf):
+        rng = np.random.default_rng(71 + h_leaf)
+        hv, wv, bv = rng.normal(size=(30, 8)), rng.normal(size=(8, 5)), rng.normal(size=(1, 5))
+        g, gh = rng.normal(size=(30, 5)), rng.normal(size=(30, 8))
+
+        def run(impl):
+            tape = Tape()
+            h = tape.leaf(hv) if h_leaf else tape.const(hv)
+            w, b = tape.leaf(wv), tape.leaf(bv)
+            out = impl(h, w, b)
+            loss = td.total(td.mul(out, tape.const(g)))
+            if h_leaf:  # h holds a gradient before the head pushes its own
+                loss = td.add(loss, td.total(td.mul(h, tape.const(gh))))
+            grads = tape.backward(loss)
+            return [out.value] + [grads[t] for t in (h, w, b) if t.needs_grad]
+
+        fused, composed = run(td.softmax_head), run(layers.softmax_head)
+        assert len(fused) == len(composed) == 3 + h_leaf
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in composed]
+
+    def test_one_node(self):
+        tape = Tape()
+        h = tape.leaf(np.ones((4, 3)))
+        out = td.softmax_head(h, tape.const(np.ones((3, 2))), tape.const(np.zeros((1, 2))))
+        assert tape.nodes == [h, out]
+
+    def test_against_central_differences(self):
+        rng = np.random.default_rng(73)
+
+        def f(tape, leaves):
+            return td.mean(td.square(td.softmax_head(*leaves)))
+
+        pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        assert finite_diff_check(f, pt) < 1e-4

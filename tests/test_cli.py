@@ -51,6 +51,13 @@ class TestGenData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_validation_error(self, tmp_path, capsys, noise):
+        code = run(["gen-data", "--out", str(tmp_path / "x"), "--noise", noise])
+        assert code == 1
+        assert "feature_noise must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, workspace):
@@ -139,6 +146,16 @@ class TestInferAndEval:
         out = capsys.readouterr().out
         assert "Avg = " in out
 
+    def test_eval_length_mismatch_names_both_files(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        (pred / "v.txt").write_text("a\nb\n")
+        (gt / "v.txt").write_text("a\nb\nb\n")
+        assert run(["eval", "--pred", str(pred), "--gt", str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert f"{pred / 'v.txt'}: 2 labels, but ground truth {gt / 'v.txt'} has 3" in err
+
     def test_eval_missing_ground_truth(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         pred = tmp_path / "pred_orphan"
@@ -189,6 +206,19 @@ class TestExitCodes:
         code = run(["infer", "--ckpt", str(tmp_path / "none.htck"),
                     "--data", str(tmp_path), "--out", str(tmp_path / "p")])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["gen-data", "--out", "{tmp}/d"],
+        ["train", "--data", "{tmp}", "--out", "{tmp}/m.htck"],
+        ["infer", "--ckpt", "{tmp}/m.htck", "--data", "{tmp}", "--out", "{tmp}/p"],
+        ["export-embeddings", "--ckpt", "{tmp}/m.htck", "--data", "{tmp}", "--out", "{tmp}/e.csv"],
+        ["check"],
+    ], ids=lambda c: c[0])
+    def test_negative_seed_rejected_when_parsed(self, tmp_path, capsys, command):
+        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--seed", "-1"]
+        assert run(argv) == 1
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_console_script_wired(self):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +95,9 @@ class TestSyntheticGeneration:
             SyntheticSpec(actions_per_task=1, shared_actions=0)
         with pytest.raises(ShapeError):
             SyntheticSpec(frames_per_segment=(5, 4))
-        with pytest.raises(ShapeError):
-            SyntheticSpec(feature_noise=-0.1)
+        for noise in (-0.1, math.nan, math.inf):
+            with pytest.raises(ShapeError, match="feature_noise"):
+                SyntheticSpec(feature_noise=noise)
 
 
 class TestFeatureFiles:

@@ -288,3 +288,14 @@ class TestBoundsAndPooling:
             report["F1@10"] + report["F1@25"] + report["F1@50"] + report["Edit"] + report["Acc"]
         ) / 5.0
         assert report["Avg"] == pytest.approx(manual, abs=1e-12)
+
+    def test_report_pools_the_per_pair_functions_exactly(self):
+        rng = np.random.default_rng(37)
+        pairs = [random_pair(rng) for _ in range(20)]
+        report = evaluate_videos(pairs)
+        assert report["Edit"] == sum(edit_score(p, g) for p, g in pairs) / len(pairs)
+        for tau in (0.10, 0.25, 0.50):
+            tp, fp, fn = (sum(c) for c in zip(*(match_counts(p, g, tau) for p, g in pairs)))
+            precision, recall = tp / (tp + fp), tp / (tp + fn)
+            f1 = 100.0 * 2.0 * precision * recall / (precision + recall)
+            assert report[f"F1@{int(round(tau * 100))}"] == f1

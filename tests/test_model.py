@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hyptas.autodiff as td
+import layer_oracles
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape
 from hyptas.errors import ShapeError
@@ -259,6 +260,36 @@ class TestGradientFlow:
             g = grads[tensor]
             assert np.any(g != 0.0), f"dead parameter {name}"
         assert np.any(grads[proto_leaf] != 0.0)
+
+    def _step(self, model, features, y_t, t):
+        """Outputs and every parameter gradient of one trainable pass, with
+        the loss reading both heads and the embeddings."""
+        tape = Tape()
+        bound = model.bind(tape, trainable=True)
+        cond, p_enc = bound.encode(features)
+        emb, probs = bound.decode(tape.const(y_t), cond, t)
+        ops = sum(node._push is not None for node in tape.nodes)
+        loss = td.add(td.add(td.mean(td.square(probs)), td.mean(td.square(p_enc))),
+                      td.mean(td.square(emb)))
+        grads = tape.backward(loss)
+        outs = [a.value.tobytes() for a in (cond, p_enc, emb, probs)]
+        return outs, {name: grads[t].tobytes() for name, t in bound.bound.items()}, ops
+
+    def test_fused_layers_keep_the_composition_bits(self, monkeypatch):
+        model = make_model(seed=4)
+        rng = np.random.default_rng(19)
+        args = (rng.normal(size=(33, 10)), rng.normal(size=(33, 4)), 417)
+        fused = self._step(model, *args)
+        # the layers built node by node, as the model once did
+        monkeypatch.setattr(td, "conv_layer", layer_oracles.conv_layer)
+        monkeypatch.setattr(td, "softmax_head", layer_oracles.softmax_head)
+        composed = self._step(model, *args)
+        assert fused[:2] == composed[:2]
+        # one node per layer: 4 encoder layers, 2 heads, concat, 4 decoder
+        # layers; the composition took 3 + 3 * 4 encoder nodes, 2 * 3 head
+        # nodes, concat, and 6 + 3 * 7 decoder nodes
+        assert fused[2] == 11
+        assert composed[2] == 49
 
     def test_parameter_count_in_expected_band(self):
         model = Denoiser(DenoiserConfig(feature_dim=32, classes=6))
