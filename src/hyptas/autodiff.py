@@ -74,17 +74,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __neg__(self):
         return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
 
 class Tape:

@@ -80,6 +80,21 @@ class SyntheticSpec:
             raise ShapeError("need at least one video and one feature dimension")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ShapeError("test_fraction must lie in [0, 1)")
+        if self.smoothing_halfwidth < 0:
+            raise ShapeError(f"smoothing_halfwidth must be >= 0, got {self.smoothing_halfwidth}")
+        frames, segments = self.frames_per_segment[1], self.segments_per_video[1]
+        sizes = {
+            "num_classes": self.num_classes,
+            "feature_dim": self.feature_dim,
+            "videos": self.videos,
+            "frames_per_segment": frames,
+            "segments_per_video": segments,
+            "smoothing_halfwidth": self.smoothing_halfwidth,
+            _FEATURE_VALUES: self.videos * segments * frames * self.feature_dim,
+        }
+        for name, cap in SYNTHETIC_CAPS.items():
+            if sizes[name] > cap:
+                raise ShapeError(f"{name} = {sizes[name]} is above its cap of {cap}")
 
     @property
     def num_classes(self) -> int:
@@ -174,9 +189,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         noise = _smooth_columns(
             rng.standard_normal((labels.shape[0], spec.feature_dim)), spec.smoothing_halfwidth
         )
-        features = means[labels] + spec.feature_noise * noise
-        # snap to storage precision so disk roundtrips reproduce training inputs
-        features = features.astype(np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            features = means[labels] + spec.feature_noise * noise
+            # snap to storage precision so disk roundtrips reproduce training inputs
+            features = features.astype(np.float32).astype(np.float64)
+        if not np.all(np.isfinite(features)):
+            raise ShapeError(
+                f"feature_noise = {spec.feature_noise} overflows the float32 feature "
+                f"storage in video_{v:04d}"
+            )
         videos.append(VideoRecord(f"video_{v:04d}", features, labels))
 
     n_test = int(round(spec.test_fraction * len(videos)))
@@ -329,6 +350,22 @@ _NONNEGATIVE = ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lam
 # (3, w, w) convolution weights. Far above any desk-scale run, far below
 # what numpy refuses or what exhausts memory.
 SIZE_CAPS = {"timesteps": 100_000, "embed_dim": 1024, "encoder_channels": 1024}
+# Upper bounds on the sizes `generate_synthetic` allocates from, checked by
+# `SyntheticSpec` (a range by its upper end). The transition grammars hold
+# tasks * vocabulary^2 entries, at most about 2.5 million under the class
+# cap, and the last cap bounds the feature values of all videos at the
+# largest ranges (2^24 float64 values are 134 MB). Far above any desk-scale
+# spec, far below what exhausts memory.
+_FEATURE_VALUES = "videos*segments_per_video*frames_per_segment*feature_dim"
+SYNTHETIC_CAPS = {
+    "num_classes": 256,
+    "feature_dim": 4096,
+    "videos": 100_000,
+    "frames_per_segment": 100_000,
+    "segments_per_video": 10_000,
+    "smoothing_halfwidth": 100,
+    _FEATURE_VALUES: 1 << 24,
+}
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,8 @@ def _glorot(rng, shape, fan_in, fan_out):
 
 
 class Denoiser:
-    """Parameter container; forward passes are built on a caller-owned tape."""
+    """Parameter container; forward passes are built on a caller-owned tape.
+    `params` maps each name to its view of one float64 buffer, `flat`."""
 
     def __init__(self, config: DenoiserConfig, seed: int = 0):
         self.config = config
@@ -102,7 +103,18 @@ class Denoiser:
             params[f"dec.step{i}.b"] = np.zeros((1, d))
         params["dec.head.w"] = _glorot(rng, (d, config.classes), d, config.classes)
         params["dec.head.b"] = np.zeros((1, config.classes))
-        self.params = params
+        self._shapes = {name: arr.shape for name, arr in params.items()}
+        self.flat = np.concatenate([arr.ravel() for arr in params.values()])
+        self.params = self.views(self.flat)
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of a buffer laid out like `flat`, such as a gradient sum."""
+        views, offset = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            views[name] = buffer[offset : offset + size].reshape(shape)
+            offset += size
+        return views
 
     def bind(self, tape: Tape, trainable: bool = True) -> "BoundDenoiser":
         """Place the parameters on a tape, as leaves (training) or constants."""

@@ -1,10 +1,11 @@
 """Euclidean Adam for network weights; Riemannian Adam for ball prototypes.
 
-The Riemannian variant rescales Euclidean gradients by the inverse conformal
-metric (1 - c|z|^2)^2 / 4, keeps Adam moments in the tangent space at the
-current point without parallel transport between steps (the standard
-practical simplification), retracts with the exponential map, and
-re-projects into the open ball.
+Both take the same Adam step, `_adam_update`. The Riemannian variant first
+rescales Euclidean gradients by the inverse conformal metric
+(1 - c|z|^2)^2 / 4, keeps Adam moments in the tangent space at the current
+point without parallel transport between steps (the standard practical
+simplification), then retracts with the exponential map and re-projects into
+the open ball (Becigneul & Ganea, ICLR 2019).
 """
 
 from __future__ import annotations
@@ -22,36 +23,33 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def _moments(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int):
-    """The moments updated with gradient g at step t, and their bias-corrected
-    forms: (m, v, m_hat, v_hat)."""
-    m = BETA1 * m + (1.0 - BETA1) * g
-    v = BETA2 * v + (1.0 - BETA2) * g * g
-    return m, v, m / (1.0 - BETA1**t), v / (1.0 - BETA2**t)
+def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float) -> np.ndarray:
+    """Advance the moments m and v in place with gradient g at step t; return
+    the step -lr * m_hat / (sqrt(v_hat) + EPS) from their bias-corrected forms."""
+    m[...] = BETA1 * m + (1.0 - BETA1) * g
+    v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+    return -lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 class Adam:
-    """Bias-corrected Adam over a name -> array parameter dict, updated in place."""
+    """Bias-corrected Adam over a flat parameter buffer, updated in place;
+    `views` (`Denoiser.views`) names the parameter of a non-finite gradient."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    def __init__(self, params: np.ndarray, lr: float, views):
         self.lr = lr
         self.step_count = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.views = views
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        if grad.shape != params.shape:
+            raise ShapeError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
+        if not np.all(np.isfinite(grad)):
+            name = next(k for k, g in self.views(grad).items() if not np.all(np.isfinite(g)))
+            raise NonFiniteLossError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
-        t = self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} ({name})")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteLossError(f"non-finite gradient for parameter {name!r}")
-            self._m[name], self._v[name], m_hat, v_hat = _moments(
-                self._m[name], self._v[name], g, t
-            )
-            params[name] = p - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        params += _adam_update(self._m, self._v, grad, self.step_count, self.lr)
 
 
 class RiemannianAdam:
@@ -75,8 +73,6 @@ class RiemannianAdam:
         z = prototypes.points
         c = prototypes.curvature
         scaling = (1.0 - c * np.sum(z * z, axis=1, keepdims=True)) ** 2 / 4.0
-        rgrad = euclidean_grad * scaling
         self.step_count += 1
-        self._m, self._v, m_hat, v_hat = _moments(self._m, self._v, rgrad, self.step_count)
-        update = -self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        update = _adam_update(self._m, self._v, euclidean_grad * scaling, self.step_count, self.lr)
         prototypes.points = project_rows(exp_map_rows(z, update, c), c)

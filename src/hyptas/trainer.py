@@ -1,10 +1,11 @@
 """Two-phase training loop, prototype lifecycle, and packed inference.
 
-Per video per step: sample a diffusion timestep uniformly in [1, T], encode
-features, apply one sampled conditioning mask, corrupt the encoded labels,
-decode, assemble the phase loss, backpropagate, and take Adam steps with
-gradients accumulated over `batch_size` videos. Prototypes train under
-Riemannian Adam during the stabilization phase and freeze at epoch E1.
+Per video: sample a diffusion timestep uniformly in [1, T], encode features,
+apply one sampled conditioning mask, corrupt the encoded labels, decode,
+assemble the phase loss, backpropagate, and add the weight gradients into
+their views of one flat gradient sum. Each chunk of `batch_size` videos then
+takes one Adam step over the flat weight buffer, and one Riemannian Adam
+step on the prototypes while the phase trains them; they freeze at epoch E1.
 Everything is a deterministic function of (dataset, config): identical
 seeds produce bit-identical checkpoints.
 """
@@ -140,8 +141,10 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         dataset.num_classes, config.embed_dim, config.curvature, config.seed + 1
     )
     schedule = make_schedule(config.timesteps)
-    net_opt = Adam(model.params, config.lr)
+    net_opt = Adam(model.flat, config.lr, model.views)
     proto_opt = RiemannianAdam(prototypes, config.proto_lr)
+    grad_sum = np.zeros_like(model.flat)
+    grad_views = model.views(grad_sum)
     rng = np.random.default_rng(config.seed + 2)
     e1 = config.stabilization_epochs
     log = TrainLog()
@@ -149,63 +152,51 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
 
     for epoch in range(config.epochs):
         phase = "single" if config.single_phase else phase_for_epoch(epoch, e1)
-        if not config.single_phase and epoch >= e1 and not prototypes.frozen:
+        protos_trainable = PHASES[phase].trains_prototypes
+        if not protos_trainable and not prototypes.frozen:
             prototypes.freeze()
             logger.info("prototypes frozen entering epoch %d", epoch)
-        protos_trainable = PHASES[phase].trains_prototypes
 
         order = rng.permutation(len(dataset.train))
-        grad_sums = {name: np.zeros_like(p) for name, p in model.params.items()}
-        proto_grad_sum = np.zeros_like(prototypes.points)
-        pending = 0
         sums: dict[str, float] = {}
         total_sum = 0.0
-
-        def flush():
-            nonlocal pending, grad_sums, proto_grad_sum
-            if pending == 0:
-                return
-            net_opt.step(model.params, {k: v / pending for k, v in grad_sums.items()})
-            if protos_trainable:
-                proto_opt.step(prototypes, proto_grad_sum / pending)
-            grad_sums = {name: np.zeros_like(p) for name, p in model.params.items()}
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad_sum.fill(0.0)
             proto_grad_sum = np.zeros_like(prototypes.points)
-            pending = 0
+            for idx in batch:
+                video = dataset.train[idx]
+                t = int(rng.integers(1, config.timesteps + 1))
+                mask_kind = sample_mask_kind(rng)
+                noise = rng.standard_normal((video.labels.shape[0], dataset.num_classes))
 
-        for idx in order:
-            video = dataset.train[idx]
-            t = int(rng.integers(1, config.timesteps + 1))
-            mask_kind = sample_mask_kind(rng)
-            noise = rng.standard_normal((video.labels.shape[0], dataset.num_classes))
-
-            tape = Tape()
-            bound = model.bind(tape, trainable=True)
-            condition, p_enc = bound.encode(video.features)
-            masked = apply_masking(condition, mask_kind, train_segments[idx], rng)
-            x0 = label_encode(video.labels, dataset.num_classes)
-            y_t = tape.const(forward_corrupt(x0, t, schedule, noise))
-            emb, probs = bound.decode(y_t, masked, t)
-            ball = bo.exp_map_origin_rows(emb, config.curvature)
-            proto_tensor = (
-                tape.leaf(prototypes.points) if protos_trainable
-                else tape.const(prototypes.points)
-            )
-            total, components = _assemble_loss(
-                video.labels, probs, p_enc, ball, proto_tensor, phase, t, config,
-                prototypes.frozen,
-            )
-            grads = tape.backward(total)
-            for name, tensor in bound.bound.items():
-                grad_sums[name] += grads[tensor]
+                tape = Tape()
+                bound = model.bind(tape, trainable=True)
+                condition, p_enc = bound.encode(video.features)
+                masked = apply_masking(condition, mask_kind, train_segments[idx], rng)
+                x0 = label_encode(video.labels, dataset.num_classes)
+                y_t = tape.const(forward_corrupt(x0, t, schedule, noise))
+                emb, probs = bound.decode(y_t, masked, t)
+                ball = bo.exp_map_origin_rows(emb, config.curvature)
+                proto_tensor = (
+                    tape.leaf(prototypes.points) if protos_trainable
+                    else tape.const(prototypes.points)
+                )
+                total, components = _assemble_loss(
+                    video.labels, probs, p_enc, ball, proto_tensor, phase, t, config,
+                    prototypes.frozen,
+                )
+                grads = tape.backward(total)
+                for name, tensor in bound.bound.items():
+                    grad_views[name] += grads[tensor]
+                if protos_trainable:
+                    proto_grad_sum += grads[proto_tensor]
+                total_sum += float(total.value)
+                for k, v in components.items():
+                    sums[k] = sums.get(k, 0.0) + v
+            net_opt.step(model.flat, grad_sum / len(batch))
             if protos_trainable:
-                proto_grad_sum += grads[proto_tensor]
-            pending += 1
-            if pending == config.batch_size:
-                flush()
-            total_sum += float(total.value)
-            for k, v in components.items():
-                sums[k] = sums.get(k, 0.0) + v
-        flush()
+                proto_opt.step(prototypes, proto_grad_sum / len(batch))
 
         n = len(dataset.train)
         record = EpochRecord(
@@ -398,5 +389,5 @@ def load_checkpoint(path) -> TrainedState:
                 f"{path}: tensor {key!r} holds a value above the magnitude cap "
                 f"{PARAM_MAGNITUDE_CAP:g}"
             )
-        model.params[name] = stored
+        model.params[name][...] = stored
     return TrainedState(model, prototypes, make_schedule(config.timesteps), config)

@@ -17,11 +17,23 @@ Uses are resolved, not matched by bare name, in `src/hyptas/*.py` and
 So a local variable or a string in `src/` that only shares a name (the
 `exp` subparser in `cli.py`, the decay kind "exp") is not a use. The CLI
 entry point `main` is exempt; the console script calls it.
+
+An operator method cannot be resolved this way, since `a * b` may be a
+`Tensor` or an ndarray product. So every operator method `Tensor` defines
+is counted at run time instead, over a tiny training in both phase layouts
+and a packed inference.
 """
 
 import ast
+import functools
+import inspect
+import operator
 import re
 from pathlib import Path
+
+import hyptas.autodiff as td
+from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
+from hyptas.trainer import infer_videos, train
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "hyptas"
@@ -119,3 +131,38 @@ def test_no_public_api_only_tests_call():
         if not any(p != path or line not in inside for p, line in uses.get(key, ())):
             unused.append(qualified)
     assert not unused, f"public API that nothing in src/ or perfbench/ uses: {unused}"
+
+
+def _is_operator(name: str) -> bool:
+    """`__add__`, its reflected `__radd__` and in-place `__iadd__`, ..."""
+    ops = vars(operator)
+    return name in ops or name.replace("__r", "__", 1) in ops
+
+
+def test_every_tensor_operator_method_is_called(monkeypatch):
+    calls: dict[str, int] = {}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in list(vars(td.Tensor).items()):
+        if inspect.isfunction(fn) and _is_operator(name):
+            calls[name] = 0
+            monkeypatch.setattr(td.Tensor, name, counted(name, fn))
+    data = generate_synthetic(SyntheticSpec(
+        num_tasks=2, actions_per_task=1, shared_actions=2, feature_dim=4,
+        frames_per_segment=(5, 8), segments_per_video=(2, 3), videos=6, seed=2,
+    ))
+    for single_phase in (False, True):  # stabilization + guidance, then single
+        config = RunConfig(epochs=3, seed=1, timesteps=50, infer_steps=2,
+                           single_phase=single_phase)
+        state, _ = train(data, config)
+        infer_videos(state, [v.features for v in data.test], 2, range(len(data.test)))
+    assert calls, "Tensor defines no operator method"
+    unused = sorted(name for name, count in calls.items() if count == 0)
+    assert not unused, f"Tensor operator methods nothing calls: {unused}"

@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from hyptas.cli import run
-from hyptas.data import read_features, write_features
+from hyptas.data import SyntheticSpec, read_features, write_features
+from hyptas.errors import ShapeError
 
 GEN_ARGS = [
     "--videos", "8", "--tasks", "2", "--actions-per-task", "1", "--shared-actions", "2",
@@ -56,6 +58,42 @@ class TestGenData:
         code = run(["gen-data", "--out", str(tmp_path / "x"), "--noise", noise])
         assert code == 1
         assert "feature_noise must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_smoothing_is_validation_error(self, tmp_path, capsys):
+        code = run(["gen-data", "--out", str(tmp_path / "x"), "--smoothing", "-1"])
+        assert code == 1
+        assert "error: smoothing_halfwidth must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_float32_overflow_is_validation_error(self, tmp_path, capsys):
+        code = run(["gen-data", "--out", str(tmp_path / "x"), "--noise", "1e39", "--videos", "5"])
+        assert code == 1
+        assert "error: feature_noise = 1e+39 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("spec, flags, field", [
+        (dict(num_tasks=10**8), ["--tasks", "100000000"], "num_classes"),
+        (dict(feature_dim=10**5), ["--feature-dim", "100000"], "feature_dim"),
+        (dict(videos=10**6), ["--videos", "1000000"], "videos"),
+        (dict(frames_per_segment=(1, 10**6)), ["--frames", "1", "1000000"],
+         "frames_per_segment"),
+        (dict(segments_per_video=(1, 10**5)), ["--segments", "1", "100000"],
+         "segments_per_video"),
+        (dict(smoothing_halfwidth=10**11), ["--smoothing", "100000000000"],
+         "smoothing_halfwidth"),
+        (dict(videos=100, frames_per_segment=(1000, 1000), segments_per_video=(100, 100)),
+         ["--videos", "100", "--frames", "1000", "1000", "--segments", "100", "100"],
+         "videos*segments_per_video*frames_per_segment*feature_dim"),
+    ])
+    def test_size_above_its_cap_is_validation_error(self, tmp_path, capsys, spec, flags, field):
+        # The spec refuses the size before the command runs with it.
+        with pytest.raises(ShapeError, match=re.escape(f"{field} = ")):
+            SyntheticSpec(**spec)
+        code = run(["gen-data", "--out", str(tmp_path / "x")] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} = " in err and "above its cap" in err
         assert not (tmp_path / "x").exists()
 
 

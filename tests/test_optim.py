@@ -4,45 +4,72 @@ import pytest
 from hyptas.autodiff import Tape
 from hyptas.errors import ContractViolation, NonFiniteLossError, ShapeError
 from hyptas.losses import Prototypes, prototype_margin
+from hyptas.model import Denoiser, DenoiserConfig
 from hyptas.optim import Adam, RiemannianAdam
+
+TINY = DenoiserConfig(feature_dim=2, classes=2, embed_dim=2, encoder_channels=2)
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = {"w": np.array([1.0, -2.0])}
-        opt = Adam(params, 5e-4)
-        opt.step(params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        model = Denoiser(TINY, seed=1)
+        before = model.flat.copy()
+        opt = Adam(model.flat, 5e-4, model.views)
+        opt.step(model.flat, np.zeros_like(model.flat))
+        assert np.array_equal(model.flat, before)
 
     def test_first_step_moves_by_lr_sign(self):
-        params = {"w": np.array([0.0])}
-        opt = Adam(params, 1e-3)
-        opt.step(params, {"w": np.array([1.0])})
-        assert params["w"][0] == pytest.approx(-1e-3 / (1.0 + 1e-8), rel=1e-9)
+        model = Denoiser(TINY, seed=1)
+        before = model.flat.copy()
+        grad = np.where(np.arange(model.flat.size) % 2 == 0, 1.0, -1.0)
+        opt = Adam(model.flat, 1e-3, model.views)
+        opt.step(model.flat, grad)
+        step = -grad * 1e-3 / (1.0 + 1e-8)
+        assert np.allclose(model.flat - before, step, rtol=1e-9, atol=0.0)
 
     def test_two_runs_bit_identical(self):
         def run():
-            rng = np.random.default_rng(3)
-            params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))}
-            opt = Adam(params, 1e-2)
+            model = Denoiser(TINY, seed=3)
+            opt = Adam(model.flat, 1e-2, model.views)
             for _ in range(50):
-                grads = {k: np.sin(v) + 0.1 for k, v in params.items()}
-                opt.step(params, grads)
-            return {k: v.tobytes() for k, v in params.items()}
+                opt.step(model.flat, np.sin(model.flat) + 0.1)
+            return model.flat.tobytes()
 
         assert run() == run()
 
     def test_non_finite_gradient_aborts_with_name(self):
-        params = {"layer.w": np.zeros(2)}
-        opt = Adam(params, 5e-4)
-        with pytest.raises(NonFiniteLossError, match="layer.w"):
-            opt.step(params, {"layer.w": np.array([np.nan, 0.0])})
+        model = Denoiser(TINY)
+        opt = Adam(model.flat, 5e-4, model.views)
+        grad = np.zeros_like(model.flat)
+        model.views(grad)["dec.step2.w"][3, 1] = np.nan
+        with pytest.raises(NonFiniteLossError, match=r"'dec\.step2\.w'"):
+            opt.step(model.flat, grad)
+
+    def test_non_finite_gradient_moves_no_state(self):
+        """A rejected step leaves the parameters, the moments and the step
+        count as they were: the next steps match a run that never saw it."""
+        def run(bad_step: bool):
+            model = Denoiser(TINY, seed=2)
+            opt = Adam(model.flat, 1e-2, model.views)
+            opt.step(model.flat, np.cos(model.flat))
+            if bad_step:
+                before = model.flat.copy()
+                grad = np.sin(model.flat)
+                grad[-1] = np.inf  # the last parameter, after every other one
+                with pytest.raises(NonFiniteLossError, match="dec.head.b"):
+                    opt.step(model.flat, grad)
+                assert np.array_equal(model.flat, before)
+            for _ in range(3):
+                opt.step(model.flat, np.sin(model.flat) - 0.2)
+            return model.flat.tobytes()
+
+        assert run(bad_step=True) == run(bad_step=False)
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(2)}
-        opt = Adam(params, 5e-4)
+        model = Denoiser(TINY)
+        opt = Adam(model.flat, 5e-4, model.views)
         with pytest.raises(ShapeError):
-            opt.step(params, {"w": np.zeros(3)})
+            opt.step(model.flat, np.zeros(model.flat.size + 1))
 
 
 class TestRiemannianAdam:

@@ -6,12 +6,14 @@ import pytest
 
 import ball_oracles
 import hyptas.ballops as bo
+import hyptas.optim
 import hyptas.trainer
 from hyptas.autodiff import Tape
 from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
 from hyptas.diffusion import label_decode, sample
 from hyptas.errors import FormatError, ShapeError
 from hyptas.metrics import evaluate_videos
+from hyptas.model import Denoiser, DenoiserConfig
 from hyptas.trainer import (
     TrainedState,
     infer_video,
@@ -395,6 +397,69 @@ class TestFusedBallOps:
                 m.setattr(bo, name, getattr(ball_oracles, name))
             composed = run("composed.htck")
         assert fused == composed
+
+
+def assert_params_tile_flat(model):
+    """Every `model.params` entry is a view of `model.flat`, and in order the
+    views cover it exactly, with no gap or overlap. A rebound entry would
+    silently stop that weight from training."""
+    base = model.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, p in model.params.items():
+        assert p.base is model.flat and p.flags.c_contiguous, name
+        assert p.__array_interface__["data"][0] == base + offset * p.itemsize, name
+        offset += p.size
+    assert offset == model.flat.size and model.flat.flags.owndata
+
+
+class TestFlatParameterStore:
+    def test_params_are_views_after_init(self):
+        assert_params_tile_flat(Denoiser(DenoiserConfig(feature_dim=8, classes=4)))
+
+    def test_params_are_views_after_train(self, tiny_run):
+        assert_params_tile_flat(tiny_run[0].model)
+
+    def test_params_are_views_after_load(self, tiny_run, tmp_path):
+        state, _, _ = tiny_run
+        path = tmp_path / "model.htck"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert_params_tile_flat(loaded.model)
+        assert loaded.model.flat.tobytes() == state.model.flat.tobytes()
+
+
+class TestBatchAccumulation:
+    def test_each_adam_step_takes_its_chunks_mean_gradient(self, tiny_data, monkeypatch):
+        """Every Adam step gets the mean of its chunk's per-video weight
+        gradients in the flat layout, the short last chunk included."""
+        per_video, steps = [], []
+        backward, adam_step = Tape.backward, hyptas.optim.Adam.step
+
+        def recording_backward(tape, loss):
+            grads = backward(tape, loss)
+            per_video.append({t.name: g.copy() for t, g in grads.items() if t.name})
+            return grads
+
+        def recording_step(opt, params, grad):
+            steps.append(grad.copy())
+            return adam_step(opt, params, grad)
+
+        monkeypatch.setattr(Tape, "backward", recording_backward)
+        monkeypatch.setattr(hyptas.optim.Adam, "step", recording_step)
+        config = RunConfig(epochs=2, batch_size=3, seed=4, timesteps=50, infer_steps=2)
+        state, _ = train(tiny_data, config)
+        n = len(tiny_data.train)
+        sizes = [min(3, n - start) for start in range(0, n, 3)] * config.epochs
+        assert n % 3 and len(steps) == len(sizes) and len(per_video) == n * config.epochs
+        videos = iter(per_video)
+        for grad, size in zip(steps, sizes):
+            expected = np.zeros_like(state.model.flat)
+            views = state.model.views(expected)
+            for video_grads in [next(videos) for _ in range(size)]:
+                assert video_grads.keys() == views.keys()
+                for name, g in video_grads.items():
+                    views[name] += g
+            assert np.array_equal(grad, expected / size)
 
 
 class TestCheckpointRoundtrip:
