@@ -30,6 +30,12 @@ here. A fused op computes the composition's numpy expressions in the same
 order and replays its gradient arithmetic, so values and gradients keep the
 composition's bits; the compositions live in the test suite as oracles.
 
+Videos stacked in time pass their frame counts as `rows`. The layer ops
+keep every tap inside its video; recorded, they take each video's weight
+gradients over its own rows and sum them left to right, and `total` and
+`mean` reduce per video. A packed training step thus gives each video the
+bits of a tape of its own.
+
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
 """
@@ -37,7 +43,9 @@ test suite: central differences against the tape's analytic gradients.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,8 +192,9 @@ def sub(a: Tensor, b: Tensor | float) -> Tensor:
     return add(a, -b)
 
 
-def mul(a: Tensor, b: Tensor | float) -> Tensor:
-    """Elementwise product with a tensor of a's shape or a float."""
+def mul(a: Tensor, b: Tensor | float | np.ndarray) -> Tensor:
+    """Elementwise product with a tensor of a's shape, or with a float or a
+    constant array that broadcasts to a's shape (such as one factor per video)."""
     if not isinstance(b, Tensor):
         def push(g):
             _accumulate(a, g * b)
@@ -268,23 +277,62 @@ def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
 # Reductions and row-wise structure
 # ---------------------------------------------------------------------------
 
-def total(a: Tensor) -> Tensor:
-    shape = a.value.shape
+def _spans(rows: Sequence[int] | None, length: int) -> list[tuple[int, int]]:
+    """(start, stop) of each video's rows among `length` stacked rows; None is
+    one video of all of them."""
+    if rows is None:
+        return [(0, length)]
+    if sum(rows) != length or min(rows) < 1:
+        raise ShapeError(f"row counts {tuple(rows)} do not split {length} rows")
+    stops = list(itertools.accumulate(rows))
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _in_order(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-video parts summed left to right in video order, ((p0 + p1) + p2) + ...,
+    the order in which one tape per video would add them up."""
+    return functools.reduce(operator.add, parts)
+
+
+def total(a: Tensor, rows: Sequence[int] | None = None) -> Tensor:
+    """Sum of every entry (0-d); with `rows`, the sum over each video's rows -> (V,)."""
+    if rows is None:
+        shape = a.value.shape
+
+        def push(g):
+            _accumulate(a, np.full(shape, float(g)))
+
+        return a.tape._register(np.sum(a.value).reshape(()), (a,), push)
+    return _video_reduce(a, rows, mean=False)
+
+
+def mean(a: Tensor, rows: Sequence[int] | None = None) -> Tensor:
+    """Mean of every entry (0-d); with `rows`, the mean over each video's rows -> (V,)."""
+    if rows is None:
+        shape = a.value.shape
+        n = a.value.size
+
+        def push(g):
+            _accumulate(a, np.full(shape, float(g) / n))
+
+        return a.tape._register(np.mean(a.value).reshape(()), (a,), push)
+    return _video_reduce(a, rows, mean=True)
+
+
+def _video_reduce(a: Tensor, rows, mean: bool) -> Tensor:
+    """Sum or mean over each video's block of rows, with the one-video
+    arithmetic: every entry of a block gets the block's gradient (divided by
+    the block's size for a mean)."""
+    av = a.value
+    spans = _spans(rows, av.shape[0])
+    sizes = np.array([(hi - lo) * (av.size // av.shape[0]) for lo, hi in spans])
+    reduce = np.mean if mean else np.sum
+    out = np.array([reduce(av[lo:hi]) for lo, hi in spans])
 
     def push(g):
-        _accumulate(a, np.full(shape, float(g)))
+        _accumulate(a, np.repeat(g / sizes if mean else g, sizes).reshape(av.shape))
 
-    return a.tape._register(np.sum(a.value).reshape(()), (a,), push)
-
-
-def mean(a: Tensor) -> Tensor:
-    shape = a.value.shape
-    n = a.value.size
-
-    def push(g):
-        _accumulate(a, np.full(shape, float(g) / n))
-
-    return a.tape._register(np.mean(a.value).reshape(()), (a,), push)
+    return a.tape._register(out, (a,), push)
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
@@ -316,15 +364,18 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return a.tape._register(a.value[idx], (a,), push)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+def pick_rows(a: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of a (N, d) tensor at distinct integer indices -> (len(index), d);
+    the gradient is written back by assignment, with zeros elsewhere."""
+    idx = np.asarray(index, dtype=np.intp)
     shape = a.value.shape
 
     def push(g):
         ga = np.zeros(shape)
-        ga[start:stop] = g
+        ga[idx] = g
         _accumulate(a, ga)
 
-    return a.tape._register(a.value[start:stop].copy(), (a,), push)
+    return a.tape._register(a.value[idx], (a,), push)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -361,16 +412,33 @@ def softmax(a: Tensor) -> Tensor:
     return a.tape._register(out, (a,), push)
 
 
-def softmax_head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _matmul_rows(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
+    """a @ b with one matmul per video's rows of a, so that each video gets
+    the bits of its own matmul (a row of a BLAS matmul can change in its
+    last bits with the matmul's row count)."""
+    if len(spans) == 1:
+        return a @ b
+    return np.concatenate([a[lo:hi] @ b for lo, hi in spans])
+
+
+def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int] | None = None) -> Tensor:
     """Class probabilities softmax(h @ w + b) of h (L, d), w (d, C), b (1, C).
 
     One op for the composition matmul -> row-bias add -> softmax, with its
     arithmetic: the same forward expressions, and a backward that hands the
-    softmax gradient to b and through the matmul to h and w.
+    softmax gradient to b and through the matmul to h and w. `rows` gives
+    the frame counts of the videos stacked in h (None: one video). A
+    recorded head runs every matmul per video, as `_dilated_conv` does with
+    `per_video`, and w and b get the videos' own gradients summed left to
+    right; a forward-only head takes one matmul over all rows.
     """
     tape = _same_tape(h, w, b)
     hv, wv, bv = h.value, w.value, b.value
-    z = hv @ wv
+    if h.needs_grad or w.needs_grad or b.needs_grad:
+        spans = _spans(rows, hv.shape[0])
+        z = _matmul_rows(hv, wv, spans)
+    else:
+        z = hv @ wv
     if bv.shape != (1, z.shape[1]):
         raise ShapeError(f"softmax_head: bias {bv.shape} for logits {z.shape}")
     out = _softmax_rows(z + bv)
@@ -378,11 +446,11 @@ def softmax_head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def push(g):
         gz = _softmax_grad(out, g)
         if b.needs_grad:
-            _accumulate(b, np.sum(gz, axis=0, keepdims=True))
+            _accumulate(b, _in_order([np.sum(gz[lo:hi], axis=0, keepdims=True) for lo, hi in spans]))
         if h.needs_grad:
-            _accumulate(h, gz @ wv.T)
+            _accumulate(h, _matmul_rows(gz, wv.T, spans))
         if w.needs_grad:
-            _accumulate(w, hv.T @ gz)
+            _accumulate(w, _in_order([hv[lo:hi].T @ gz[lo:hi] for lo, hi in spans]))
 
     return tape._register(out, (h, w, b), push)
 
@@ -401,7 +469,7 @@ def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
     return index
 
 
-def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
+def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows, per_video: bool = False):
     """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout),
     and its backward `grads(g, need_x, need_w) -> (gx, gw)` (None where not needed).
 
@@ -411,11 +479,16 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     boundary. Both passes work on one zero-padded buffer that holds every
     video with pad = (k//2) * dilation zero rows on each side (pad rows
     between neighbours, since a tap reaches at most pad rows past a video's
-    edge), one matmul per tap on a row-slice view over the whole buffer,
-    summed tap by tap; the valid rows are then gathered. With
-    one video the buffer is the single padded copy and nothing is gathered.
-    A single im2col matmul would reorder the float sums and change the
-    result bits.
+    edge), so each video's padded frames are one window of it, and sum one
+    matmul per tap on row-slice views, tap by tap. A single im2col matmul
+    would reorder the float sums and change the result bits.
+
+    The forward runs each tap's matmul over the whole buffer and gathers the
+    valid rows, or with `per_video` over each video's window: a row of a
+    BLAS matmul can change in its last bits with the matmul's row count, so
+    only per-video matmuls give every video the bits of its own buffer. The
+    backward always works per video, and the kernel gradient is the videos'
+    own gradients summed left to right.
     """
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
@@ -426,35 +499,45 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     pad = (k // 2) * dilation
     span = L + pad * (len(rows) - 1)  # output rows over the buffer, gaps included
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
+
+    def windows():
+        """(o, lo, hi) per video: its rows lo:hi of x sit at buffer rows o + pad on."""
+        return [(lo + pad * i, lo, hi) for i, (lo, hi) in enumerate(_spans(rows, L))]
+
     xp = np.zeros((span + 2 * pad, xv.shape[1]))
     valid = _packed_rows(rows, pad) if len(rows) > 1 else None
     if valid is None:
         xp[pad : pad + L] = xv
     else:
         xp[valid + pad] = xv
-    out = np.zeros((span, wv.shape[2]))
-    for j, s in enumerate(starts):
-        out += xp[s : s + span] @ wv[j]
-    if valid is not None:
-        out = out[valid]
+    if per_video and valid is not None:
+        out = np.zeros((L, wv.shape[2]))
+        for o, lo, hi in windows():
+            for j, s in enumerate(starts):
+                out[lo:hi] += xp[o + s : o + s + hi - lo] @ wv[j]
+    else:
+        out = np.zeros((span, wv.shape[2]))
+        for j, s in enumerate(starts):
+            out += xp[s : s + span] @ wv[j]
+        if valid is not None:
+            out = out[valid]
 
     def grads(g, need_x, need_w):
         gx = gw = None
-        if not (need_x or need_w):
-            return gx, gw
-        if valid is not None:
-            full = np.zeros((span, g.shape[1]))
-            full[valid] = g
-            g = full
         if need_x:
             gp = np.zeros_like(xp)
-            for j, s in enumerate(starts):
-                gp[s : s + span] += g @ wv[j].T
+            for o, lo, hi in windows():
+                for j, s in enumerate(starts):
+                    gp[o + s : o + s + hi - lo] += g[lo:hi] @ wv[j].T
             gx = gp[pad : pad + L] if valid is None else gp[valid + pad]
         if need_w:
-            gw = np.empty_like(wv)
-            for j, s in enumerate(starts):
-                gw[j] = xp[s : s + span].T @ g
+            def video_gw(o, lo, hi):
+                gw = np.empty_like(wv)
+                for j, s in enumerate(starts):
+                    gw[j] = xp[o + s : o + s + hi - lo].T @ g[lo:hi]
+                return gw
+
+            gw = _in_order([video_gw(*window) for window in windows()])
         return gx, gw
 
     return out, grads
@@ -466,7 +549,7 @@ def conv_layer(
     b: Tensor,
     dilation: int,
     rows: Sequence[int] | None = None,
-    step: tuple[np.ndarray, Tensor, Tensor] | None = None,
+    step: tuple[np.ndarray | Sequence[np.ndarray], Tensor, Tensor] | None = None,
     residual: bool = False,
 ) -> Tensor:
     """One dilated temporal-convolution layer as one op:
@@ -474,14 +557,19 @@ def conv_layer(
 
     x (L, Cin), w (k, Cin, Cout), b (1, Cout); `rows` as in `_dilated_conv`.
     `step = (e, sw, sb)` adds the projection of a fixed (1, E) array by the
-    (E, Cout) weight sw and (1, Cout) bias sb to every row; `residual` adds
-    the input. The backward replays the composition's gradient arithmetic:
-    the residual's gradient reaches x before the convolution's, each bias
-    gets the column sum of the relu's gradient, and sw gets e.T times it.
+    (E, Cout) weight sw and (1, Cout) bias sb to every row; `e` may instead
+    be a list of (1, E) arrays, one per video, each projected on its own
+    (a 1-row matmul) and added to its video's rows. `residual` adds the
+    input. The backward replays the composition's gradient arithmetic: the
+    residual's gradient reaches x before the convolution's, each bias gets
+    the column sum of the relu's gradient, and sw gets e.T times it. Every
+    weight gradient is taken per video over its own rows and the videos'
+    gradients are summed left to right, as one tape per video would.
     """
     parents = (x, w, b) if step is None else (x, w, b) + tuple(step[1:])
     tape = _same_tape(*parents)
-    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows)
+    recorded = any(p.needs_grad for p in parents)
+    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows, per_video=recorded)
     bias_shape = (1, conv.shape[1])
     if b.value.shape != bias_shape:
         raise ShapeError(f"conv_layer: bias {b.value.shape} for output {conv.shape}")
@@ -490,7 +578,13 @@ def conv_layer(
         e, sw, sb = step
         if sb.value.shape != bias_shape:
             raise ShapeError(f"conv_layer: step bias {sb.value.shape} for output {conv.shape}")
-        z = z + (e @ sw.value + sb.value)
+        if isinstance(e, np.ndarray):
+            z = z + (e @ sw.value + sb.value)
+        else:
+            counts = (conv.shape[0],) if rows is None else tuple(rows)
+            if len(e) != len(counts):
+                raise ShapeError(f"conv_layer: {len(e)} step embeddings for {len(counts)} videos")
+            z = z + np.repeat(np.concatenate([ev @ sw.value + sb.value for ev in e]), counts, axis=0)
     if residual:
         if x.value.shape != z.shape:
             raise ShapeError(f"conv_layer: residual input {x.value.shape} for output {z.shape}")
@@ -501,10 +595,12 @@ def conv_layer(
         g = g * mask
         if residual:
             _accumulate(x, g)
-        gsum = np.sum(g, axis=0, keepdims=True)
+        gsums = [np.sum(g[lo:hi], axis=0, keepdims=True) for lo, hi in _spans(rows, g.shape[0])]
+        gsum = _in_order(gsums)
         if step is not None:
             if sw.needs_grad:
-                _accumulate(sw, e.T @ gsum)
+                es = [e] * len(gsums) if isinstance(e, np.ndarray) else e
+                _accumulate(sw, _in_order([ev.T @ gv for ev, gv in zip(es, gsums)]))
             _accumulate(sb, gsum)
         _accumulate(b, gsum)
         gx, gw = conv_grads(g, x.needs_grad, w.needs_grad)

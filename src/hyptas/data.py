@@ -629,7 +629,11 @@ def read_dataset(root) -> Dataset:
         if not path.exists():
             raise FormatError(f"{path}: missing split file")
         records = []
+        seen = set()
         for vid in read_utf8(path).split():
+            if vid in seen:
+                raise FormatError(f"{path}: video {vid!r} is listed twice")
+            seen.add(vid)
             features_file = feature_path(root, vid)
             label_path = root / "labels" / f"{vid}.txt"
             # os.path.exists is False for a name the OS refuses (a NUL byte,

@@ -15,8 +15,10 @@ the bits of the primitive compositions they replaced.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,65 +78,91 @@ class Prototypes:
         return float(np.min(pairs))
 
 
-def cross_entropy(p: Tensor, y_onehot: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood normalized by L * C (not by L alone)."""
+def cross_entropy(p: Tensor, y_onehot: np.ndarray, rows: Sequence[int] | None = None) -> Tensor:
+    """Mean negative log-likelihood normalized by L * C (not by L alone);
+    with `rows`, one value per stacked video, normalized by its own L * C."""
     y = np.asarray(y_onehot, dtype=np.float64)
     if p.value.shape != y.shape:
         raise ShapeError(f"probabilities {p.value.shape} vs targets {y.shape}")
     logp = td.log(td.clamp(p, lo=PROB_FLOOR))
     picked = td.mul(logp, p.tape.const(y))
-    return td.mul(td.total(picked), -1.0 / y.size)
+    if rows is None:
+        return td.mul(td.total(picked), -1.0 / y.size)
+    return td.mul(td.total(picked, rows), -1.0 / (np.asarray(rows) * y.shape[1]))
 
 
-def temporal_entailment(x: Tensor, cone_k: float) -> Tensor:
+def temporal_entailment(x: Tensor, cone_k: float, rows: Sequence[int] | None = None) -> Tensor:
     """Mean hinge over consecutive frames of (exterior angle - aperture).
 
-    Zero when every frame lies within its predecessor's cone. Sequences
-    shorter than two frames contribute zero (logged, not fatal).
+    Zero when every frame lies within its predecessor's cone. With `rows`,
+    one mean per stacked video over its own frame pairs, so no pair crosses
+    a video boundary. A sequence shorter than two frames contributes zero
+    (logged, not fatal); packed with other videos it is refused.
     """
-    length = x.value.shape[0]
-    if length < 2:
-        logger.warning("temporal entailment needs >= 2 frames, got %d; returning 0", length)
-        return x.tape.const(np.zeros(()))
-    head = td.slice_rows(x, 0, length - 1)
-    tail = td.slice_rows(x, 1, length)
+    lengths = (x.value.shape[0],) if rows is None else tuple(rows)
+    if min(lengths) < 2:
+        if len(lengths) > 1:
+            raise ShapeError(f"temporal entailment packs only videos of >= 2 frames, got {lengths}")
+        logger.warning("temporal entailment needs >= 2 frames, got %d; returning 0", lengths[0])
+        return x.tape.const(np.zeros(() if rows is None else (1,)))
+    stops = itertools.accumulate(lengths)
+    first = np.concatenate([np.arange(stop - n, stop - 1) for n, stop in zip(lengths, stops)])
+    head = td.pick_rows(x, first)
+    tail = td.pick_rows(x, first + 1)
     theta = bo.exterior_angle_rows(head, tail)
     alpha = bo.aperture_rows(head, cone_k)
-    return td.mean(td.relu(theta - alpha))
+    hinge = td.relu(theta - alpha)
+    return td.mean(hinge) if rows is None else td.mean(hinge, [n - 1 for n in lengths])
 
 
-def prototype_margin(z: Tensor, margin: float, c: float) -> Tensor:
+def prototype_margin(z: Tensor, margin: float, c: float, videos: int | None = None) -> Tensor:
     """Pairwise repulsion: mean over ordered pairs of max(0, m - d(z_i, z_j)).
 
     The printed normalization is 1/(C(C-1)) over the C(C-1)/2 unordered
-    pairs, i.e. two coincident prototypes cost m/2.
+    pairs, i.e. two coincident prototypes cost m/2. With `videos`, z stacks
+    that many per-video copies of the C prototypes, and each copy gets its
+    own value (pairs stay inside a copy).
     """
-    count = z.value.shape[0]
+    copies = 1 if videos is None else videos
+    count = z.value.shape[0] // copies
     if count < 2:
         raise ShapeError("margin loss needs at least two prototypes")
     i, j = np.triu_indices(count, k=1)
+    if videos is not None:
+        offsets = np.repeat(np.arange(videos) * count, i.size)
+        i, j = np.tile(i, videos) + offsets, np.tile(j, videos) + offsets
     zi = td.gather_rows(z, i)
     zj = td.gather_rows(z, j)
     hinge = td.relu(td.mul(bo.distance_rows(zi, zj, c), -1.0) + margin)
-    return td.mul(td.total(hinge), 1.0 / (count * (count - 1)))
+    sums = td.total(hinge) if videos is None else td.total(hinge, [i.size // videos] * videos)
+    return td.mul(sums, 1.0 / (count * (count - 1)))
 
 
 def push_pull(
-    x: Tensor, z_assigned: Tensor, t: int, total_steps: int, decay: str, c: float
+    x: Tensor,
+    z_assigned: Tensor,
+    t: int | Sequence[int],
+    total_steps: int,
+    decay: str,
+    c: float,
+    rows: Sequence[int] | None = None,
 ) -> Tensor:
     """Pull toward the assigned prototype, push away from the origin.
 
     Mean over frames of d(x, z)/max(d(O, x), RADIUS_FLOOR) minus
     d(O, x) * decay(t / T); the push term rewards radius, so the value may
-    be negative.
+    be negative. With `rows`, `t` holds each stacked video's step, and each
+    video gets its own mean.
     """
     if x.value.shape != z_assigned.value.shape:
         raise ShapeError(f"embeddings {x.value.shape} vs prototypes {z_assigned.value.shape}")
     pull = bo.distance_rows(x, z_assigned, c)
     radius = bo.origin_distance_rows(x, c)
     ratio = td.div(pull, td.clamp(radius, lo=RADIUS_FLOOR))
-    factor = decay_factor(decay, t / total_steps)
-    return td.mean(ratio - td.mul(radius, factor))
+    if rows is None:
+        return td.mean(ratio - td.mul(radius, decay_factor(decay, t / total_steps)))
+    factors = [decay_factor(decay, tv / total_steps) for tv in t]
+    return td.mean(ratio - td.mul(radius, np.repeat(factors, rows)[:, None]), rows)
 
 
 def geodesic_guidance(
@@ -143,13 +171,14 @@ def geodesic_guidance(
     c: float,
     frozen: bool,
     allow_unfrozen: bool = False,
+    rows: Sequence[int] | None = None,
 ) -> Tensor:
     """Mean squared defect of d(O, z) = d(O, x) + d(x, z).
 
     Exactly zero when every embedding sits on the radial geodesic from the
     origin to its prototype. Prototypes must be frozen; `allow_unfrozen`
     exists only for the single-phase ablation where they are deliberately
-    dynamic targets.
+    dynamic targets. With `rows`, one mean per stacked video.
     """
     if not frozen and not allow_unfrozen:
         raise ContractViolation("geodesic guidance requires frozen prototypes")
@@ -157,7 +186,7 @@ def geodesic_guidance(
         raise ShapeError(f"embeddings {x.value.shape} vs prototypes {z_assigned.value.shape}")
     target = bo.origin_distance_rows(z_assigned, c)
     via = bo.origin_distance_rows(x, c) + bo.distance_rows(x, z_assigned, c)
-    return td.mean(td.square(target - via))
+    return td.mean(td.square(target - via), rows)
 
 
 @dataclass(frozen=True)
@@ -189,9 +218,10 @@ def phase_loss(
     x: Tensor,
     z: Tensor,
     labels: np.ndarray,
-    t: int,
+    t: int | Sequence[int],
     frozen: bool,
-) -> tuple[Tensor, dict[str, float]]:
+    rows: Sequence[int] | None = None,
+) -> tuple[Tensor, dict]:
     """ce * lambda_ce plus term * lambda_term for each term of the phase whose
     lambda is > 0; a term with lambda = 0 is not computed.
 
@@ -199,26 +229,41 @@ def phase_loss(
     the frame classes and `t` the diffusion step. `frozen` says whether the
     prototypes are frozen: geodesic guidance refuses unfrozen ones unless
     the phase trains them (the single-phase ablation). Returns the total
-    and the value of every computed term, cross-entropy included.
+    and the value of every computed term, cross-entropy included, as floats.
+
+    With `rows`, x and labels stack videos of those frame counts, `ce` holds
+    one value per video, `t` one step per video, and z one copy of the
+    prototypes per video (each video's own leaf, so each gets its own
+    gradient). Every term is then reduced per video, and the total and the
+    components are (V,) arrays, each entry what the video alone would give.
     """
     rule, c = PHASES[phase], config.curvature
+    videos = None if rows is None else len(rows)
+    index = labels
+    if rows is not None:
+        index = labels + z.value.shape[0] // videos * np.repeat(np.arange(videos), rows)
 
     def term(name: str) -> Tensor:
         if name == "entail":
-            return temporal_entailment(x, config.cone_k)
+            return temporal_entailment(x, config.cone_k, rows)
         if name == "margin":
-            return prototype_margin(z, config.margin, c)
-        assigned = td.gather_rows(z, labels)
+            return prototype_margin(z, config.margin, c, videos)
+        assigned = td.gather_rows(z, index)
         if name == "pp":
-            return push_pull(x, assigned, t, config.timesteps, config.decay, c)
-        return geodesic_guidance(x, assigned, c, frozen, allow_unfrozen=rule.trains_prototypes)
+            return push_pull(x, assigned, t, config.timesteps, config.decay, c, rows)
+        return geodesic_guidance(
+            x, assigned, c, frozen, allow_unfrozen=rule.trains_prototypes, rows=rows
+        )
 
-    components = {"ce": float(ce.value)}
+    def read(value: Tensor):
+        return float(value.value) if rows is None else value.value
+
+    components = {"ce": read(ce)}
     total = td.mul(ce, config.lambda_ce)
     for name in rule.terms:
         weight = getattr(config, f"lambda_{name}")
         if weight > 0:
             value = term(name)
-            components[name] = float(value.value)
+            components[name] = read(value)
             total = total + td.mul(value, weight)
     return total, components

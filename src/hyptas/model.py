@@ -9,7 +9,9 @@ Both stacks use the fixed MS-TCN layout (Farha & Gall, CVPR 2019): kernel
 vary, so a `DenoiserConfig` holds the input, output and hidden widths alone.
 Each layer (convolution, bias, step projection, residual, relu) is one
 `autodiff.conv_layer` tape op and each classification head one
-`autodiff.softmax_head`, so a trainable encode + decode records 11 nodes.
+`autodiff.softmax_head`, so a trainable encode + decode records 11 nodes,
+however many videos it stacks. Training decodes each stacked video at its
+own step; inference decodes all of them at one.
 
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,14 +157,17 @@ class BoundDenoiser:
         h = self.tape.const(features)
         for i in range(len(DILATIONS)):
             h = self._layer("enc", i, h, rows)
-        p_enc = td.softmax_head(h, self.bound["enc.head.w"], self.bound["enc.head.b"])
+        p_enc = td.softmax_head(h, self.bound["enc.head.w"], self.bound["enc.head.b"], rows)
         return h, p_enc
 
-    def decode(self, y_t: Tensor, condition: Tensor, t: int, rows=None) -> tuple[Tensor, Tensor]:
+    def decode(
+        self, y_t: Tensor, condition: Tensor, t: int | Sequence[int], rows=None
+    ) -> tuple[Tensor, Tensor]:
         """(noisy signal (L, C), condition (L, channels), step) -> (embeddings, probabilities).
 
-        The returned embeddings are the final layer's output before the
-        classification head.
+        `t` is one step for every row, or one step per video of `rows`
+        (training, where each video draws its own). The returned embeddings
+        are the final layer's output before the classification head.
         """
         if y_t.value.shape[0] != condition.value.shape[0]:
             raise ShapeError(
@@ -169,12 +175,15 @@ class BoundDenoiser:
             )
         if y_t.value.shape[1] != self.config.classes:
             raise ShapeError(f"signal {y_t.value.shape} does not match classes {self.config.classes}")
-        e = sinusoidal_step_embedding(t, STEP_DIM)
+        if isinstance(t, (int, np.integer)):
+            e = sinusoidal_step_embedding(t, STEP_DIM)
+        else:
+            e = [sinusoidal_step_embedding(int(tv), STEP_DIM) for tv in t]
         h = td.concat_cols(y_t, condition)
         for i in range(len(DILATIONS)):
             step = (e, self.bound[f"dec.step{i}.w"], self.bound[f"dec.step{i}.b"])
             h = self._layer("dec", i, h, rows, step)
-        probs = td.softmax_head(h, self.bound["dec.head.w"], self.bound["dec.head.b"])
+        probs = td.softmax_head(h, self.bound["dec.head.w"], self.bound["dec.head.b"], rows)
         return h, probs
 
 
@@ -213,16 +222,12 @@ def mask_vector(
     return keep
 
 
-def apply_masking(
-    condition: Tensor,
-    kind: str,
-    segments: list[Segment],
-    rng: np.random.Generator,
-) -> Tensor:
-    """Zero rows of the condition per the chosen prior; labels/signals untouched."""
-    if kind == "none":
+def apply_masking(condition: Tensor, keep: np.ndarray | None) -> Tensor:
+    """Zero the condition rows whose (L, 1) keep-mask entry is 0, with the
+    masks of stacked videos stacked alike; None (every video drew the none
+    prior) keeps the condition as is. Labels and signals are untouched."""
+    if keep is None:
         return condition
-    keep = mask_vector(kind, segments, condition.value.shape[0], rng)
     return td.scale_rows(condition, condition.tape.const(keep))
 
 

@@ -1,13 +1,29 @@
 """Two-phase training loop, prototype lifecycle, and packed inference.
 
-Per video: sample a diffusion timestep uniformly in [1, T], encode features,
-apply one sampled conditioning mask, corrupt the encoded labels, decode,
-assemble the phase loss, backpropagate, and add the weight gradients into
-their views of one flat gradient sum. Each chunk of `batch_size` videos then
-takes one Adam step over the flat weight buffer, and one Riemannian Adam
-step on the prototypes while the phase trains them; they freeze at epoch E1.
-Everything is a deterministic function of (dataset, config): identical
-seeds produce bit-identical checkpoints.
+Each epoch walks a permutation of the training videos in chunks of
+`batch_size`. Per video, in chunk order, the rng draws a diffusion timestep
+uniformly in [1, T], a conditioning mask kind, the label noise and (for the
+relation prior) the masked segment. A chunk then trains as groups, each one
+tape: the whole chunk stacked in time when every video has at least two
+frames and it holds at most `PACK_ROWS` frames, otherwise one tape per
+video. A group's tape binds the parameters once, encodes its features,
+masks the condition, corrupts the encoded labels, decodes at each video's
+own step, maps into the ball, and builds each video's phase loss; one
+backward gives every weight the left-to-right sum of the videos' own
+gradients, which goes into its view of one flat gradient sum. Each chunk
+then takes one Adam step over the flat weight buffer, and one Riemannian
+Adam step on the prototypes while the phase trains them; they freeze at
+epoch E1.
+
+A packed group computes every bit that one tape per video computes
+(`tests/train_oracle.py` keeps that loop as the reference): a row of a BLAS
+matmul can change in its last bits with the matmul's row count, so the
+recorded layers and heads run each matmul over rows once per video (each
+video's step projection stays a 1-row matmul), every reduction (loss
+terms, bias and weight gradients) runs per video, and only row-local numpy
+work runs on all rows at once. A 1-frame video, whose entailment term is
+zero, gets a tape of its own. Everything is a deterministic function of
+(dataset, config): identical seeds produce bit-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as td
 from . import ballops as bo
 from .autodiff import Tape
 from .data import Dataset, RunConfig, parse_config_text, read_checkpoint, write_checkpoint
@@ -34,10 +51,16 @@ from .diffusion import (
 from .errors import ConfigError, FormatError, GeometryError, NonFiniteLossError, ShapeError
 from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
-from .model import Denoiser, DenoiserConfig, apply_masking, sample_mask_kind
+from .model import Denoiser, DenoiserConfig, apply_masking, mask_vector, sample_mask_kind
 from .optim import Adam, RiemannianAdam
 
 logger = logging.getLogger(__name__)
+
+# Frames one packed training tape may hold. A larger chunk trains one tape per
+# video: a step's memory grows with its rows (about 9 MB of arrays at 1000
+# frames), and splitting a chunk into several packed groups would sum the
+# weight gradients as (g1 + g2) + (g3 + g4) instead of ((g1 + g2) + g3) + g4.
+PACK_ROWS = 1024
 
 
 @dataclass
@@ -103,31 +126,70 @@ def _denoiser_config(dataset: Dataset, config: RunConfig) -> DenoiserConfig:
     )
 
 
-def _assemble_loss(
-    video_labels: np.ndarray,
-    probs,
-    p_enc,
-    ball,
-    proto_tensor,
-    phase: str,
-    t: int,
-    config: RunConfig,
-    frozen: bool,
-):
-    """Phase total plus the per-component values for the log."""
-    y_onehot = np.eye(probs.value.shape[1])[video_labels]
-    ce = cross_entropy(probs, y_onehot)
+def _groups(chunk: Sequence[int], lengths: Sequence[int]) -> list[list[int]]:
+    """The tapes of one chunk: the whole chunk when every video has at least
+    two frames and it holds at most `PACK_ROWS` frames, else one per video."""
+    frames = [lengths[i] for i in chunk]
+    if min(frames) >= 2 and sum(frames) <= PACK_ROWS:
+        return [list(chunk)]
+    return [[i] for i in chunk]
+
+
+@dataclass
+class _Draw:
+    """One video's random choices for one training step."""
+
+    t: int
+    mask_kind: str
+    noise: np.ndarray
+    keep: np.ndarray
+
+
+def _group_step(model, prototypes, schedule, config, phase, videos, draws):
+    """One tape over the videos of a group, stacked in time: the gradients of
+    the parameters and (while they train) of each video's prototype copy,
+    and each video's loss total and components."""
+    rows = tuple(video.labels.shape[0] for video in videos)
+    classes = prototypes.count
+    stack = (lambda arrays: arrays[0]) if len(videos) == 1 else np.concatenate
+    tape = Tape()
+    bound = model.bind(tape, trainable=True)
+    condition, p_enc = bound.encode(stack([video.features for video in videos]), rows)
+    keep = None
+    if any(d.mask_kind != "none" for d in draws):
+        keep = stack([d.keep for d in draws])
+    masked = apply_masking(condition, keep)
+    y_t = tape.const(stack([
+        forward_corrupt(label_encode(video.labels, classes), d.t, schedule, d.noise)
+        for video, d in zip(videos, draws)
+    ]))
+    ts = [d.t for d in draws]
+    emb, probs = bound.decode(y_t, masked, ts, rows)
+    ball = bo.exp_map_origin_rows(emb, config.curvature)
+    copies = np.tile(prototypes.points, (len(videos), 1))
+    trains_prototypes = PHASES[phase].trains_prototypes
+    proto_tensor = tape.leaf(copies) if trains_prototypes else tape.const(copies)
+    labels = stack([video.labels for video in videos])
+    y_onehot = np.eye(classes)[labels]
+    ce = cross_entropy(probs, y_onehot, rows)
     if config.aux_head:
-        ce = ce + cross_entropy(p_enc, y_onehot)
+        ce = ce + cross_entropy(p_enc, y_onehot, rows)
     total, components = phase_loss(
-        phase, config, ce, ball, proto_tensor, video_labels, t, frozen
+        phase, config, ce, ball, proto_tensor, labels, ts, prototypes.frozen, rows
     )
-    for name, value in components.items():
-        if not math.isfinite(value):
-            raise NonFiniteLossError(f"loss component {name!r} is non-finite at t={t}")
-    if not math.isfinite(float(total.value)):
-        raise NonFiniteLossError(f"total {phase} loss is non-finite at t={t}")
-    return total, components
+    for v, t in enumerate(ts):
+        for name, values in components.items():
+            if not math.isfinite(values[v]):
+                raise NonFiniteLossError(f"loss component {name!r} is non-finite at t={t}")
+        if not math.isfinite(total.value[v]):
+            raise NonFiniteLossError(f"total {phase} loss is non-finite at t={t}")
+    grads = tape.backward(td.total(total))
+    params = {name: grads[tensor] for name, tensor in bound.bound.items()}
+    proto_grads = []
+    if trains_prototypes:
+        g = grads[proto_tensor]
+        proto_grads = [g[v * classes : (v + 1) * classes] for v in range(len(videos))]
+    return params, proto_grads, total.value, components
 
 
 def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
@@ -149,6 +211,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
     e1 = config.stabilization_epochs
     log = TrainLog()
     train_segments = [segments_from_labels(video.labels) for video in dataset.train]
+    lengths = [video.labels.shape[0] for video in dataset.train]
 
     for epoch in range(config.epochs):
         phase = "single" if config.single_phase else phase_for_epoch(epoch, e1)
@@ -162,38 +225,28 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
         total_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_sum.fill(0.0)
-            proto_grad_sum = np.zeros_like(prototypes.points)
+            draws = {}
             for idx in batch:
-                video = dataset.train[idx]
                 t = int(rng.integers(1, config.timesteps + 1))
                 mask_kind = sample_mask_kind(rng)
-                noise = rng.standard_normal((video.labels.shape[0], dataset.num_classes))
-
-                tape = Tape()
-                bound = model.bind(tape, trainable=True)
-                condition, p_enc = bound.encode(video.features)
-                masked = apply_masking(condition, mask_kind, train_segments[idx], rng)
-                x0 = label_encode(video.labels, dataset.num_classes)
-                y_t = tape.const(forward_corrupt(x0, t, schedule, noise))
-                emb, probs = bound.decode(y_t, masked, t)
-                ball = bo.exp_map_origin_rows(emb, config.curvature)
-                proto_tensor = (
-                    tape.leaf(prototypes.points) if protos_trainable
-                    else tape.const(prototypes.points)
+                noise = rng.standard_normal((lengths[idx], dataset.num_classes))
+                keep = mask_vector(mask_kind, train_segments[idx], lengths[idx], rng)
+                draws[idx] = _Draw(t, mask_kind, noise, keep)
+            grad_sum.fill(0.0)
+            proto_grad_sum = np.zeros_like(prototypes.points)
+            for group in _groups(batch, lengths):
+                params, proto_grads, totals, components = _group_step(
+                    model, prototypes, schedule, config, phase,
+                    [dataset.train[i] for i in group], [draws[i] for i in group],
                 )
-                total, components = _assemble_loss(
-                    video.labels, probs, p_enc, ball, proto_tensor, phase, t, config,
-                    prototypes.frozen,
-                )
-                grads = tape.backward(total)
-                for name, tensor in bound.bound.items():
-                    grad_views[name] += grads[tensor]
-                if protos_trainable:
-                    proto_grad_sum += grads[proto_tensor]
-                total_sum += float(total.value)
-                for k, v in components.items():
-                    sums[k] = sums.get(k, 0.0) + v
+                for name, g in params.items():
+                    grad_views[name] += g
+                for g in proto_grads:
+                    proto_grad_sum += g
+                for v in range(len(group)):
+                    total_sum += float(totals[v])
+                    for k, values in components.items():
+                        sums[k] = sums.get(k, 0.0) + float(values[v])
             net_opt.step(model.flat, grad_sum / len(batch))
             if protos_trainable:
                 proto_opt.step(prototypes, proto_grad_sum / len(batch))

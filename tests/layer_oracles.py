@@ -71,6 +71,7 @@ def conv_layer(x, w, b, dilation, rows=None, step=None, residual=False):
     return td.relu(x + branch if residual else branch)
 
 
-def softmax_head(h, w, b):
-    """softmax(h @ w + b), node by node."""
+def softmax_head(h, w, b, rows=None):
+    """softmax(h @ w + b), node by node, for one video."""
+    assert rows is None or len(rows) == 1, "the composition pools the weight gradients"
     return td.softmax(add_row(matmul(h, w), b))

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -160,8 +162,10 @@ def _op_cases():
         "row_norm": lambda t, l: td.mean(oracle.row_norm(l[0])),
         "scale_div_rows": lambda t, l: td.mean(td.scale_rows(l[0], td.add(oracle.row_norm(l[1]), 0.2))),
         "gather_rows": lambda t, l: td.mean(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
-        "slice_concat": lambda t, l: td.mean(td.concat_cols(td.slice_rows(l[0], 0, 2),
-                                                            td.slice_rows(l[1], 1, 3))),
+        "slice_concat": lambda t, l: td.mean(td.concat_cols(td.pick_rows(l[0], np.arange(0, 2)),
+                                                            td.pick_rows(l[1], np.array([2, 0])))),
+        "video_sum_mean": lambda t, l: td.total(td.mul(td.add(
+            td.total(td.square(l[0]), (2, 1)), td.mean(l[1], (1, 2))), np.array([0.7, -1.3]))),
         "conv1d": lambda t, l: td.mean(layers.conv1d(l[0], t.const(w3), dilation=2)),
     }
 
@@ -524,9 +528,31 @@ def _run_layer(impl, arrays, dilation, rows, residual, x_leaf, g, gx):
     return out.value, {k: grads[t] for k, t in leaves.items()}, layer_nodes
 
 
+def _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx):
+    """`_run_layer` of the composition on each video of `rows` alone: the
+    values and the x gradients stacked, the weight gradients summed left to
+    right in video order."""
+    runs = []
+    for v, (lo, hi) in enumerate(zip(np.cumsum((0,) + rows[:-1]), np.cumsum(rows))):
+        own = dict(arrays, x=arrays["x"][lo:hi])
+        if "e" in arrays:
+            own["e"] = arrays["e"][v]
+        runs.append(_run_layer(layers.conv_layer, own, dilation, None, residual, x_leaf,
+                               g[lo:hi], gx[lo:hi]))
+    grads = {
+        name: np.concatenate([r[1][name] for r in runs]) if name == "x"
+        else functools.reduce(operator.add, [r[1][name] for r in runs])
+        for name in runs[0][1]
+    }
+    return np.concatenate([r[0] for r in runs]), grads, None
+
+
 class TestFusedConvLayer:
     """`conv_layer` against the node-by-node composition in `layer_oracles`:
-    the same bytes in the value and in the gradient of every input."""
+    the same bytes in the value and in the gradient of every input. Over
+    packed rows the reference is the composition on each video alone, with
+    that video's own step embedding: values and x gradients stacked in time,
+    and every weight gradient summed left to right over the videos."""
 
     PACKED = (7, 1, 3, 12)  # a 1-frame video, and videos shorter than pad at dilations 4, 8
 
@@ -539,10 +565,15 @@ class TestFusedConvLayer:
         rng = np.random.default_rng([dilation, rows is None, x_leaf, step, residual])
         frames = (20,) if rows is None else rows
         arrays = _layer_inputs(rng, frames, residual, step)
+        if step and rows is not None:
+            arrays["e"] = [rng.normal(size=arrays["e"].shape) for _ in rows]
         g = rng.normal(size=(sum(frames), arrays["w"].shape[2]))
         gx = rng.normal(size=arrays["x"].shape)
         fused = _run_layer(td.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
-        composed = _run_layer(layers.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
+        if rows is None:
+            composed = _run_layer(layers.conv_layer, arrays, dilation, None, residual, x_leaf, g, gx)
+        else:
+            composed = _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx)
         assert fused[0].tobytes() == composed[0].tobytes()
         assert fused[1].keys() == composed[1].keys()
         for name in fused[1]:
@@ -567,6 +598,20 @@ class TestFusedConvLayer:
 
         assert finite_diff_check(f, list(arrays.values())) < 1e-6
 
+    def test_per_video_steps_against_central_differences(self):
+        rng = np.random.default_rng(67)
+        rows = (5, 2, 6)
+        arrays = _layer_inputs(rng, rows, True, True, cin=3, cout=3, edim=4, dead=False)
+        shape = arrays.pop("e").shape
+        es = [rng.normal(size=shape) for _ in rows]
+
+        def f(tape, leaves):
+            x, w, b, sw, sb = leaves
+            return td.mean(td.square(td.conv_layer(x, w, b, 2, rows, step=(es, sw, sb),
+                                                   residual=True)))
+
+        assert finite_diff_check(f, list(arrays.values())) < 1e-6
+
     def test_shapes_are_checked(self):
         tape = Tape()
         x, w = tape.const(np.ones((6, 3))), tape.const(np.ones((3, 3, 2)))
@@ -576,6 +621,9 @@ class TestFusedConvLayer:
             td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, residual=True)
         with pytest.raises(ShapeError, match="row counts"):
             td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(4, 4))
+        step = ([np.ones((1, 2))] * 3, tape.const(np.ones((2, 2))), tape.const(np.ones((1, 2))))
+        with pytest.raises(ShapeError, match="3 step embeddings for 2 videos"):
+            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(3, 3), step=step)
 
 
 class TestFusedSoftmaxHead:
@@ -600,6 +648,31 @@ class TestFusedSoftmaxHead:
         assert len(fused) == len(composed) == 3 + h_leaf
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in composed]
 
+    @pytest.mark.parametrize("h_leaf", [False, True], ids=["hconst", "hleaf"])
+    def test_packed_rows_give_each_video_its_own_head(self, h_leaf):
+        """Over packed rows (a 1-frame video among them) the values and the h
+        gradient are the stacked ones of each video alone, and w and b get
+        the videos' gradients summed left to right."""
+        rng = np.random.default_rng(75 + h_leaf)
+        rows = (9, 1, 30, 4)
+        hv, wv, bv = rng.normal(size=(44, 32)), rng.normal(size=(32, 19)), rng.normal(size=(1, 19))
+        g = rng.normal(size=(44, 19))
+
+        def run(h_value, g_value, rows):
+            tape = Tape()
+            h = tape.leaf(h_value) if h_leaf else tape.const(h_value)
+            w, b = tape.leaf(wv), tape.leaf(bv)
+            out = td.softmax_head(h, w, b, rows)
+            grads = tape.backward(td.total(td.mul(out, tape.const(g_value))))
+            return [out.value] + [grads[t] for t in (h, w, b) if t.needs_grad]
+
+        packed = run(hv, g, rows)
+        cuts = np.cumsum((0,) + rows)
+        alone = [run(hv[lo:hi], g[lo:hi], None) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        stacked = [np.concatenate(parts) for parts in zip(*[a[: 1 + h_leaf] for a in alone])]
+        summed = [functools.reduce(operator.add, parts) for parts in zip(*[a[1 + h_leaf :] for a in alone])]
+        assert [a.tobytes() for a in packed] == [a.tobytes() for a in stacked + summed]
+
     def test_one_node(self):
         tape = Tape()
         h = tape.leaf(np.ones((4, 3)))
@@ -611,6 +684,15 @@ class TestFusedSoftmaxHead:
 
         def f(tape, leaves):
             return td.mean(td.square(td.softmax_head(*leaves)))
+
+        pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        assert finite_diff_check(f, pt) < 1e-4
+
+    def test_packed_against_central_differences(self):
+        rng = np.random.default_rng(74)
+
+        def f(tape, leaves):
+            return td.mean(td.square(td.softmax_head(*leaves, rows=(2, 1, 3))))
 
         pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
         assert finite_diff_check(f, pt) < 1e-4

@@ -265,6 +265,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 1  # no subcommand is a usage error
 
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        pred, gt = tmp_path / "no_pred", tmp_path / "no_gt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyptas.cli", "eval", "--pred", str(pred), "--gt", str(gt)],
+            input="", capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert str(pred) in proc.stderr or str(gt) in proc.stderr
+
 
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("section,value", [
@@ -414,6 +423,20 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert code == 1, err
         assert str(split) in err
+
+    def test_video_listed_twice_in_a_split(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        split = copy / "splits" / "train.txt"
+        first = split.read_text().split()[0]
+        split.write_text(split.read_text() + first + "\n")
+        out = tmp_path / "m.htck"
+        code = run(["train", "--data", str(copy), "--out", str(out)] + TRAIN_SETS)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"{split}: video {first!r} is listed twice" in err
+        assert not out.exists()
 
     def test_video_wider_than_the_others(self, workspace, tmp_path, capsys):
         _, data, ckpt = workspace

@@ -383,3 +383,68 @@ class TestGradientInvariant:
             for name, f, leaves in all_surfaces(rng):
                 err = finite_diff_check(f, leaves)
                 assert err < 1e-4, f"{name} rel err {err:.3g} on trial {trial}"
+
+
+class TestPackedPhaseLoss:
+    """With `rows`, every term is reduced per stacked video, each video with
+    its own step and its own copy of the prototypes: every value and every
+    gradient is the one that video gets alone."""
+
+    ROWS = (5, 2, 7)
+    STEPS = [40, 700, 333]
+
+    def _run(self, phase, videos, proto_tan, steps):
+        """Total, components and the gradients of (embeddings, logits,
+        prototypes); `steps` is a list (packed, one per video) or an int."""
+        packed = isinstance(steps, list)
+        emb, logits, labels = (np.concatenate([v[i] for v in videos]) for i in (0, 2, 3))
+        rows = tuple(len(v[3]) for v in videos) if packed else None
+        tape = Tape()
+        e, lg = tape.leaf(emb), tape.leaf(logits)
+        p = tape.leaf(np.tile(proto_tan, (len(videos), 1)) if packed else proto_tan)
+        x, z = bo.exp_map_origin_rows(e, 1.0), bo.exp_map_origin_rows(p, 1.0)
+        ce = cross_entropy(td.softmax(lg), np.eye(4)[labels], rows)
+        total, components = phase_loss(phase, RunConfig(), ce, x, z, labels, steps, True, rows)
+        grads = tape.backward(td.total(total) if packed else total)
+        return total.value, components, [grads[leaf] for leaf in (e, lg, p)]
+
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_each_video_gets_the_bytes_it_gets_alone(self, phase):
+        rng = np.random.default_rng(31)
+        videos = [draw_safe_config(rng, frames=n) for n in self.ROWS]
+        proto_tan = videos[0][1]
+        total, components, grads = self._run(phase, videos, proto_tan, self.STEPS)
+        assert total.shape == (3,)
+        cuts = np.cumsum((0,) + self.ROWS)
+        for v, video in enumerate(videos):
+            alone_total, alone_components, alone_grads = self._run(
+                phase, [video], proto_tan, self.STEPS[v])
+            assert total[v].tobytes() == alone_total.tobytes()
+            assert {k: c[v] for k, c in components.items()} == alone_components
+            lo, hi = cuts[v], cuts[v + 1]
+            assert grads[0][lo:hi].tobytes() == alone_grads[0].tobytes()
+            assert grads[1][lo:hi].tobytes() == alone_grads[1].tobytes()
+            assert grads[2][4 * v : 4 * v + 4].tobytes() == alone_grads[2].tobytes()
+
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_packed_total_against_central_differences(self, phase):
+        rng = np.random.default_rng(32)
+        videos = [draw_safe_config(rng, frames=n) for n in self.ROWS]
+        labels = np.concatenate([v[3] for v in videos])
+
+        def f(tape, leaves):
+            e, lg, p = leaves
+            x, z = bo.exp_map_origin_rows(e, 1.0), bo.exp_map_origin_rows(p, 1.0)
+            ce = cross_entropy(td.softmax(lg), np.eye(4)[labels], self.ROWS)
+            total, _ = phase_loss(phase, RunConfig(), ce, x, z, labels, self.STEPS, True, self.ROWS)
+            return td.total(total)
+
+        point = [np.concatenate([v[0] for v in videos]), np.concatenate([v[2] for v in videos]),
+                 np.tile(videos[0][1], (3, 1))]
+        assert finite_diff_check(f, point) < 1e-4
+
+    def test_entailment_refuses_a_short_video_among_others(self):
+        tape = Tape()
+        x = const_ball(tape, np.full((4, 2), 0.1))
+        with pytest.raises(ShapeError, match="packs only videos of >= 2 frames"):
+            temporal_entailment(x, 0.1, (3, 1))

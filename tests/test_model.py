@@ -172,13 +172,14 @@ class TestMasking:
     def test_none_is_identity(self):
         tape = Tape()
         cond = tape.const(np.ones((12, 3)))
-        out = apply_masking(cond, "none", self.SEGMENTS, np.random.default_rng(0))
+        out = apply_masking(cond, None)
         assert out is cond
 
     def test_position_zeroes_everything(self):
         tape = Tape()
         cond = tape.const(np.ones((12, 3)))
-        out = apply_masking(cond, "position", self.SEGMENTS, np.random.default_rng(0))
+        keep = mask_vector("position", self.SEGMENTS, 12, np.random.default_rng(0))
+        out = apply_masking(cond, keep)
         assert np.array_equal(out.value, np.zeros((12, 3)))
 
     def test_boundary_windows(self):
@@ -206,7 +207,7 @@ class TestMasking:
         tape = Tape()
         cond = tape.const(np.ones((4, 2)))
         with caplog.at_level(logging.WARNING):
-            out = apply_masking(cond, "relation", [], np.random.default_rng(0))
+            out = apply_masking(cond, mask_vector("relation", [], 4, np.random.default_rng(0)))
         assert np.array_equal(out.value, np.ones((4, 2)))
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -226,7 +227,7 @@ class TestMasking:
         tape = Tape()
         bound = model.bind(tape, trainable=False)
         cond, _ = bound.encode(rng.normal(size=(12, 10)))
-        masked = apply_masking(cond, "position", self.SEGMENTS, rng)
+        masked = apply_masking(cond, mask_vector("position", self.SEGMENTS, 12, rng))
         y_t = tape.const(rng.normal(size=(12, 4)))
         emb, probs = bound.decode(y_t, masked, 3)
         assert np.array_equal(y_t.value, y_t.value)  # signal untouched by masking

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -8,8 +9,9 @@ import ball_oracles
 import hyptas.ballops as bo
 import hyptas.optim
 import hyptas.trainer
+import train_oracle
 from hyptas.autodiff import Tape
-from hyptas.data import RunConfig, SyntheticSpec, generate_synthetic
+from hyptas.data import Dataset, RunConfig, SyntheticSpec, VideoRecord, generate_synthetic
 from hyptas.diffusion import label_decode, sample
 from hyptas.errors import FormatError, ShapeError
 from hyptas.metrics import evaluate_videos
@@ -290,13 +292,21 @@ def _infer_rebinding_every_step(state, features, steps, seed):
     return label_decode(probs), probs, ball
 
 
+def packed_groups(dataset, config):
+    """Tapes per training run when every chunk packs into one group (each of
+    its videos has at least 2 frames, and it holds at most PACK_ROWS)."""
+    lengths = [video.labels.shape[0] for video in dataset.train]
+    assert min(lengths) >= 2 and max(lengths) * config.batch_size <= hyptas.trainer.PACK_ROWS
+    return config.epochs * math.ceil(len(lengths) / config.batch_size)
+
+
 class TestStepGraphLifetime:
     def test_step_graph_freed_without_the_cycle_collector(self, tiny_data, monkeypatch):
-        """Each training step's graph is freed by reference counting alone: by
-        the next step's backward, the previous step's loss node is gone, and
-        only the previous tape is still held (by the gradient dict's leaves).
-        A tape that kept its record after backward would keep every graph
-        alive here, since the cycle collector is off."""
+        """Each training group's graph is freed by reference counting alone:
+        by the next group's backward, the previous group's loss node is gone,
+        and only the previous tape is still held (by the gradient dict's
+        leaves). A tape that kept its record after backward would keep every
+        graph alive here, since the cycle collector is off."""
         tapes, outputs = [], []
         live_tapes, live_outputs = [], []
         backward = Tape.backward
@@ -317,7 +327,7 @@ class TestStepGraphLifetime:
             alive_after = sum(ref() is not None for ref in tapes + outputs)
         finally:
             gc.enable()
-        assert len(tapes) == config.epochs * len(tiny_data.train)
+        assert len(tapes) == packed_groups(tiny_data, config)
         assert max(live_outputs) == 0
         assert max(live_tapes) <= 1
         assert alive_after == 0
@@ -325,9 +335,9 @@ class TestStepGraphLifetime:
 
 class TestRecordedNodes:
     def test_training_steps_record_only_nodes_backward_visits(self, tiny_data, monkeypatch):
-        """Every node a training step records is a leaf or an op that needs a
-        gradient, in the stabilization (epoch 0) and guidance (epoch 1)
-        phases alike: constants, and ops over constants only, stay off the
+        """Every node a training group's tape records is a leaf or an op that
+        needs a gradient, in the stabilization (epoch 0) and guidance (epoch
+        1) phases alike: constants, and ops over constants only, stay off the
         tape."""
         config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
         backward, steps = Tape.backward, []
@@ -338,7 +348,7 @@ class TestRecordedNodes:
 
         monkeypatch.setattr(Tape, "backward", inspect)
         train(tiny_data, config)
-        assert len(steps) == config.epochs * len(tiny_data.train)
+        assert len(steps) == packed_groups(tiny_data, config)
         for nodes in steps:
             assert all(needs_grad for needs_grad, _ in nodes)
             assert any(is_leaf for _, is_leaf in nodes) and not all(is_leaf for _, is_leaf in nodes)
@@ -348,8 +358,8 @@ class TestSkippedGradients:
     def test_step_gradients_keep_the_bytes_of_computing_every_branch(self, tiny_data, monkeypatch):
         """Gradient rules skip operands that need no gradient. Making every
         constant a leaf runs every branch again, as all of them once ran; the
-        gradients of each training step's own leaves (parameters, prototypes)
-        must not change by a bit."""
+        gradients of each training group's own leaves (parameters, prototype
+        copies) must not change by a bit."""
         config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
         leaf, backward = Tape.leaf, Tape.backward
 
@@ -375,7 +385,7 @@ class TestSkippedGradients:
             return steps
 
         skipped = step_gradients(False)
-        assert len(skipped) == config.epochs * len(tiny_data.train)
+        assert len(skipped) == packed_groups(tiny_data, config)
         assert skipped == step_gradients(True)
 
 
@@ -431,22 +441,23 @@ class TestFlatParameterStore:
 class TestBatchAccumulation:
     def test_each_adam_step_takes_its_chunks_mean_gradient(self, tiny_data, monkeypatch):
         """Every Adam step gets the mean of its chunk's per-video weight
-        gradients in the flat layout, the short last chunk included."""
+        gradients in the flat layout, the short last chunk included; the
+        per-video gradients are those of one tape per video (the oracle)."""
         per_video, steps = [], []
-        backward, adam_step = Tape.backward, hyptas.optim.Adam.step
+        adam_step = hyptas.optim.Adam.step
 
-        def recording_backward(tape, loss):
-            grads = backward(tape, loss)
-            per_video.append({t.name: g.copy() for t, g in grads.items() if t.name})
-            return grads
+        def recording_video_step(*args):
+            params, proto_grad, total, components = train_oracle.video_step(*args)
+            per_video.append({name: g.copy() for name, g in params.items()})
+            return params, proto_grad, total, components
 
         def recording_step(opt, params, grad):
             steps.append(grad.copy())
             return adam_step(opt, params, grad)
 
-        monkeypatch.setattr(Tape, "backward", recording_backward)
-        monkeypatch.setattr(hyptas.optim.Adam, "step", recording_step)
         config = RunConfig(epochs=2, batch_size=3, seed=4, timesteps=50, infer_steps=2)
+        train_oracle.train(tiny_data, config, step=recording_video_step)
+        monkeypatch.setattr(hyptas.optim.Adam, "step", recording_step)
         state, _ = train(tiny_data, config)
         n = len(tiny_data.train)
         sizes = [min(3, n - start) for start in range(0, n, 3)] * config.epochs
@@ -537,3 +548,85 @@ class TestCheckpointRoundtrip:
         write_checkpoint(path, list(sections.items()))
         with pytest.raises(FormatError, match="shape"):
             load_checkpoint(path)
+
+
+def _mixed_lengths(dataset):
+    """The tiny data with train videos cut to 1, 2 and 7 frames, so that some
+    chunks pack and the ones holding the 1-frame video train per video."""
+    train = list(dataset.train)
+    for i, frames in ((0, 1), (3, 2), (5, 7)):
+        video = train[i]
+        train[i] = VideoRecord(video.id, video.features[:frames], video.labels[:frames])
+    return Dataset(train, dataset.test, dataset.class_names, dataset.feature_dim)
+
+
+ORACLE_CONFIGS = {
+    "default": {},
+    "single_phase": {"single_phase": True},
+    "ce_only": {"lambda_entail": 0.0, "lambda_margin": 0.0, "lambda_pp": 0.0, "lambda_gg": 0.0},
+    "no_aux_head": {"aux_head": False},
+}
+
+
+def _run_recorded(run, dataset, config, path, monkeypatch):
+    """Checkpoint bytes, log lines, and every optimizer step's gradient."""
+    steps = []
+    with monkeypatch.context() as m:
+        for cls in (hyptas.optim.Adam, hyptas.optim.RiemannianAdam):
+            def recording(opt, params, grad, step=cls.step, kind=cls.__name__):
+                steps.append((kind, grad.tobytes()))
+                return step(opt, params, grad)
+
+            m.setattr(cls, "step", recording)
+        state, log = run(dataset, config)
+    save_checkpoint(state, path)
+    return path.read_bytes(), log.format_lines(), steps
+
+
+class TestPackedTrainingOracle:
+    """`train` packs each chunk onto one tape; `train_oracle.train` runs one
+    tape per video. Checkpoints, log lines and the gradient of every Adam
+    and Riemannian Adam step must be byte-equal. Three epochs with e1 = 1
+    run both phases."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_packed_training_matches_one_tape_per_video(
+        self, tiny_data, tmp_path, monkeypatch, name, batch_size
+    ):
+        dataset = _mixed_lengths(tiny_data)
+        config = RunConfig(epochs=3, e1=1, seed=7, infer_steps=2, timesteps=50,
+                           batch_size=batch_size, **ORACLE_CONFIGS[name])
+        packed = _run_recorded(train, dataset, config, tmp_path / "packed.htck", monkeypatch)
+        oracle = _run_recorded(train_oracle.train, dataset, config, tmp_path / "oracle.htck",
+                               monkeypatch)
+        assert packed[0] == oracle[0]
+        assert packed[1] == oracle[1]
+        assert packed[2] == oracle[2]
+        kinds = {kind for kind, _ in packed[2]}
+        assert kinds == {"Adam", "RiemannianAdam"}
+
+    def test_chunks_over_pack_rows_train_per_video(self, tiny_data, tmp_path, monkeypatch):
+        """With PACK_ROWS at 100 frames, chunks of four tiny videos hold more
+        and train one tape per video, while the smaller chunks still pack."""
+        dataset = _mixed_lengths(tiny_data)
+        monkeypatch.setattr(hyptas.trainer, "PACK_ROWS", 100)
+        grouping, chunks = hyptas.trainer._groups, []
+
+        def recording_groups(chunk, lengths):
+            groups = grouping(chunk, lengths)
+            frames = [lengths[i] for i in chunk]
+            chunks.append((sum(frames), min(frames), [len(g) for g in groups]))
+            return groups
+
+        monkeypatch.setattr(hyptas.trainer, "_groups", recording_groups)
+        config = RunConfig(epochs=3, e1=1, seed=8, infer_steps=2, timesteps=50)
+        packed = _run_recorded(train, dataset, config, tmp_path / "packed.htck", monkeypatch)
+        oracle = _run_recorded(train_oracle.train, dataset, config, tmp_path / "oracle.htck",
+                               monkeypatch)
+        assert packed == oracle
+        assert any(frames > 100 and shortest >= 2 for frames, shortest, _ in chunks)
+        assert any(sizes == [4] for _, _, sizes in chunks)
+        for frames, shortest, sizes in chunks:
+            packs = frames <= 100 and shortest >= 2
+            assert sizes == ([4] if packs else [1] * 4)
