@@ -3,8 +3,8 @@
 A Tape records, in creation order (a topological order), exactly the nodes
 that `Tape.backward` visits: the leaves, and every op with at least one
 parent that needs a gradient. A constant, and an op over constants only, is
-a bare value tensor that is never recorded, so a pass with no leaves
-(inference, finite-difference probes) records nothing. `Tape.backward`
+a bare value tensor that is never recorded, so a pass with no leaves (the
+finite-difference probes, `ballops.evaluate`) records nothing. `Tape.backward`
 seeds the scalar output with 1 and walks the record once in reverse,
 accumulating gradients into every leaf. All values are numpy float64
 arrays; scalars are 0-d arrays.
@@ -31,10 +31,11 @@ order and replays its gradient arithmetic, so values and gradients keep the
 composition's bits; the compositions live in the test suite as oracles.
 
 Videos stacked in time pass their frame counts as `rows`. The layer ops
-keep every tap inside its video; recorded, they take each video's weight
-gradients over its own rows and sum them left to right, and `total` and
-`mean` reduce per video. A packed training step thus gives each video the
-bits of a tape of its own.
+keep every tap inside its video, run every matmul over each video's own
+rows, take each video's weight gradients over its own rows and sum them
+left to right, and `total` and `mean` reduce per video. A packed training
+step thus gives each video the bits of a tape of its own. Inference runs
+without a tape, in `model.ForwardRunner`.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -427,18 +428,14 @@ def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int] | None = N
     One op for the composition matmul -> row-bias add -> softmax, with its
     arithmetic: the same forward expressions, and a backward that hands the
     softmax gradient to b and through the matmul to h and w. `rows` gives
-    the frame counts of the videos stacked in h (None: one video). A
-    recorded head runs every matmul per video, as `_dilated_conv` does with
-    `per_video`, and w and b get the videos' own gradients summed left to
-    right; a forward-only head takes one matmul over all rows.
+    the frame counts of the videos stacked in h (None: one video). Every
+    matmul runs per video, as in `_dilated_conv`, and w and b get the
+    videos' own gradients summed left to right.
     """
     tape = _same_tape(h, w, b)
     hv, wv, bv = h.value, w.value, b.value
-    if h.needs_grad or w.needs_grad or b.needs_grad:
-        spans = _spans(rows, hv.shape[0])
-        z = _matmul_rows(hv, wv, spans)
-    else:
-        z = hv @ wv
+    spans = _spans(rows, hv.shape[0])
+    z = _matmul_rows(hv, wv, spans)
     if bv.shape != (1, z.shape[1]):
         raise ShapeError(f"softmax_head: bias {bv.shape} for logits {z.shape}")
     out = _softmax_rows(z + bv)
@@ -469,7 +466,7 @@ def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
     return index
 
 
-def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows, per_video: bool = False):
+def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout),
     and its backward `grads(g, need_x, need_w) -> (gx, gw)` (None where not needed).
 
@@ -483,12 +480,10 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows, per_video
     matmul per tap on row-slice views, tap by tap. A single im2col matmul
     would reorder the float sums and change the result bits.
 
-    The forward runs each tap's matmul over the whole buffer and gathers the
-    valid rows, or with `per_video` over each video's window: a row of a
+    Both passes run each tap's matmul over each video's window: a row of a
     BLAS matmul can change in its last bits with the matmul's row count, so
     only per-video matmuls give every video the bits of its own buffer. The
-    backward always works per video, and the kernel gradient is the videos'
-    own gradients summed left to right.
+    kernel gradient is the videos' own gradients summed left to right.
     """
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
@@ -497,7 +492,7 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows, per_video
     if sum(rows) != L or min(rows) < 1:
         raise ShapeError(f"conv_layer: row counts {rows} do not split {L} input rows")
     pad = (k // 2) * dilation
-    span = L + pad * (len(rows) - 1)  # output rows over the buffer, gaps included
+    span = L + pad * (len(rows) - 1)  # rows of the buffer between its outer pads
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
 
     def windows():
@@ -510,17 +505,10 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows, per_video
         xp[pad : pad + L] = xv
     else:
         xp[valid + pad] = xv
-    if per_video and valid is not None:
-        out = np.zeros((L, wv.shape[2]))
-        for o, lo, hi in windows():
-            for j, s in enumerate(starts):
-                out[lo:hi] += xp[o + s : o + s + hi - lo] @ wv[j]
-    else:
-        out = np.zeros((span, wv.shape[2]))
+    out = np.zeros((L, wv.shape[2]))
+    for o, lo, hi in windows():
         for j, s in enumerate(starts):
-            out += xp[s : s + span] @ wv[j]
-        if valid is not None:
-            out = out[valid]
+            out[lo:hi] += xp[o + s : o + s + hi - lo] @ wv[j]
 
     def grads(g, need_x, need_w):
         gx = gw = None
@@ -568,8 +556,7 @@ def conv_layer(
     """
     parents = (x, w, b) if step is None else (x, w, b) + tuple(step[1:])
     tape = _same_tape(*parents)
-    recorded = any(p.needs_grad for p in parents)
-    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows, per_video=recorded)
+    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows)
     bias_shape = (1, conv.shape[1])
     if b.value.shape != bias_shape:
         raise ShapeError(f"conv_layer: bias {b.value.shape} for output {conv.shape}")

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, OutputError, ShapeError
 
 FEATURE_MAGIC = b"HTFE"
 CHECKPOINT_MAGIC = b"HTCK"
@@ -212,19 +212,26 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write to a temp file of its own in the target directory, then rename
     into place; concurrent writers never share a temp file, and a failed write
-    leaves none behind."""
+    leaves none behind. An OS failure (the target is a directory, a parent is
+    a file, no permission, disk full) raises an OutputError naming the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates 0600; keep the usual mode
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise OutputError(f"{path}: cannot create directory {e.filename}: {e.strerror or e}") from e
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(payload)
+            os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates 0600; keep the usual mode
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OutputError(f"{path}: cannot write: {e.strerror or e}") from e
 
 
 def _umask() -> int:

@@ -34,6 +34,10 @@ class FormatError(HyptasError):
     """On-disk artifact is malformed; message names the path."""
 
 
+class OutputError(HyptasError):
+    """An output file could not be written; message names the path and the reason."""
+
+
 class ConfigError(HyptasError):
     """Config file failed to parse or holds an out-of-range value."""
 

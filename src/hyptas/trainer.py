@@ -51,7 +51,14 @@ from .diffusion import (
 from .errors import ConfigError, FormatError, GeometryError, NonFiniteLossError, ShapeError
 from .losses import PHASES, Prototypes, cross_entropy, phase_for_epoch, phase_loss
 from .metrics import evaluate_videos, segments_from_labels
-from .model import Denoiser, DenoiserConfig, apply_masking, mask_vector, sample_mask_kind
+from .model import (
+    Denoiser,
+    DenoiserConfig,
+    ForwardRunner,
+    apply_masking,
+    mask_vector,
+    sample_mask_kind,
+)
 from .optim import Adam, RiemannianAdam
 
 logger = logging.getLogger(__name__)
@@ -300,52 +307,37 @@ def infer_videos(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Unmasked condition, deterministic reverse pass, every video at once.
 
-    The videos are stacked in time on one tape that records nothing, since
-    the parameters are bound once as constants: all features are encoded
-    once, and every sampler step is one decode over all rows (the
-    convolutions get the row counts, so no video sees another). Video i
-    starts from the noise of `seeds[i]`, so each gets the bytes it would
-    get alone, except a 1-frame video: alone it goes through 1-row
-    matmuls, and its probabilities and embeddings may differ from its
-    packed ones by about 2e-16 (same labels). Returns per video (labels,
-    per-frame probabilities, ball embeddings from the final denoiser call).
+    The videos are stacked in time in one `ForwardRunner`, which runs the
+    denoiser without a tape: it encodes all features once, and every
+    sampler step is one decode over all rows (each convolution keeps every
+    tap inside its video). Video i starts from the noise of `seeds[i]`.
+    Returns per video (labels, per-frame probabilities, ball embeddings
+    from the final denoiser call).
+
+    A packed video's probabilities and ball coordinates agree with those it
+    gets alone within the 1e-12 the tests allow, but not always to the bit:
+    the runner takes each matmul over all rows, and a row of a BLAS matmul
+    can change in its last bits with the matmul's row count (with OpenBLAS,
+    when an output width is 1-3 mod 8, as a class count may be). So the last
+    bits of a video's `hyptas infer` or `export-embeddings` output can
+    depend on which other videos share its split.
     """
     steps = state.config.infer_steps if steps is None else steps
-    cfg = state.model.config
     videos = [np.asarray(f, dtype=np.float64) for f in features_list]
     seeds = list(seeds)
     if not videos or len(seeds) != len(videos):
         raise ShapeError(f"need one seed per video, got {len(seeds)} seeds for {len(videos)} videos")
-    for f in videos:
-        if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
-            raise ShapeError(
-                f"features {f.shape} do not match checkpoint feature_dim {cfg.feature_dim}"
-            )
-        if f.shape[0] == 0:
-            raise ShapeError("a video needs at least one frame")
-    rows = tuple(f.shape[0] for f in videos)
-    tape = Tape()
-    bound = state.model.bind(tape, trainable=False)
-    # One video needs no stacked copy (a 1000-frame one would be 256 KB).
-    stacked = videos[0] if len(videos) == 1 else np.concatenate(videos)
-    condition, _ = bound.encode(stacked, rows)
-    emb = None
-
-    def denoiser(y_t: np.ndarray, t: int) -> np.ndarray:
-        nonlocal emb
-        emb, probs = bound.decode(tape.const(y_t), condition, t, rows)
-        return probs.value
-
+    runner = ForwardRunner(state.model, videos)
     noise = np.concatenate([
-        np.random.default_rng(seed).standard_normal((n, cfg.classes))
-        for seed, n in zip(seeds, rows)
+        np.random.default_rng(seed).standard_normal((n, state.model.config.classes))
+        for seed, n in zip(seeds, runner.rows)
     ])
-    probs = sample(denoiser, steps, state.schedule, noise)
+    probs = sample(runner.decode, steps, state.schedule, noise)
     labels = label_decode(probs)
-    ball = bo.exp_map_origin_rows(emb, state.prototypes.curvature).value
+    ball = bo.evaluate(bo.exp_map_origin_rows, runner.embeddings, state.prototypes.curvature)
     return [
         (labels[end - n : end], probs[end - n : end], ball[end - n : end])
-        for n, end in zip(rows, itertools.accumulate(rows))
+        for n, end in zip(runner.rows, itertools.accumulate(runner.rows))
     ]
 
 

@@ -1,5 +1,6 @@
 """The denoiser layers composed from tape primitives: oracles for the fused
-`autodiff.conv_layer` and `autodiff.softmax_head`.
+`autodiff.conv_layer` and `autodiff.softmax_head`; and the forward-only
+arithmetic over stacked videos, the oracle for `model.ForwardRunner`.
 
 Each function builds its layer the way the model once did, node by node, so
 its value and gradients follow from the primitives' own rules. The fused
@@ -9,6 +10,11 @@ these oracles to the bit, in the value and in the gradient of every input.
 The tape primitives that only these compositions use live here too, with
 the gradient rules they had in `autodiff`: `matmul`, the row-bias `add_row`
 and `conv1d`, a tape op over the one convolution kernel in `autodiff`.
+
+`packed_forward_layer` and `packed_denoiser` keep the arithmetic that
+inference once ran on the tape: one matmul per tap over the zero-padded
+buffer of all the stacked videos, and one head matmul over all their rows.
+`model.ForwardRunner` runs it on buffers of its own and must give its bytes.
 """
 
 from __future__ import annotations
@@ -75,3 +81,52 @@ def softmax_head(h, w, b, rows=None):
     """softmax(h @ w + b), node by node, for one video."""
     assert rows is None or len(rows) == 1, "the composition pools the weight gradients"
     return td.softmax(add_row(matmul(h, w), b))
+
+
+def packed_forward_layer(xv, w, b, dilation, rows, step=None, residual=False):
+    """A denoiser layer's forward over the stacked videos of `rows`, with the
+    arithmetic the forward-only tape op had: each tap's matmul over the whole
+    zero-padded buffer of all the videos, the valid rows gathered, then
+    relu([x +] ((conv + b) [+ (e @ sw + sb)]))."""
+    k, length = w.shape[0], xv.shape[0]
+    pad = (k // 2) * dilation
+    span = length + pad * (len(rows) - 1)
+    valid = td._packed_rows(tuple(rows), pad)
+    xp = np.zeros((span + 2 * pad, xv.shape[1]))
+    xp[valid + pad] = xv
+    out = np.zeros((span, w.shape[2]))
+    for j in range(k):
+        out += xp[j * dilation : j * dilation + span] @ w[j]
+    z = out[valid] + b
+    if step is not None:
+        e, sw, sb = step
+        z = z + (e @ sw + sb)
+    if residual:
+        z = xv + z
+    return z * (z > 0.0)
+
+
+def packed_denoiser(model, videos):
+    """Encode the videos stacked in time with `packed_forward_layer`; returns
+    `decode(y_t, t) -> (embeddings, probabilities)` over all their rows, the
+    head one matmul over all of them."""
+    from hyptas.model import DILATIONS, STEP_DIM, sinusoidal_step_embedding
+
+    p, rows = model.params, tuple(v.shape[0] for v in videos)
+
+    def stack(name, h, e=None):
+        for i, dilation in enumerate(DILATIONS):
+            layer = f"{name}.in" if i == 0 else f"{name}.layer{i}"
+            step = None if e is None else (e, p[f"dec.step{i}.w"], p[f"dec.step{i}.b"])
+            h = packed_forward_layer(h, p[f"{layer}.w"], p[f"{layer}.b"], dilation, rows,
+                                     step, residual=i > 0)
+        return h
+
+    condition = stack("enc", np.concatenate(videos))
+
+    def decode(y_t, t):
+        h = stack("dec", np.concatenate([y_t, condition], axis=1),
+                  sinusoidal_step_embedding(t, STEP_DIM))
+        return h, td._softmax_rows(h @ p["dec.head.w"] + p["dec.head.b"])
+
+    return decode

@@ -476,3 +476,37 @@ class TestMalformedDataset:
         code = run(["eval", "--pred", str(data / "labels"), "--gt", str(gt)])
         err = capsys.readouterr().err
         assert code == 1 and str(broken) in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a validation error (exit 1)
+    naming the path that failed and the reason, not an internal error."""
+
+    @pytest.mark.parametrize("command,target,reason", [
+        ("train --out", "dir", "Is a directory"),
+        ("train --out", "file/m.htck", "File exists"),
+        ("train --log", "dir", "Is a directory"),
+        ("gen-data --out", "file", "File exists"),
+        ("gen-data --out", "file/sub", "Not a directory"),
+        ("infer --out", "file", "File exists"),
+        ("export-embeddings --out", "dir", "Is a directory"),
+    ])
+    def test_exit_one_naming_path(self, workspace, tmp_path, capsys, command, target, reason):
+        _, data, ckpt = workspace
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("keep")
+        name, flag = command.split()
+        args = {
+            "train": ["--data", str(data), "--out", str(tmp_path / "m.htck")] + TRAIN_SETS,
+            "gen-data": GEN_ARGS,
+            "infer": ["--ckpt", str(ckpt), "--data", str(data)],
+            "export-embeddings": ["--ckpt", str(ckpt), "--data", str(data)],
+        }[name]
+        if flag in args:
+            args = args[: args.index(flag)] + args[args.index(flag) + 2 :]
+        code = run([name, flag, str(tmp_path / target)] + args)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: {tmp_path / target}") and reason in err
+        assert (tmp_path / "file").read_text() == "keep"
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from hyptas.data import (
     write_labels,
     write_mapping,
 )
-from hyptas.errors import ConfigError, FormatError, ShapeError
+from hyptas.errors import ConfigError, FormatError, OutputError, ShapeError
 from hyptas.metrics import segments_from_labels
 
 
@@ -362,7 +363,7 @@ class TestAtomicWrite:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(OutputError, match=f"{re.escape(str(target))}: cannot write: disk full"):
             atomic_write_bytes(target, b"new")
         assert target.read_bytes() == b"old"
         assert sorted(tmp_path.iterdir()) == [target]

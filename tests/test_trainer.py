@@ -8,11 +8,13 @@ import pytest
 import ball_oracles
 import hyptas.ballops as bo
 import hyptas.optim
+import hyptas.model
 import hyptas.trainer
+import layer_oracles
 import train_oracle
 from hyptas.autodiff import Tape
 from hyptas.data import Dataset, RunConfig, SyntheticSpec, VideoRecord, generate_synthetic
-from hyptas.diffusion import label_decode, sample
+from hyptas.diffusion import label_decode, make_schedule, sample
 from hyptas.errors import FormatError, ShapeError
 from hyptas.metrics import evaluate_videos
 from hyptas.model import Denoiser, DenoiserConfig
@@ -246,18 +248,30 @@ class TestPackedInference:
         b = infer_video(other, video.features, 2, seed=1)
         assert a[2].tobytes() == b[2].tobytes()
 
-    def test_one_plain_tape_that_records_no_node(self, tiny_run, tiny_data, monkeypatch):
+    def test_no_tape_and_no_bind(self, tiny_run, tiny_data, monkeypatch):
+        """The denoiser runs without a tape: inference creates none and binds
+        no parameters (the ball map evaluates its op through `ballops`)."""
         state, _, _ = tiny_run
-        tapes = []
+        made = []
 
         class CountedTape(Tape):
             def __init__(self):
                 super().__init__()
-                tapes.append(self)
+                made.append(self)
 
-        monkeypatch.setattr(hyptas.trainer, "Tape", CountedTape)
-        infer_videos(state, [v.features for v in tiny_data.test], 4, [0, 1])
-        assert len(tapes) == 1 and tapes[0].nodes == []
+        for module in (hyptas.trainer, hyptas.model, hyptas.autodiff):
+            monkeypatch.setattr(module, "Tape", CountedTape)
+        monkeypatch.setattr(Denoiser, "bind", lambda *args, **kwargs: made.append("bind"))
+        packed = infer_videos(state, [v.features for v in tiny_data.test], 4, [0, 1])
+        assert len(packed) == 2 and made == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tiny_run, tiny_data, bad):
+        state, _, _ = tiny_run
+        features = [v.features.copy() for v in tiny_data.test]
+        features[1][3, 2] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            infer_videos(state, features, 2, [0, 1])
 
     @pytest.mark.parametrize("features,seeds", [
         ([], []),
@@ -290,6 +304,73 @@ def _infer_rebinding_every_step(state, features, steps, seed):
     probs = sample(denoiser, steps, state.schedule, noise)
     ball = bo.evaluate(bo.exp_map_origin_rows, last["emb"], state.config.curvature)
     return label_decode(probs), probs, ball
+
+
+def _infer_packed_oracle(state, videos, steps, seeds):
+    """Reference packed inference: `infer_videos` with the forward-only
+    arithmetic of `layer_oracles.packed_denoiser`."""
+    decode = layer_oracles.packed_denoiser(state.model, videos)
+    last = {}
+
+    def denoiser(y_t, t):
+        last["emb"], probs = decode(y_t, t)
+        return probs
+
+    rows = [v.shape[0] for v in videos]
+    noise = np.concatenate([
+        np.random.default_rng(seed).standard_normal((n, state.model.config.classes))
+        for seed, n in zip(seeds, rows)
+    ])
+    probs = sample(denoiser, steps, state.schedule, noise)
+    ball = bo.evaluate(bo.exp_map_origin_rows, last["emb"], state.prototypes.curvature)
+    cuts = np.cumsum(rows)[:-1]
+    return list(zip(*(np.split(a, cuts) for a in (label_decode(probs), probs, ball))))
+
+
+# A 1-frame video, and videos shorter than the widest pad (8, at dilation 8).
+ODD_ROWS = (3, 1, 7, 2, 5, 1, 6, 4)
+
+
+@pytest.fixture(scope="module")
+def odd_state():
+    """3 classes, embed_dim 11 and encoder_channels 9: output widths 1-3 mod 8,
+    where a matmul row's bits can depend on the row count. The weights are
+    drawn at random, with the biases spread so that relus die."""
+    config = RunConfig(timesteps=100, infer_steps=4, embed_dim=11, encoder_channels=9)
+    model = Denoiser(DenoiserConfig(feature_dim=5, classes=3, embed_dim=11, encoder_channels=9),
+                     seed=6)
+    rng = np.random.default_rng(6)
+    model.flat += rng.normal(scale=0.3, size=model.flat.shape)
+    state = TrainedState(model, init_prototypes(3, 11, 1.0, seed=7), make_schedule(100), config)
+    return state, [rng.normal(size=(n, 5)) for n in ODD_ROWS]
+
+
+class TestForwardRunner:
+    """`infer_videos` runs the denoiser in a `model.ForwardRunner`, with the
+    bytes of the tape ops for one video and of the forward-only arithmetic
+    over the stacked videos of a split: labels, probabilities and ball
+    coordinates."""
+
+    @pytest.mark.parametrize("steps", [4, 1])
+    def test_one_video_matches_a_tape_bound_per_step(self, odd_state, steps):
+        state, videos = odd_state
+        for i, features in enumerate(videos):
+            got = infer_video(state, features, steps, seed=i)
+            want = _infer_rebinding_every_step(state, features, steps, seed=i)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("steps", [4, 1])
+    def test_packed_matches_the_forward_only_oracle(self, odd_state, steps):
+        state, videos = odd_state
+        seeds = [13 * i + 2 for i in range(len(videos))]
+        got = infer_videos(state, videos, steps, seeds)
+        want = _infer_packed_oracle(state, videos, steps, seeds)
+        assert len(got) == len(want) == len(videos)
+        for g, w in zip(got, want):
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+        # relu keeps -0.0 for a negative input, and the ball map keeps its sign
+        ball = np.concatenate([w[2] for w in want])
+        assert np.any((ball == 0.0) & np.signbit(ball)) and np.any(ball > 0.0)
 
 
 def packed_groups(dataset, config):
