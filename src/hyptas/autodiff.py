@@ -30,12 +30,14 @@ here. A fused op computes the composition's numpy expressions in the same
 order and replays its gradient arithmetic, so values and gradients keep the
 composition's bits; the compositions live in the test suite as oracles.
 
-Videos stacked in time pass their frame counts as `rows`. The layer ops
-keep every tap inside its video, run every matmul over each video's own
-rows, take each video's weight gradients over its own rows and sum them
-left to right, and `total` and `mean` reduce per video. A packed training
-step thus gives each video the bits of a tape of its own. Inference runs
-without a tape, in `model.ForwardRunner`.
+Training stacks its videos in time, and the layer ops, `sums` and `mean`
+take their frame counts as `rows` (a lone video is rows = (L,)). The layer
+ops keep every tap inside its video, run every matmul over each video's
+own rows, take each video's weight gradients over its own rows and sum
+them left to right, and `sums` and `mean` reduce per video. A packed
+training step thus gives each video the bits of a tape of its own; `total`
+sums the per-video losses into the 0-d root that `Tape.backward` seeds.
+Inference runs without a tape, in `model.ForwardRunner`.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients.
@@ -278,11 +280,8 @@ def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
 # Reductions and row-wise structure
 # ---------------------------------------------------------------------------
 
-def _spans(rows: Sequence[int] | None, length: int) -> list[tuple[int, int]]:
-    """(start, stop) of each video's rows among `length` stacked rows; None is
-    one video of all of them."""
-    if rows is None:
-        return [(0, length)]
+def _spans(rows: Sequence[int], length: int) -> list[tuple[int, int]]:
+    """(start, stop) of each video's rows among `length` stacked rows."""
     if sum(rows) != length or min(rows) < 1:
         raise ShapeError(f"row counts {tuple(rows)} do not split {length} rows")
     stops = list(itertools.accumulate(rows))
@@ -295,28 +294,23 @@ def _in_order(parts: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(operator.add, parts)
 
 
-def total(a: Tensor, rows: Sequence[int] | None = None) -> Tensor:
-    """Sum of every entry (0-d); with `rows`, the sum over each video's rows -> (V,)."""
-    if rows is None:
-        shape = a.value.shape
+def total(a: Tensor) -> Tensor:
+    """Sum of every entry (0-d), such as the root that `Tape.backward` seeds."""
+    shape = a.value.shape
 
-        def push(g):
-            _accumulate(a, np.full(shape, float(g)))
+    def push(g):
+        _accumulate(a, np.full(shape, float(g)))
 
-        return a.tape._register(np.sum(a.value).reshape(()), (a,), push)
+    return a.tape._register(np.sum(a.value).reshape(()), (a,), push)
+
+
+def sums(a: Tensor, rows: Sequence[int]) -> Tensor:
+    """The sum over each video's rows -> (V,)."""
     return _video_reduce(a, rows, mean=False)
 
 
-def mean(a: Tensor, rows: Sequence[int] | None = None) -> Tensor:
-    """Mean of every entry (0-d); with `rows`, the mean over each video's rows -> (V,)."""
-    if rows is None:
-        shape = a.value.shape
-        n = a.value.size
-
-        def push(g):
-            _accumulate(a, np.full(shape, float(g) / n))
-
-        return a.tape._register(np.mean(a.value).reshape(()), (a,), push)
+def mean(a: Tensor, rows: Sequence[int]) -> Tensor:
+    """The mean over each video's rows -> (V,)."""
     return _video_reduce(a, rows, mean=True)
 
 
@@ -422,15 +416,15 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
     return np.concatenate([a[lo:hi] @ b for lo, hi in spans])
 
 
-def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int] | None = None) -> Tensor:
+def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int]) -> Tensor:
     """Class probabilities softmax(h @ w + b) of h (L, d), w (d, C), b (1, C).
 
     One op for the composition matmul -> row-bias add -> softmax, with its
     arithmetic: the same forward expressions, and a backward that hands the
     softmax gradient to b and through the matmul to h and w. `rows` gives
-    the frame counts of the videos stacked in h (None: one video). Every
-    matmul runs per video, as in `_dilated_conv`, and w and b get the
-    videos' own gradients summed left to right.
+    the frame counts of the videos stacked in h. Every matmul runs per
+    video, as in `_dilated_conv`, and w and b get the videos' own gradients
+    summed left to right.
     """
     tape = _same_tape(h, w, b)
     hv, wv, bv = h.value, w.value, b.value
@@ -472,13 +466,13 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
 
     Tap j reads frames offset by (j - k//2) * dilation; out-of-range frames
     contribute zero. `rows` gives the frame counts of the videos stacked in
-    x (None: one video of L frames), and no tap reads across a video
-    boundary. Both passes work on one zero-padded buffer that holds every
-    video with pad = (k//2) * dilation zero rows on each side (pad rows
-    between neighbours, since a tap reaches at most pad rows past a video's
-    edge), so each video's padded frames are one window of it, and sum one
-    matmul per tap on row-slice views, tap by tap. A single im2col matmul
-    would reorder the float sums and change the result bits.
+    x, and no tap reads across a video boundary. Both passes work on one
+    zero-padded buffer that holds every video with pad = (k//2) * dilation
+    zero rows on each side (pad rows between neighbours, since a tap reaches
+    at most pad rows past a video's edge), so each video's padded frames are
+    one window of it, and sum one matmul per tap on row-slice views, tap by
+    tap. A single im2col matmul would reorder the float sums and change the
+    result bits.
 
     Both passes run each tap's matmul over each video's window: a row of a
     BLAS matmul can change in its last bits with the matmul's row count, so
@@ -488,16 +482,12 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
     k, L = wv.shape[0], xv.shape[0]
-    rows = (L,) if rows is None else tuple(rows)
-    if sum(rows) != L or min(rows) < 1:
-        raise ShapeError(f"conv_layer: row counts {rows} do not split {L} input rows")
+    rows = tuple(rows)
     pad = (k // 2) * dilation
+    # (o, lo, hi) per video: its rows lo:hi of x sit at buffer rows o + pad on
+    windows = [(lo + pad * i, lo, hi) for i, (lo, hi) in enumerate(_spans(rows, L))]
     span = L + pad * (len(rows) - 1)  # rows of the buffer between its outer pads
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
-
-    def windows():
-        """(o, lo, hi) per video: its rows lo:hi of x sit at buffer rows o + pad on."""
-        return [(lo + pad * i, lo, hi) for i, (lo, hi) in enumerate(_spans(rows, L))]
 
     xp = np.zeros((span + 2 * pad, xv.shape[1]))
     valid = _packed_rows(rows, pad) if len(rows) > 1 else None
@@ -506,7 +496,7 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     else:
         xp[valid + pad] = xv
     out = np.zeros((L, wv.shape[2]))
-    for o, lo, hi in windows():
+    for o, lo, hi in windows:
         for j, s in enumerate(starts):
             out[lo:hi] += xp[o + s : o + s + hi - lo] @ wv[j]
 
@@ -514,7 +504,7 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
         gx = gw = None
         if need_x:
             gp = np.zeros_like(xp)
-            for o, lo, hi in windows():
+            for o, lo, hi in windows:
                 for j, s in enumerate(starts):
                     gp[o + s : o + s + hi - lo] += g[lo:hi] @ wv[j].T
             gx = gp[pad : pad + L] if valid is None else gp[valid + pad]
@@ -525,7 +515,7 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
                     gw[j] = xp[o + s : o + s + hi - lo].T @ g[lo:hi]
                 return gw
 
-            gw = _in_order([video_gw(*window) for window in windows()])
+            gw = _in_order([video_gw(*window) for window in windows])
         return gx, gw
 
     return out, grads
@@ -536,19 +526,19 @@ def conv_layer(
     w: Tensor,
     b: Tensor,
     dilation: int,
-    rows: Sequence[int] | None = None,
-    step: tuple[np.ndarray | Sequence[np.ndarray], Tensor, Tensor] | None = None,
+    rows: Sequence[int],
+    step: tuple[Sequence[np.ndarray], Tensor, Tensor] | None = None,
     residual: bool = False,
 ) -> Tensor:
     """One dilated temporal-convolution layer as one op:
     relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])).
 
     x (L, Cin), w (k, Cin, Cout), b (1, Cout); `rows` as in `_dilated_conv`.
-    `step = (e, sw, sb)` adds the projection of a fixed (1, E) array by the
-    (E, Cout) weight sw and (1, Cout) bias sb to every row; `e` may instead
-    be a list of (1, E) arrays, one per video, each projected on its own
-    (a 1-row matmul) and added to its video's rows. `residual` adds the
-    input. The backward replays the composition's gradient arithmetic: the
+    `step = (e, sw, sb)` adds a step projection: `e` is a list of fixed
+    (1, E) arrays, one per video, each projected on its own by the (E, Cout)
+    weight sw and (1, Cout) bias sb (a 1-row matmul) and added to its
+    video's rows. `residual` adds the input. The backward replays the
+    composition's gradient arithmetic: the
     residual's gradient reaches x before the convolution's, each bias gets
     the column sum of the relu's gradient, and sw gets e.T times it. Every
     weight gradient is taken per video over its own rows and the videos'
@@ -565,13 +555,9 @@ def conv_layer(
         e, sw, sb = step
         if sb.value.shape != bias_shape:
             raise ShapeError(f"conv_layer: step bias {sb.value.shape} for output {conv.shape}")
-        if isinstance(e, np.ndarray):
-            z = z + (e @ sw.value + sb.value)
-        else:
-            counts = (conv.shape[0],) if rows is None else tuple(rows)
-            if len(e) != len(counts):
-                raise ShapeError(f"conv_layer: {len(e)} step embeddings for {len(counts)} videos")
-            z = z + np.repeat(np.concatenate([ev @ sw.value + sb.value for ev in e]), counts, axis=0)
+        if len(e) != len(rows):
+            raise ShapeError(f"conv_layer: {len(e)} step embeddings for {len(rows)} videos")
+        z = z + np.repeat(np.concatenate([ev @ sw.value + sb.value for ev in e]), rows, axis=0)
     if residual:
         if x.value.shape != z.shape:
             raise ShapeError(f"conv_layer: residual input {x.value.shape} for output {z.shape}")
@@ -586,8 +572,7 @@ def conv_layer(
         gsum = _in_order(gsums)
         if step is not None:
             if sw.needs_grad:
-                es = [e] * len(gsums) if isinstance(e, np.ndarray) else e
-                _accumulate(sw, _in_order([ev.T @ gv for ev, gv in zip(es, gsums)]))
+                _accumulate(sw, _in_order([ev.T @ gv for ev, gv in zip(e, gsums)]))
             _accumulate(sb, gsum)
         _accumulate(b, gsum)
         gx, gw = conv_grads(g, x.needs_grad, w.needs_grad)

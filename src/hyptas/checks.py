@@ -131,8 +131,10 @@ def _composite_surfaces(rng):
             e, p, lg = leaves
             ball_t = bo.exp_map_origin_rows(e, 1.0)
             protos_t = bo.exp_map_origin_rows(p, 1.0)
-            ce = cross_entropy(td.softmax(lg), y)
-            return phase_loss(phase, config, ce, ball_t, protos_t, labels, 300, frozen=True)[0]
+            rows = (frames,)
+            ce = cross_entropy(td.softmax(lg), y, rows)
+            total, _ = phase_loss(phase, config, ce, ball_t, protos_t, labels, [300], True, rows)
+            return td.total(total)
 
         return f
 

@@ -23,6 +23,7 @@ from .data import (
     feature_path,
     generate_synthetic,
     parse_override,
+    prepare_output,
     read_config,
     read_dataset,
     read_utf8,
@@ -142,9 +143,11 @@ def _cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     if not dataset.train:
         raise FormatError(f"{split_path(args.data, 'train')}: holds no videos")
+    log_path = args.log or (args.out + ".log")
+    for path in (args.out, log_path):  # before training, which the writes follow
+        prepare_output(path)
     state, log = train(dataset, config)
     save_checkpoint(state, args.out)
-    log_path = args.log or (args.out + ".log")
     atomic_write_bytes(Path(log_path), ("\n".join(log.format_lines()) + "\n").encode("utf-8"))
     final = log.records[-1]
     print(f"checkpoint -> {args.out}")

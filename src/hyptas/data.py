@@ -27,6 +27,7 @@ features are the class mean plus temporally smoothed Gaussian noise.
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import struct
@@ -209,16 +210,25 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # Atomic write helper
 # ---------------------------------------------------------------------------
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write to a temp file of its own in the target directory, then rename
-    into place; concurrent writers never share a temp file, and a failed write
-    leaves none behind. An OS failure (the target is a directory, a parent is
-    a file, no permission, disk full) raises an OutputError naming the path."""
+def prepare_output(path) -> Path:
+    """Create the parent directories of an output file and refuse a target
+    that is a directory, with an OutputError naming the path."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise OutputError(f"{path}: cannot create directory {e.filename}: {e.strerror or e}") from e
+    if path.is_dir():
+        raise OutputError(f"{path}: cannot write: {os.strerror(errno.EISDIR)}")
+    return path
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write to a temp file of its own in the target directory, then rename
+    into place; concurrent writers never share a temp file, and a failed write
+    leaves none behind. An OS failure (the target is a directory, a parent is
+    a file, no permission, disk full) raises an OutputError naming the path."""
+    path = prepare_output(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:

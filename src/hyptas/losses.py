@@ -1,11 +1,15 @@
 """Training objectives on the differentiation tape.
 
-Five loss terms and one phase table. Every term takes tape tensors and
-returns a scalar tensor, so gradients reach whatever was bound as a leaf:
-the Euclidean pre-projection embeddings, the class-probability rows, and the
-prototype coordinates (while trainable). `PHASES` says which terms each
-training phase adds to cross-entropy and whether the prototypes train;
-`phase_loss` builds that weighted total with the weights of a `RunConfig`.
+Five loss terms and one phase table. Every term takes tape tensors of
+videos stacked in time, with the frame counts `rows` of the videos ((L,)
+for one video), and returns one value per video, a (V,) tensor, each entry
+what the video alone would give. Gradients reach whatever was bound as a
+leaf: the Euclidean pre-projection embeddings, the class-probability rows,
+and the prototype coordinates (while trainable); `autodiff.total` sums the
+values into the scalar that `Tape.backward` needs. `PHASES` says which
+terms each training phase adds to cross-entropy and whether the prototypes
+train; `phase_loss` builds that weighted total with the weights of a
+`RunConfig`.
 
 Ball inputs (`x`, `z`) are (L, d) rows already inside the ball of curvature
 `c` (use `ballops.exp_map_origin_rows` to get there). The ball terms call
@@ -78,89 +82,81 @@ class Prototypes:
         return float(np.min(pairs))
 
 
-def cross_entropy(p: Tensor, y_onehot: np.ndarray, rows: Sequence[int] | None = None) -> Tensor:
-    """Mean negative log-likelihood normalized by L * C (not by L alone);
-    with `rows`, one value per stacked video, normalized by its own L * C."""
+def cross_entropy(p: Tensor, y_onehot: np.ndarray, rows: Sequence[int]) -> Tensor:
+    """Mean negative log-likelihood per video, normalized by its L * C (not
+    by L alone)."""
     y = np.asarray(y_onehot, dtype=np.float64)
     if p.value.shape != y.shape:
         raise ShapeError(f"probabilities {p.value.shape} vs targets {y.shape}")
     logp = td.log(td.clamp(p, lo=PROB_FLOOR))
     picked = td.mul(logp, p.tape.const(y))
-    if rows is None:
-        return td.mul(td.total(picked), -1.0 / y.size)
-    return td.mul(td.total(picked, rows), -1.0 / (np.asarray(rows) * y.shape[1]))
+    return td.mul(td.sums(picked, rows), -1.0 / (np.asarray(rows) * y.shape[1]))
 
 
-def temporal_entailment(x: Tensor, cone_k: float, rows: Sequence[int] | None = None) -> Tensor:
+def temporal_entailment(x: Tensor, cone_k: float, rows: Sequence[int]) -> Tensor:
     """Mean hinge over consecutive frames of (exterior angle - aperture).
 
-    Zero when every frame lies within its predecessor's cone. With `rows`,
-    one mean per stacked video over its own frame pairs, so no pair crosses
-    a video boundary. A sequence shorter than two frames contributes zero
-    (logged, not fatal); packed with other videos it is refused.
+    Zero when every frame lies within its predecessor's cone. One mean per
+    video over its own frame pairs, so no pair crosses a video boundary. A
+    lone video shorter than two frames contributes zero (logged, not
+    fatal); packed with other videos it is refused.
     """
-    lengths = (x.value.shape[0],) if rows is None else tuple(rows)
-    if min(lengths) < 2:
-        if len(lengths) > 1:
-            raise ShapeError(f"temporal entailment packs only videos of >= 2 frames, got {lengths}")
-        logger.warning("temporal entailment needs >= 2 frames, got %d; returning 0", lengths[0])
-        return x.tape.const(np.zeros(() if rows is None else (1,)))
-    stops = itertools.accumulate(lengths)
-    first = np.concatenate([np.arange(stop - n, stop - 1) for n, stop in zip(lengths, stops)])
+    if min(rows) < 2:
+        if len(rows) > 1:
+            raise ShapeError(f"temporal entailment packs only videos of >= 2 frames, got {rows}")
+        logger.warning("temporal entailment needs >= 2 frames, got %d; returning 0", rows[0])
+        return x.tape.const(np.zeros((1,)))
+    stops = itertools.accumulate(rows)
+    first = np.concatenate([np.arange(stop - n, stop - 1) for n, stop in zip(rows, stops)])
     head = td.pick_rows(x, first)
     tail = td.pick_rows(x, first + 1)
     theta = bo.exterior_angle_rows(head, tail)
     alpha = bo.aperture_rows(head, cone_k)
     hinge = td.relu(theta - alpha)
-    return td.mean(hinge) if rows is None else td.mean(hinge, [n - 1 for n in lengths])
+    return td.mean(hinge, [n - 1 for n in rows])
 
 
-def prototype_margin(z: Tensor, margin: float, c: float, videos: int | None = None) -> Tensor:
+def prototype_margin(z: Tensor, margin: float, c: float, videos: int) -> Tensor:
     """Pairwise repulsion: mean over ordered pairs of max(0, m - d(z_i, z_j)).
 
     The printed normalization is 1/(C(C-1)) over the C(C-1)/2 unordered
-    pairs, i.e. two coincident prototypes cost m/2. With `videos`, z stacks
-    that many per-video copies of the C prototypes, and each copy gets its
-    own value (pairs stay inside a copy).
+    pairs, i.e. two coincident prototypes cost m/2. z stacks `videos`
+    per-video copies of the C prototypes, and each copy gets its own value
+    (pairs stay inside a copy).
     """
-    copies = 1 if videos is None else videos
-    count = z.value.shape[0] // copies
+    count = z.value.shape[0] // videos
     if count < 2:
         raise ShapeError("margin loss needs at least two prototypes")
     i, j = np.triu_indices(count, k=1)
-    if videos is not None:
-        offsets = np.repeat(np.arange(videos) * count, i.size)
-        i, j = np.tile(i, videos) + offsets, np.tile(j, videos) + offsets
+    pairs = i.size
+    offsets = np.repeat(np.arange(videos) * count, pairs)
+    i, j = np.tile(i, videos) + offsets, np.tile(j, videos) + offsets
     zi = td.gather_rows(z, i)
     zj = td.gather_rows(z, j)
     hinge = td.relu(td.mul(bo.distance_rows(zi, zj, c), -1.0) + margin)
-    sums = td.total(hinge) if videos is None else td.total(hinge, [i.size // videos] * videos)
-    return td.mul(sums, 1.0 / (count * (count - 1)))
+    return td.mul(td.sums(hinge, [pairs] * videos), 1.0 / (count * (count - 1)))
 
 
 def push_pull(
     x: Tensor,
     z_assigned: Tensor,
-    t: int | Sequence[int],
+    t: Sequence[int],
     total_steps: int,
     decay: str,
     c: float,
-    rows: Sequence[int] | None = None,
+    rows: Sequence[int],
 ) -> Tensor:
     """Pull toward the assigned prototype, push away from the origin.
 
-    Mean over frames of d(x, z)/max(d(O, x), RADIUS_FLOOR) minus
-    d(O, x) * decay(t / T); the push term rewards radius, so the value may
-    be negative. With `rows`, `t` holds each stacked video's step, and each
-    video gets its own mean.
+    Mean over each video's frames of d(x, z)/max(d(O, x), RADIUS_FLOOR)
+    minus d(O, x) * decay(t / T), with `t` holding each video's step; the
+    push term rewards radius, so the value may be negative.
     """
     if x.value.shape != z_assigned.value.shape:
         raise ShapeError(f"embeddings {x.value.shape} vs prototypes {z_assigned.value.shape}")
     pull = bo.distance_rows(x, z_assigned, c)
     radius = bo.origin_distance_rows(x, c)
     ratio = td.div(pull, td.clamp(radius, lo=RADIUS_FLOOR))
-    if rows is None:
-        return td.mean(ratio - td.mul(radius, decay_factor(decay, t / total_steps)))
     factors = [decay_factor(decay, tv / total_steps) for tv in t]
     return td.mean(ratio - td.mul(radius, np.repeat(factors, rows)[:, None]), rows)
 
@@ -170,15 +166,15 @@ def geodesic_guidance(
     z_assigned: Tensor,
     c: float,
     frozen: bool,
+    rows: Sequence[int],
     allow_unfrozen: bool = False,
-    rows: Sequence[int] | None = None,
 ) -> Tensor:
-    """Mean squared defect of d(O, z) = d(O, x) + d(x, z).
+    """Mean squared defect of d(O, z) = d(O, x) + d(x, z), one per video.
 
     Exactly zero when every embedding sits on the radial geodesic from the
     origin to its prototype. Prototypes must be frozen; `allow_unfrozen`
     exists only for the single-phase ablation where they are deliberately
-    dynamic targets. With `rows`, one mean per stacked video.
+    dynamic targets.
     """
     if not frozen and not allow_unfrozen:
         raise ContractViolation("geodesic guidance requires frozen prototypes")
@@ -218,30 +214,25 @@ def phase_loss(
     x: Tensor,
     z: Tensor,
     labels: np.ndarray,
-    t: int | Sequence[int],
+    t: Sequence[int],
     frozen: bool,
-    rows: Sequence[int] | None = None,
+    rows: Sequence[int],
 ) -> tuple[Tensor, dict]:
     """ce * lambda_ce plus term * lambda_term for each term of the phase whose
     lambda is > 0; a term with lambda = 0 is not computed.
 
-    `x` are the frame embeddings in the ball, `z` the prototypes, `labels`
-    the frame classes and `t` the diffusion step. `frozen` says whether the
-    prototypes are frozen: geodesic guidance refuses unfrozen ones unless
-    the phase trains them (the single-phase ablation). Returns the total
-    and the value of every computed term, cross-entropy included, as floats.
-
-    With `rows`, x and labels stack videos of those frame counts, `ce` holds
-    one value per video, `t` one step per video, and z one copy of the
-    prototypes per video (each video's own leaf, so each gets its own
-    gradient). Every term is then reduced per video, and the total and the
-    components are (V,) arrays, each entry what the video alone would give.
+    `x` are the frame embeddings in the ball and `labels` the frame classes,
+    both stacking videos of `rows` frames; `ce` holds one value per video,
+    `t` one diffusion step per video, and `z` one copy of the prototypes
+    per video (each video's own leaf, so each gets its own gradient).
+    `frozen` says whether the prototypes are frozen: geodesic guidance
+    refuses unfrozen ones unless the phase trains them (the single-phase
+    ablation). Every term is reduced per video. Returns the (V,) total and
+    the (V,) value array of every computed term, cross-entropy included.
     """
     rule, c = PHASES[phase], config.curvature
-    videos = None if rows is None else len(rows)
-    index = labels
-    if rows is not None:
-        index = labels + z.value.shape[0] // videos * np.repeat(np.arange(videos), rows)
+    videos = len(rows)
+    index = labels + z.value.shape[0] // videos * np.repeat(np.arange(videos), rows)
 
     def term(name: str) -> Tensor:
         if name == "entail":
@@ -251,19 +242,14 @@ def phase_loss(
         assigned = td.gather_rows(z, index)
         if name == "pp":
             return push_pull(x, assigned, t, config.timesteps, config.decay, c, rows)
-        return geodesic_guidance(
-            x, assigned, c, frozen, allow_unfrozen=rule.trains_prototypes, rows=rows
-        )
+        return geodesic_guidance(x, assigned, c, frozen, rows, rule.trains_prototypes)
 
-    def read(value: Tensor):
-        return float(value.value) if rows is None else value.value
-
-    components = {"ce": read(ce)}
+    components = {"ce": ce.value}
     total = td.mul(ce, config.lambda_ce)
     for name in rule.terms:
         weight = getattr(config, f"lambda_{name}")
         if weight > 0:
             value = term(name)
-            components[name] = read(value)
+            components[name] = value.value
             total = total + td.mul(value, weight)
     return total, components

@@ -9,11 +9,13 @@ Both stacks use the fixed MS-TCN layout (Farha & Gall, CVPR 2019): kernel
 vary, so a `DenoiserConfig` holds the input, output and hidden widths alone.
 In training, each layer (convolution, bias, step projection, residual,
 relu) is one `autodiff.conv_layer` tape op and each classification head one
-`autodiff.softmax_head`, so a trainable encode + decode records 11 nodes,
-however many videos it stacks, each decoded at its own step. Inference
-runs the same arithmetic without a tape: a `ForwardRunner` owns padded
-numpy buffers for one set of videos, encodes them once and decodes all of
-them at one step per sampler step.
+`autodiff.softmax_head`. A training pass stacks its videos in time (a lone
+video is a stack of one) and passes their frame counts `rows` and one step
+per video, so a trainable encode + decode records 11 nodes, however many
+videos it stacks, each decoded at its own step. Inference runs the same
+arithmetic without a tape: a `ForwardRunner` owns padded numpy buffers for
+one set of videos, encodes them once and decodes all of them at one step
+per sampler step.
 
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
@@ -132,7 +134,7 @@ class Denoiser:
 
 class BoundDenoiser:
     """Forward passes over bound parameters. Every pass takes the frame
-    counts `rows` of the videos stacked in its inputs (default: one video);
+    counts `rows` of the videos stacked in its inputs ((L,) for one video);
     every layer is row-local except the convolution inside each
     `conv_layer`, which gets `rows` so that no tap reads across a video
     boundary."""
@@ -149,7 +151,7 @@ class BoundDenoiser:
             step=step, residual=i > 0,
         )
 
-    def encode(self, features: np.ndarray, rows=None) -> tuple[Tensor, Tensor]:
+    def encode(self, features: np.ndarray, rows: Sequence[int]) -> tuple[Tensor, Tensor]:
         """Features (L, D) -> (condition (L, channels), encoder probabilities (L, C))."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.feature_dim:
@@ -165,13 +167,13 @@ class BoundDenoiser:
         return h, p_enc
 
     def decode(
-        self, y_t: Tensor, condition: Tensor, t: int | Sequence[int], rows=None
+        self, y_t: Tensor, condition: Tensor, t: Sequence[int], rows: Sequence[int]
     ) -> tuple[Tensor, Tensor]:
-        """(noisy signal (L, C), condition (L, channels), step) -> (embeddings, probabilities).
+        """(noisy signal (L, C), condition (L, channels), steps) -> (embeddings, probabilities).
 
-        `t` is one step for every row, or one step per video of `rows`
-        (training, where each video draws its own). The returned embeddings
-        are the final layer's output before the classification head.
+        `t` holds one step per video of `rows`: in training each video
+        draws its own. The returned embeddings are the final layer's output
+        before the classification head.
         """
         if y_t.value.shape[0] != condition.value.shape[0]:
             raise ShapeError(
@@ -179,10 +181,7 @@ class BoundDenoiser:
             )
         if y_t.value.shape[1] != self.config.classes:
             raise ShapeError(f"signal {y_t.value.shape} does not match classes {self.config.classes}")
-        if isinstance(t, (int, np.integer)):
-            e = sinusoidal_step_embedding(t, STEP_DIM)
-        else:
-            e = [sinusoidal_step_embedding(int(tv), STEP_DIM) for tv in t]
+        e = [sinusoidal_step_embedding(int(tv), STEP_DIM) for tv in t]
         h = td.concat_cols(y_t, condition)
         for i in range(len(DILATIONS)):
             step = (e, self.bound[f"dec.step{i}.w"], self.bound[f"dec.step{i}.b"])

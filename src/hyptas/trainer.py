@@ -6,14 +6,14 @@ uniformly in [1, T], a conditioning mask kind, the label noise and (for the
 relation prior) the masked segment. A chunk then trains as groups, each one
 tape: the whole chunk stacked in time when every video has at least two
 frames and it holds at most `PACK_ROWS` frames, otherwise one tape per
-video. A group's tape binds the parameters once, encodes its features,
-masks the condition, corrupts the encoded labels, decodes at each video's
-own step, maps into the ball, and builds each video's phase loss; one
-backward gives every weight the left-to-right sum of the videos' own
-gradients, which goes into its view of one flat gradient sum. Each chunk
-then takes one Adam step over the flat weight buffer, and one Riemannian
-Adam step on the prototypes while the phase trains them; they freeze at
-epoch E1.
+video, which is a stack of one and runs the same code (rows = (L,)). A
+group's tape binds the parameters once, encodes its features, masks the
+condition, corrupts the encoded labels, decodes at each video's own step,
+maps into the ball, and builds each video's phase loss; one backward
+gives every weight the left-to-right sum of the videos' own gradients,
+which goes into its view of one flat gradient sum. Each chunk then takes
+one Adam step over the flat weight buffer, and one Riemannian Adam step on
+the prototypes while the phase trains them; they freeze at epoch E1.
 
 A packed group computes every bit that one tape per video computes
 (`tests/train_oracle.py` keeps that loop as the reference): a row of a BLAS
@@ -67,6 +67,10 @@ logger = logging.getLogger(__name__)
 # video: a step's memory grows with its rows (about 9 MB of arrays at 1000
 # frames), and splitting a chunk into several packed groups would sum the
 # weight gradients as (g1 + g2) + (g3 + g4) instead of ((g1 + g2) + g3) + g4.
+# Packing such chunks anyway costs time and memory: with every chunk packed,
+# the benchmark's `long` workload (4 x 1000-frame chunks, seed 1, 45 s runs,
+# 2-vCPU Xeon) trained at 63k-68k frames/s in a peak RSS of 85 MB, against
+# 85k-92k frames/s in 57-59 MB with one tape per video.
 PACK_ROWS = 1024
 
 
@@ -158,15 +162,14 @@ def _group_step(model, prototypes, schedule, config, phase, videos, draws):
     and each video's loss total and components."""
     rows = tuple(video.labels.shape[0] for video in videos)
     classes = prototypes.count
-    stack = (lambda arrays: arrays[0]) if len(videos) == 1 else np.concatenate
     tape = Tape()
     bound = model.bind(tape, trainable=True)
-    condition, p_enc = bound.encode(stack([video.features for video in videos]), rows)
+    condition, p_enc = bound.encode(np.concatenate([video.features for video in videos]), rows)
     keep = None
     if any(d.mask_kind != "none" for d in draws):
-        keep = stack([d.keep for d in draws])
+        keep = np.concatenate([d.keep for d in draws])
     masked = apply_masking(condition, keep)
-    y_t = tape.const(stack([
+    y_t = tape.const(np.concatenate([
         forward_corrupt(label_encode(video.labels, classes), d.t, schedule, d.noise)
         for video, d in zip(videos, draws)
     ]))
@@ -176,7 +179,7 @@ def _group_step(model, prototypes, schedule, config, phase, videos, draws):
     copies = np.tile(prototypes.points, (len(videos), 1))
     trains_prototypes = PHASES[phase].trains_prototypes
     proto_tensor = tape.leaf(copies) if trains_prototypes else tape.const(copies)
-    labels = stack([video.labels for video in videos])
+    labels = np.concatenate([video.labels for video in videos])
     y_onehot = np.eye(classes)[labels]
     ce = cross_entropy(probs, y_onehot, rows)
     if config.aux_head:

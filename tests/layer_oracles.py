@@ -53,8 +53,9 @@ def add_row(a: Tensor, b: Tensor) -> Tensor:
     return tape._register(av + bv, (a, b), push)
 
 
-def conv1d(x: Tensor, w: Tensor, dilation: int = 1, rows=None) -> Tensor:
-    """The bare dilated convolution x (L, Cin), w (k, Cin, Cout) -> (L, Cout)."""
+def conv1d(x: Tensor, w: Tensor, dilation: int, rows) -> Tensor:
+    """The bare dilated convolution x (L, Cin), w (k, Cin, Cout) -> (L, Cout)
+    over the videos of `rows` frames stacked in x."""
     tape = _same_tape(x, w)
     out, grads = _dilated_conv(x.value, w.value, dilation, rows)
 
@@ -68,18 +69,20 @@ def conv1d(x: Tensor, w: Tensor, dilation: int = 1, rows=None) -> Tensor:
     return tape._register(out, (x, w), push)
 
 
-def conv_layer(x, w, b, dilation, rows=None, step=None, residual=False):
-    """relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])), node by node."""
+def conv_layer(x, w, b, dilation, rows, step=None, residual=False):
+    """relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])), node by node, for one
+    video: rows = (L,), and the step's e a list of its one embedding."""
+    assert len(rows) == 1, "the composition adds one step projection to every row"
     branch = add_row(conv1d(x, w, dilation, rows), b)
     if step is not None:
-        e, sw, sb = step
+        (e,), sw, sb = step
         branch = add_row(branch, td.add(matmul(x.tape.const(e), sw), sb))
     return td.relu(x + branch if residual else branch)
 
 
-def softmax_head(h, w, b, rows=None):
-    """softmax(h @ w + b), node by node, for one video."""
-    assert rows is None or len(rows) == 1, "the composition pools the weight gradients"
+def softmax_head(h, w, b, rows):
+    """softmax(h @ w + b), node by node, for one video: rows = (L,)."""
+    assert len(rows) == 1, "the composition pools the weight gradients"
     return td.softmax(add_row(matmul(h, w), b))
 
 

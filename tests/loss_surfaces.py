@@ -1,10 +1,11 @@
 """Scalar loss surfaces over raw leaves, shared by the gradient test suites.
 
-Each builder returns f(tape, leaves) -> scalar tensor where the leaves are
-Euclidean quantities: pre-projection frame embeddings, prototype tangent
-coordinates at the origin, and classifier logits. `draw_safe_config` samples
-random inputs and rejects anything near a kink (hinge boundaries, acos clamp
-ends, coincident rows) so central differences stay meaningful.
+Each builder returns f(tape, leaves) -> scalar tensor, one video's loss
+summed by `autodiff.total`, where the leaves are Euclidean quantities:
+pre-projection frame embeddings, prototype tangent coordinates at the
+origin, and classifier logits. `draw_safe_config` samples random inputs and
+rejects anything near a kink (hinge boundaries, acos clamp ends, coincident
+rows) so central differences stay meaningful.
 """
 
 import numpy as np
@@ -55,7 +56,7 @@ def ce_surface(labels, classes):
     y = np.eye(classes)[labels]
 
     def f(tape, leaves):
-        return losses.cross_entropy(_probs(tape, leaves[0]), y)
+        return td.total(losses.cross_entropy(_probs(tape, leaves[0]), y, (len(labels),)))
 
     return f
 
@@ -63,7 +64,7 @@ def ce_surface(labels, classes):
 def entail_surface(c=1.0, cone_k=0.1):
     def f(tape, leaves):
         ball = bo.exp_map_origin_rows(leaves[0], c)
-        return losses.temporal_entailment(ball, cone_k)
+        return td.total(losses.temporal_entailment(ball, cone_k, (ball.value.shape[0],)))
 
     return f
 
@@ -71,7 +72,7 @@ def entail_surface(c=1.0, cone_k=0.1):
 def margin_surface(c=1.0, margin=2.0):
     def f(tape, leaves):
         protos = bo.exp_map_origin_rows(leaves[0], c)
-        return losses.prototype_margin(protos, margin, c)
+        return td.total(losses.prototype_margin(protos, margin, c, 1))
 
     return f
 
@@ -80,7 +81,8 @@ def pp_surface(labels, t=300, total=1000, decay="exp", c=1.0):
     def f(tape, leaves):
         ball = bo.exp_map_origin_rows(leaves[0], c)
         protos = bo.exp_map_origin_rows(leaves[1], c)
-        return losses.push_pull(ball, td.gather_rows(protos, labels), t, total, decay, c)
+        assigned = td.gather_rows(protos, labels)
+        return td.total(losses.push_pull(ball, assigned, [t], total, decay, c, (len(labels),)))
 
     return f
 
@@ -89,9 +91,8 @@ def gg_surface(labels, c=1.0):
     def f(tape, leaves):
         ball = bo.exp_map_origin_rows(leaves[0], c)
         protos = bo.exp_map_origin_rows(leaves[1], c)
-        return losses.geodesic_guidance(
-            ball, td.gather_rows(protos, labels), c, frozen=True
-        )
+        assigned = td.gather_rows(protos, labels)
+        return td.total(losses.geodesic_guidance(ball, assigned, c, True, (len(labels),)))
 
     return f
 
@@ -105,8 +106,10 @@ def phase_surface(phase, labels, classes, t=300, c=1.0):
         emb, proto_tan, logits = leaves
         ball = bo.exp_map_origin_rows(emb, c)
         protos = bo.exp_map_origin_rows(proto_tan, c)
-        ce = losses.cross_entropy(_probs(tape, logits), y)
-        return losses.phase_loss(phase, config, ce, ball, protos, labels, t, frozen=True)[0]
+        rows = (len(labels),)
+        ce = losses.cross_entropy(_probs(tape, logits), y, rows)
+        total, _ = losses.phase_loss(phase, config, ce, ball, protos, labels, [t], True, rows)
+        return td.total(total)
 
     return f
 

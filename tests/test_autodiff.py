@@ -15,6 +15,11 @@ from hyptas.errors import AutodiffError, ShapeError
 from hyptas import geometry
 
 
+def mean_all(a):
+    """Mean of every entry (0-d): the mean of one video of all of a's rows."""
+    return td.total(td.mean(a, (a.value.shape[0],)))
+
+
 def rand_rows(rng, n, d, lo=0.05, hi=0.9):
     """Rows with norms in [lo, hi], away from every singular set."""
     v = rng.normal(size=(n, d))
@@ -74,7 +79,7 @@ class TestBackwardBasics:
             tape = Tape()
             x = tape.leaf(rng.normal(size=(7, 4)))
             w = tape.leaf(rng.normal(size=(4, 3)))
-            out = td.mean(td.square(oracle.tanh(layers.matmul(x, w))))
+            out = mean_all(td.square(oracle.tanh(layers.matmul(x, w))))
             g = tape.backward(out)
             return [g[t].tobytes() for t in g]
 
@@ -145,28 +150,28 @@ def _op_cases():
     w52 = rng.normal(size=(5, 2))
 
     return {
-        "add_mul_sub": lambda t, l: td.mean(td.sub(td.mul(l[0], l[1]), td.add(l[0], l[1]))),
-        "div": lambda t, l: td.mean(td.div(l[0], td.add(td.square(l[1]), 0.5))),
-        "matmul": lambda t, l: td.mean(layers.matmul(l[0], layers.matmul(l[1], t.const(w52)))),
-        "relu": lambda t, l: td.mean(td.relu(td.sub(l[0], 0.01))),
-        "tanh": lambda t, l: td.mean(oracle.tanh(l[0])),
-        "log": lambda t, l: td.mean(td.log(td.add(td.square(l[0]), 1.0))),
-        "sqrt": lambda t, l: td.mean(oracle.sqrt(td.add(td.square(l[0]), 0.3))),
-        "artanh": lambda t, l: td.mean(oracle.artanh(td.mul(oracle.tanh(l[0]), 0.9))),
-        "asin_acos": lambda t, l: td.mean(td.add(oracle.asin(td.mul(oracle.tanh(l[0]), 0.8)),
+        "add_mul_sub": lambda t, l: mean_all(td.sub(td.mul(l[0], l[1]), td.add(l[0], l[1]))),
+        "div": lambda t, l: mean_all(td.div(l[0], td.add(td.square(l[1]), 0.5))),
+        "matmul": lambda t, l: mean_all(layers.matmul(l[0], layers.matmul(l[1], t.const(w52)))),
+        "relu": lambda t, l: mean_all(td.relu(td.sub(l[0], 0.01))),
+        "tanh": lambda t, l: mean_all(oracle.tanh(l[0])),
+        "log": lambda t, l: mean_all(td.log(td.add(td.square(l[0]), 1.0))),
+        "sqrt": lambda t, l: mean_all(oracle.sqrt(td.add(td.square(l[0]), 0.3))),
+        "artanh": lambda t, l: mean_all(oracle.artanh(td.mul(oracle.tanh(l[0]), 0.9))),
+        "asin_acos": lambda t, l: mean_all(td.add(oracle.asin(td.mul(oracle.tanh(l[0]), 0.8)),
                                                  oracle.acos(td.mul(oracle.tanh(l[1]), 0.8)))),
-        "clamp": lambda t, l: td.mean(td.clamp(l[0], lo=-0.5, hi=0.5)),
-        "softmax": lambda t, l: td.mean(td.square(td.softmax(l[0]))),
-        "sum_mean": lambda t, l: td.add(td.total(td.square(l[0])), td.mean(l[1])),
-        "rows_dot": lambda t, l: td.mean(oracle.rows_dot(l[0], l[1])),
-        "row_norm": lambda t, l: td.mean(oracle.row_norm(l[0])),
-        "scale_div_rows": lambda t, l: td.mean(td.scale_rows(l[0], td.add(oracle.row_norm(l[1]), 0.2))),
-        "gather_rows": lambda t, l: td.mean(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
-        "slice_concat": lambda t, l: td.mean(td.concat_cols(td.pick_rows(l[0], np.arange(0, 2)),
+        "clamp": lambda t, l: mean_all(td.clamp(l[0], lo=-0.5, hi=0.5)),
+        "softmax": lambda t, l: mean_all(td.square(td.softmax(l[0]))),
+        "sum_mean": lambda t, l: td.add(td.total(td.square(l[0])), mean_all(l[1])),
+        "rows_dot": lambda t, l: mean_all(oracle.rows_dot(l[0], l[1])),
+        "row_norm": lambda t, l: mean_all(oracle.row_norm(l[0])),
+        "scale_div_rows": lambda t, l: mean_all(td.scale_rows(l[0], td.add(oracle.row_norm(l[1]), 0.2))),
+        "gather_rows": lambda t, l: mean_all(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
+        "slice_concat": lambda t, l: mean_all(td.concat_cols(td.pick_rows(l[0], np.arange(0, 2)),
                                                             td.pick_rows(l[1], np.array([2, 0])))),
         "video_sum_mean": lambda t, l: td.total(td.mul(td.add(
-            td.total(td.square(l[0]), (2, 1)), td.mean(l[1], (1, 2))), np.array([0.7, -1.3]))),
-        "conv1d": lambda t, l: td.mean(layers.conv1d(l[0], t.const(w3), dilation=2)),
+            td.sums(td.square(l[0]), (2, 1)), td.mean(l[1], (1, 2))), np.array([0.7, -1.3]))),
+        "conv1d": lambda t, l: mean_all(layers.conv1d(l[0], t.const(w3), 2, (3,))),
     }
 
 
@@ -227,10 +232,10 @@ class TestBallOps:
     def test_gradients_against_central_differences(self):
         rng = np.random.default_rng(43)
         builders = {
-            "distance": lambda t, l: td.mean(bo.distance_rows(l[0], l[1], 1.0)),
-            "origin_distance": lambda t, l: td.mean(bo.origin_distance_rows(l[0], 1.0)),
-            "exp_origin": lambda t, l: td.mean(td.square(bo.exp_map_origin_rows(l[0], 1.0))),
-            "aperture": lambda t, l: td.mean(bo.aperture_rows(l[0], 0.1)),
+            "distance": lambda t, l: mean_all(bo.distance_rows(l[0], l[1], 1.0)),
+            "origin_distance": lambda t, l: mean_all(bo.origin_distance_rows(l[0], 1.0)),
+            "exp_origin": lambda t, l: mean_all(td.square(bo.exp_map_origin_rows(l[0], 1.0))),
+            "aperture": lambda t, l: mean_all(bo.aperture_rows(l[0], 0.1)),
         }
         for name, f in builders.items():
             for _ in range(5):
@@ -252,7 +257,7 @@ class TestBallOps:
                 continue
 
             def f(t, l):
-                return td.mean(bo.exterior_angle_rows(l[0], l[1]))
+                return mean_all(bo.exterior_angle_rows(l[0], l[1]))
 
             assert finite_diff_check(f, [X, Y]) < 1e-4
             done += 1
@@ -305,7 +310,7 @@ class TestPaddedConv1d:
         g = rng.normal(size=(length, 4))
         tape = Tape()
         x, w = tape.leaf(xv), tape.leaf(wv)
-        out = layers.conv1d(x, w, dilation)
+        out = layers.conv1d(x, w, dilation, (length,))
         # total(out * g) hands conv1d's backward exactly g
         grads = tape.backward(td.total(td.mul(out, tape.const(g))))
         ref_out, ref_gx, ref_gw = shifted_conv1d(xv, wv, g, dilation)
@@ -318,7 +323,7 @@ class TestPaddedConv1d:
         rng = np.random.default_rng(dilation * 31 + length)
 
         def f(tape, leaves):
-            return td.mean(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation)))
+            return mean_all(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, (length,))))
 
         pt = [rng.normal(size=(length, 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -352,8 +357,8 @@ class TestNonRecordingTape:
         outs, tapes = [], (Tape(), Tape())
         for tape, trainable in zip(tapes, (True, False)):
             bound = model.bind(tape, trainable=trainable)
-            condition, p_enc = bound.encode(features)
-            emb, probs = bound.decode(tape.const(y_t), condition, 17)
+            condition, p_enc = bound.encode(features, (30,))
+            emb, probs = bound.decode(tape.const(y_t), condition, [17], (30,))
             outs.append([t.value.tobytes() for t in (condition, p_enc, emb, probs)])
         assert outs[0] == outs[1]
         assert tapes[0].nodes and tapes[1].nodes == []
@@ -405,7 +410,7 @@ def _packed_case(rng, rows, cin=3, cout=2, kernel=3):
     return xv, wv, g
 
 
-def _conv_with_grads(xv, wv, g, dilation, rows=None):
+def _conv_with_grads(xv, wv, g, dilation, rows):
     """conv1d output and, for upstream gradient g, the gradients of x and w."""
     tape = Tape()
     x, w = tape.leaf(xv), tape.leaf(wv)
@@ -427,18 +432,11 @@ class TestPackedConv1d:
         gw_sum = np.zeros_like(wv)
         for xi, gi, oi, gxi in zip(np.split(xv, cuts), np.split(g, cuts),
                                    np.split(out, cuts), np.split(gx, cuts)):
-            ref_out, ref_gx, ref_gw = _conv_with_grads(xi, wv, gi, dilation)
+            ref_out, ref_gx, ref_gw = _conv_with_grads(xi, wv, gi, dilation, (len(xi),))
             np.testing.assert_allclose(oi, ref_out, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(gxi, ref_gx, rtol=1e-12, atol=1e-12)
             gw_sum += ref_gw
         np.testing.assert_allclose(gw, gw_sum, rtol=1e-12, atol=1e-12)
-
-    def test_one_video_is_the_default_layout(self):
-        rng = np.random.default_rng(5)
-        xv, wv, g = _packed_case(rng, (20,))
-        packed = _conv_with_grads(xv, wv, g, 4, (20,))
-        default = _conv_with_grads(xv, wv, g, 4)
-        assert [a.tobytes() for a in packed] == [a.tobytes() for a in default]
 
     def test_videos_sit_pad_rows_apart(self):
         # A tap reaches at most pad rows past a video's edge, so pad zero rows
@@ -466,7 +464,7 @@ class TestPackedConv1d:
         rows = (5, 2, 6)
 
         def f(tape, leaves):
-            return td.mean(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, rows)))
+            return mean_all(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, rows)))
 
         pt = [rng.normal(size=(sum(rows), 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -491,8 +489,8 @@ def _layer_inputs(rng, rows, residual, step, cin=5, cout=5, kernel=3, edim=6, de
         "b": rng.normal(size=(1, cout)) * 0.3,
     }
     if step:
-        arrays.update(e=rng.normal(size=(1, edim)), sw=rng.normal(size=(edim, cout)),
-                      sb=rng.normal(size=(1, cout)) * 0.3)
+        arrays.update(e=[rng.normal(size=(1, edim)) for _ in rows],
+                      sw=rng.normal(size=(edim, cout)), sb=rng.normal(size=(1, cout)) * 0.3)
     if dead:
         arrays["b"][0, :2] = -50.0
         for name, index in (("w", (..., 2)), ("b", (0, 2)), ("sw", (..., 2)), ("sb", (0, 2))):
@@ -536,8 +534,8 @@ def _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx):
     for v, (lo, hi) in enumerate(zip(np.cumsum((0,) + rows[:-1]), np.cumsum(rows))):
         own = dict(arrays, x=arrays["x"][lo:hi])
         if "e" in arrays:
-            own["e"] = arrays["e"][v]
-        runs.append(_run_layer(layers.conv_layer, own, dilation, None, residual, x_leaf,
+            own["e"] = [arrays["e"][v]]
+        runs.append(_run_layer(layers.conv_layer, own, dilation, (hi - lo,), residual, x_leaf,
                                g[lo:hi], gx[lo:hi]))
     grads = {
         name: np.concatenate([r[1][name] for r in runs]) if name == "x"
@@ -554,26 +552,21 @@ class TestFusedConvLayer:
     that video's own step embedding: values and x gradients stacked in time,
     and every weight gradient summed left to right over the videos."""
 
+    ONE = (20,)
     PACKED = (7, 1, 3, 12)  # a 1-frame video, and videos shorter than pad at dilations 4, 8
 
     @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
-    @pytest.mark.parametrize("rows", [None, PACKED], ids=["one", "packed"])
+    @pytest.mark.parametrize("rows", [ONE, PACKED], ids=["one", "packed"])
     @pytest.mark.parametrize("x_leaf", [False, True], ids=["xconst", "xleaf"])
     @pytest.mark.parametrize("step", [False, True], ids=["nostep", "step"])
     @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
     def test_bit_identical_to_composition(self, residual, step, x_leaf, rows, dilation):
-        rng = np.random.default_rng([dilation, rows is None, x_leaf, step, residual])
-        frames = (20,) if rows is None else rows
-        arrays = _layer_inputs(rng, frames, residual, step)
-        if step and rows is not None:
-            arrays["e"] = [rng.normal(size=arrays["e"].shape) for _ in rows]
-        g = rng.normal(size=(sum(frames), arrays["w"].shape[2]))
+        rng = np.random.default_rng([dilation, len(rows) == 1, x_leaf, step, residual])
+        arrays = _layer_inputs(rng, rows, residual, step)
+        g = rng.normal(size=(sum(rows), arrays["w"].shape[2]))
         gx = rng.normal(size=arrays["x"].shape)
         fused = _run_layer(td.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
-        if rows is None:
-            composed = _run_layer(layers.conv_layer, arrays, dilation, None, residual, x_leaf, g, gx)
-        else:
-            composed = _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx)
+        composed = _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx)
         assert fused[0].tobytes() == composed[0].tobytes()
         assert fused[1].keys() == composed[1].keys()
         for name in fused[1]:
@@ -582,33 +575,18 @@ class TestFusedConvLayer:
         assert np.all(fused[0][:, :3] == 0.0) and np.any(fused[0][:, 3:] > 0.0)
         assert np.all(fused[1]["b"][0, :3] == 0.0)
 
-    @pytest.mark.parametrize("rows", [None, (5, 2, 6)], ids=["one", "packed"])
+    @pytest.mark.parametrize("rows", [(9,), (5, 2, 6)], ids=["one", "packed"])
     @pytest.mark.parametrize("residual,step", [(False, False), (True, True)],
                              ids=["plain", "residual_step"])
     def test_against_central_differences(self, residual, step, rows):
-        rng = np.random.default_rng(61 + 2 * residual + (rows is None))
-        frames = (9,) if rows is None else rows
-        arrays = _layer_inputs(rng, frames, residual, step, cin=3, cout=3, edim=4, dead=False)
+        rng = np.random.default_rng(61 + 2 * residual + (len(rows) == 1))
+        arrays = _layer_inputs(rng, rows, residual, step, cin=3, cout=3, edim=4, dead=False)
         e = arrays.pop("e", None)
 
         def f(tape, leaves):
             x, w, b, *rest = leaves
-            return td.mean(td.square(td.conv_layer(
+            return mean_all(td.square(td.conv_layer(
                 x, w, b, 2, rows, step=(e, *rest) if step else None, residual=residual)))
-
-        assert finite_diff_check(f, list(arrays.values())) < 1e-6
-
-    def test_per_video_steps_against_central_differences(self):
-        rng = np.random.default_rng(67)
-        rows = (5, 2, 6)
-        arrays = _layer_inputs(rng, rows, True, True, cin=3, cout=3, edim=4, dead=False)
-        shape = arrays.pop("e").shape
-        es = [rng.normal(size=shape) for _ in rows]
-
-        def f(tape, leaves):
-            x, w, b, sw, sb = leaves
-            return td.mean(td.square(td.conv_layer(x, w, b, 2, rows, step=(es, sw, sb),
-                                                   residual=True)))
 
         assert finite_diff_check(f, list(arrays.values())) < 1e-6
 
@@ -616,9 +594,9 @@ class TestFusedConvLayer:
         tape = Tape()
         x, w = tape.const(np.ones((6, 3))), tape.const(np.ones((3, 3, 2)))
         with pytest.raises(ShapeError, match="bias"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 3))), 1)
+            td.conv_layer(x, w, tape.const(np.ones((1, 3))), 1, (6,))
         with pytest.raises(ShapeError, match="residual"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, residual=True)
+            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, (6,), residual=True)
         with pytest.raises(ShapeError, match="row counts"):
             td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(4, 4))
         step = ([np.ones((1, 2))] * 3, tape.const(np.ones((2, 2))), tape.const(np.ones((1, 2))))
@@ -637,7 +615,7 @@ class TestFusedSoftmaxHead:
             tape = Tape()
             h = tape.leaf(hv) if h_leaf else tape.const(hv)
             w, b = tape.leaf(wv), tape.leaf(bv)
-            out = impl(h, w, b)
+            out = impl(h, w, b, (30,))
             loss = td.total(td.mul(out, tape.const(g)))
             if h_leaf:  # h holds a gradient before the head pushes its own
                 loss = td.add(loss, td.total(td.mul(h, tape.const(gh))))
@@ -668,7 +646,7 @@ class TestFusedSoftmaxHead:
 
         packed = run(hv, g, rows)
         cuts = np.cumsum((0,) + rows)
-        alone = [run(hv[lo:hi], g[lo:hi], None) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        alone = [run(hv[lo:hi], g[lo:hi], (hi - lo,)) for lo, hi in zip(cuts[:-1], cuts[1:])]
         stacked = [np.concatenate(parts) for parts in zip(*[a[: 1 + h_leaf] for a in alone])]
         summed = [functools.reduce(operator.add, parts) for parts in zip(*[a[1 + h_leaf :] for a in alone])]
         assert [a.tobytes() for a in packed] == [a.tobytes() for a in stacked + summed]
@@ -676,14 +654,14 @@ class TestFusedSoftmaxHead:
     def test_one_node(self):
         tape = Tape()
         h = tape.leaf(np.ones((4, 3)))
-        out = td.softmax_head(h, tape.const(np.ones((3, 2))), tape.const(np.zeros((1, 2))))
+        out = td.softmax_head(h, tape.const(np.ones((3, 2))), tape.const(np.zeros((1, 2))), (4,))
         assert tape.nodes == [h, out]
 
     def test_against_central_differences(self):
         rng = np.random.default_rng(73)
 
         def f(tape, leaves):
-            return td.mean(td.square(td.softmax_head(*leaves)))
+            return mean_all(td.square(td.softmax_head(*leaves, (6,))))
 
         pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
         assert finite_diff_check(f, pt) < 1e-4
@@ -692,7 +670,7 @@ class TestFusedSoftmaxHead:
         rng = np.random.default_rng(74)
 
         def f(tape, leaves):
-            return td.mean(td.square(td.softmax_head(*leaves, rows=(2, 1, 3))))
+            return mean_all(td.square(td.softmax_head(*leaves, rows=(2, 1, 3))))
 
         pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
         assert finite_diff_check(f, pt) < 1e-4

@@ -4,7 +4,9 @@
 functions of `catalog.LOSS_KINDS` and the check suites of
 `catalog.CHECK_SUITES` by name, so a rename in `src/` would otherwise show
 only when the harness runs. The op kinds (`catalog.OP_KINDS`) are left out:
-they are matched against tape op names, not looked up.
+they are matched against tape op names, not looked up. Two of the wrapped
+methods get a hook that calls them with arguments of its own, so their
+signatures must keep accepting those arguments.
 """
 
 import importlib
@@ -55,3 +57,24 @@ def test_timed_functions_resolve(harness, table, layer):
     for name in names:
         assert inspect.isfunction(getattr(_module(layer), name, None)), \
             f"catalog.{table} names hyptas.{layer}.{name}, which is not a function"
+
+
+# The arguments each hook of `spans.Tracer` passes to the method it wraps:
+# `_bind_hook` calls bind(model, tape, trainable=trainable) and
+# `_backward_hook` calls backward(tape, output).
+HOOK_CALLS = [
+    (("model", "Denoiser", "bind"), ("model", "tape"), {"trainable": True}),
+    (("autodiff", "Tape", "backward"), ("tape", "output"), {}),
+]
+
+
+@pytest.mark.parametrize("target, args, kwargs", HOOK_CALLS, ids=["bind", "backward"])
+def test_hooked_methods_accept_what_their_hooks_pass(harness, target, args, kwargs):
+    _, spans = harness
+    assert target in spans.METHODS
+    layer, cls_name, method = target
+    signature = inspect.signature(getattr(getattr(_module(layer), cls_name), method))
+    try:
+        signature.bind(*args, **kwargs)
+    except TypeError as e:
+        pytest.fail(f"hyptas.{layer}.{cls_name}.{method}{signature} refuses the hook's call: {e}")

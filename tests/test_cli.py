@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyptas.cli
 from hyptas.cli import run
 from hyptas.data import SyntheticSpec, read_features, write_features
 from hyptas.errors import ShapeError
@@ -265,6 +266,17 @@ class TestExitCodes:
         )
         assert proc.returncode == 1  # no subcommand is a usage error
 
+    def test_import_loads_numpy_random(self):
+        """numpy loads `numpy.random` lazily; the package loads it on import, so
+        no later call (such as one a signal handler interrupts) runs that import."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyptas.cli; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
     def test_module_entry_point_runs_the_command(self, tmp_path):
         pred, gt = tmp_path / "no_pred", tmp_path / "no_gt"
         proc = subprocess.run(
@@ -491,11 +503,18 @@ class TestUnwritableOutput:
         ("infer --out", "file", "File exists"),
         ("export-embeddings --out", "dir", "Is a directory"),
     ])
-    def test_exit_one_naming_path(self, workspace, tmp_path, capsys, command, target, reason):
+    def test_exit_one_naming_path(self, workspace, tmp_path, capsys, monkeypatch, command,
+                                  target, reason):
         _, data, ckpt = workspace
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("keep")
         name, flag = command.split()
+        if name == "train":  # the output is refused before training starts
+
+            def no_training(*args):
+                raise AssertionError("training started")
+
+            monkeypatch.setattr(hyptas.cli, "train", no_training)
         args = {
             "train": ["--data", str(data), "--out", str(tmp_path / "m.htck")] + TRAIN_SETS,
             "gen-data": GEN_ARGS,

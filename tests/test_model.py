@@ -35,7 +35,7 @@ class TestEncode:
     def test_zero_features_finite_and_normalized(self):
         model = make_model()
         tape = Tape()
-        cond, p_enc = model.bind(tape, trainable=False).encode(np.zeros((20, 10)))
+        cond, p_enc = model.bind(tape, trainable=False).encode(np.zeros((20, 10)), (20,))
         assert np.all(np.isfinite(cond.value))
         assert np.allclose(p_enc.value.sum(axis=1), 1.0, atol=1e-9)
 
@@ -46,7 +46,7 @@ class TestEncode:
         def run():
             model = make_model(seed=7)
             tape = Tape()
-            cond, p_enc = model.bind(tape, trainable=False).encode(features)
+            cond, p_enc = model.bind(tape, trainable=False).encode(features, (30,))
             return cond.value.tobytes(), p_enc.value.tobytes()
 
         assert run() == run()
@@ -56,13 +56,13 @@ class TestEncode:
         rng = np.random.default_rng(3)
         features = rng.normal(size=(64, 10))
         tape = Tape()
-        base = model.bind(tape, trainable=False).encode(features)[0].value
+        base = model.bind(tape, trainable=False).encode(features, (64,))[0].value
 
         probe = 32
         perturbed = features.copy()
         perturbed[probe] += 1.0
         tape2 = Tape()
-        moved = model.bind(tape2, trainable=False).encode(perturbed)[0].value
+        moved = model.bind(tape2, trainable=False).encode(perturbed, (64,))[0].value
 
         changed = np.where(np.any(moved != base, axis=1))[0]
         half = sum(d * (KERNEL // 2) for d in DILATIONS)
@@ -75,7 +75,7 @@ class TestEncode:
         model = make_model()
         tape = Tape()
         with pytest.raises(ShapeError):
-            model.bind(tape).encode(np.zeros((5, 11)))
+            model.bind(tape).encode(np.zeros((5, 11)), (5,))
 
     def test_non_finite_features_rejected(self):
         model = make_model()
@@ -83,7 +83,7 @@ class TestEncode:
         bad = np.zeros((5, 10))
         bad[0, 0] = np.nan
         with pytest.raises(ShapeError):
-            model.bind(tape).encode(bad)
+            model.bind(tape).encode(bad, (5,))
 
 
 class TestDecode:
@@ -91,9 +91,9 @@ class TestDecode:
         rng = np.random.default_rng(seed)
         tape = Tape()
         bound = model.bind(tape, trainable=False)
-        cond, _ = bound.encode(rng.normal(size=(L, 10)))
+        cond, _ = bound.encode(rng.normal(size=(L, 10)), (L,))
         y_t = tape.const(rng.normal(size=(L, 4)))
-        return bound.decode(y_t, cond, t)
+        return bound.decode(y_t, cond, [t], (L,))
 
     def test_probabilities_normalized(self):
         emb, probs = self._forward(make_model(), t=100)
@@ -116,11 +116,11 @@ class TestDecode:
         model = make_model()
         tape = Tape()
         bound = model.bind(tape, trainable=False)
-        cond, _ = bound.encode(np.zeros((10, 10)))
+        cond, _ = bound.encode(np.zeros((10, 10)), (10,))
         with pytest.raises(ShapeError):
-            bound.decode(tape.const(np.zeros((10, 5))), cond, 1)
+            bound.decode(tape.const(np.zeros((10, 5))), cond, [1], (10,))
         with pytest.raises(ShapeError):
-            bound.decode(tape.const(np.zeros((9, 4))), cond, 1)
+            bound.decode(tape.const(np.zeros((9, 4))), cond, [1], (9,))
 
     def test_step_embedding_shape(self):
         emb = sinusoidal_step_embedding(123, 64)
@@ -153,7 +153,7 @@ class TestDecode:
             tape = Tape()
             bound = model.bind(tape, trainable=False)
             cond, p_enc = bound.encode(feats, rows)
-            emb, probs = bound.decode(tape.const(signal), cond, 40, rows)
+            emb, probs = bound.decode(tape.const(signal), cond, [40] * len(rows), rows)
             return [a.value for a in (cond, p_enc, emb, probs)]
 
         base = run(features, y_t)
@@ -226,10 +226,10 @@ class TestMasking:
         rng = np.random.default_rng(13)
         tape = Tape()
         bound = model.bind(tape, trainable=False)
-        cond, _ = bound.encode(rng.normal(size=(12, 10)))
+        cond, _ = bound.encode(rng.normal(size=(12, 10)), (12,))
         masked = apply_masking(cond, mask_vector("position", self.SEGMENTS, 12, rng))
         y_t = tape.const(rng.normal(size=(12, 4)))
-        emb, probs = bound.decode(y_t, masked, 3)
+        emb, probs = bound.decode(y_t, masked, [3], (12,))
         assert np.array_equal(y_t.value, y_t.value)  # signal untouched by masking
         assert np.all(np.isfinite(probs.value))
 
@@ -245,18 +245,17 @@ class TestGradientFlow:
 
         tape = Tape()
         bound = model.bind(tape, trainable=True)
-        cond, p_enc = bound.encode(features)
+        cond, p_enc = bound.encode(features, (L,))
         y_t = tape.const(rng.normal(size=(L, C)))
-        emb, probs = bound.decode(y_t, cond, 120)
+        emb, probs = bound.decode(y_t, cond, [120], (L,))
 
         ball = bo.exp_map_origin_rows(emb, 1.0)
         proto_leaf = tape.leaf(0.05 * rng.normal(size=(C, model.config.embed_dim)))
         protos = bo.exp_map_origin_rows(proto_leaf, 1.0)
-        ce = td.add(cross_entropy(probs, y_onehot), cross_entropy(p_enc, y_onehot))
-        total, _ = phase_loss(
-            "stabilization", RunConfig(), ce, ball, protos, labels, 250, frozen=False
-        )
-        grads = tape.backward(total)
+        ce = td.add(cross_entropy(probs, y_onehot, (L,)), cross_entropy(p_enc, y_onehot, (L,)))
+        total, _ = phase_loss("stabilization", RunConfig(), ce, ball, protos, labels, [250],
+                              False, (L,))
+        grads = tape.backward(td.total(total))
         for name, tensor in bound.bound.items():
             g = grads[tensor]
             assert np.any(g != 0.0), f"dead parameter {name}"
@@ -267,11 +266,13 @@ class TestGradientFlow:
         the loss reading both heads and the embeddings."""
         tape = Tape()
         bound = model.bind(tape, trainable=True)
-        cond, p_enc = bound.encode(features)
-        emb, probs = bound.decode(tape.const(y_t), cond, t)
+        rows = (features.shape[0],)
+        cond, p_enc = bound.encode(features, rows)
+        emb, probs = bound.decode(tape.const(y_t), cond, [t], rows)
         ops = sum(node._push is not None for node in tape.nodes)
-        loss = td.add(td.add(td.mean(td.square(probs)), td.mean(td.square(p_enc))),
-                      td.mean(td.square(emb)))
+        loss = td.total(td.add(td.add(td.mean(td.square(probs), rows),
+                                      td.mean(td.square(p_enc), rows)),
+                               td.mean(td.square(emb), rows)))
         grads = tape.backward(loss)
         outs = [a.value.tobytes() for a in (cond, p_enc, emb, probs)]
         return outs, {name: grads[t].tobytes() for name, t in bound.bound.items()}, ops

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hyptas.autodiff as td
 from hyptas.autodiff import Tape
 from hyptas.errors import ContractViolation, NonFiniteLossError, ShapeError
 from hyptas.losses import Prototypes, prototype_margin
@@ -119,8 +120,8 @@ class TestRiemannianAdam:
         for _ in range(100):
             tape = Tape()
             leaf = tape.leaf(protos.points)
-            loss = prototype_margin(leaf, margin, 1.0)
-            grads = tape.backward(loss)
+            loss = prototype_margin(leaf, margin, 1.0, 1)
+            grads = tape.backward(td.total(loss))
             opt.step(protos, grads[leaf])
             distances.append(pair_distance())
         assert distances[-1] > before

@@ -287,14 +287,15 @@ class TestPackedInference:
 def _infer_rebinding_every_step(state, features, steps, seed):
     """Reference inference: the condition on a tape of its own, then a new
     recording tape and a new bind for every sampler step."""
+    rows = (features.shape[0],)
     cond_tape = Tape()
-    condition = state.model.bind(cond_tape, trainable=False).encode(features)[0].value
+    condition = state.model.bind(cond_tape, trainable=False).encode(features, rows)[0].value
     last = {}
 
     def denoiser(y_t, t):
         tape = Tape()
         bound = state.model.bind(tape, trainable=False)
-        emb, probs = bound.decode(tape.const(y_t), tape.const(condition), t)
+        emb, probs = bound.decode(tape.const(y_t), tape.const(condition), [t], rows)
         last["emb"] = emb.value
         return probs.value
 

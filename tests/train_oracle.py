@@ -3,8 +3,8 @@
 `train` below is the loop `trainer.train` ran before it packed a chunk of
 videos onto one tape. It draws from the rng in the same order (per video:
 timestep, mask kind, label noise, relation segment), builds one tape per
-video from the one-video forms of the model and the losses (`rows` left at
-None, so every loss value is 0-d), adds each video's leaf gradients into a
+video, a stack of one (rows = (L,), one step, one prototype copy, so every
+loss value is a (1,) array), adds each video's leaf gradients into a
 zeroed flat gradient sum in chunk order, and takes the same optimizer steps
 and in-training evaluations. The packed trainer must give the same bytes:
 checkpoints, log lines and the gradient of every optimizer step.
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from hyptas import autodiff as td
 from hyptas import ballops as bo
 from hyptas.autodiff import Tape
 from hyptas.data import Dataset, RunConfig
@@ -45,34 +46,36 @@ def video_step(model, prototypes, schedule, config, phase, video, segments, rng)
     classes = prototypes.count
     noise = rng.standard_normal((video.labels.shape[0], classes))
 
+    rows = (video.labels.shape[0],)
     tape = Tape()
     bound = model.bind(tape, trainable=True)
-    condition, p_enc = bound.encode(video.features)
+    condition, p_enc = bound.encode(video.features, rows)
     keep = None
     if mask_kind != "none":
         keep = mask_vector(mask_kind, segments, video.labels.shape[0], rng)
     masked = apply_masking(condition, keep)
     y_t = tape.const(forward_corrupt(label_encode(video.labels, classes), t, schedule, noise))
-    emb, probs = bound.decode(y_t, masked, t)
+    emb, probs = bound.decode(y_t, masked, [t], rows)
     ball = bo.exp_map_origin_rows(emb, config.curvature)
     trains_prototypes = PHASES[phase].trains_prototypes
     proto_tensor = (tape.leaf if trains_prototypes else tape.const)(prototypes.points)
     y_onehot = np.eye(classes)[video.labels]
-    ce = cross_entropy(probs, y_onehot)
+    ce = cross_entropy(probs, y_onehot, rows)
     if config.aux_head:
-        ce = ce + cross_entropy(p_enc, y_onehot)
+        ce = ce + cross_entropy(p_enc, y_onehot, rows)
     total, components = phase_loss(
-        phase, config, ce, ball, proto_tensor, video.labels, t, prototypes.frozen
+        phase, config, ce, ball, proto_tensor, video.labels, [t], prototypes.frozen, rows
     )
+    components = {name: value.item() for name, value in components.items()}
     for name, value in components.items():
         if not math.isfinite(value):
             raise NonFiniteLossError(f"loss component {name!r} is non-finite at t={t}")
-    if not math.isfinite(float(total.value)):
+    if not math.isfinite(total.value.item()):
         raise NonFiniteLossError(f"total {phase} loss is non-finite at t={t}")
-    grads = tape.backward(total)
+    grads = tape.backward(td.total(total))
     params = {name: grads[tensor] for name, tensor in bound.bound.items()}
     proto_grad = grads[proto_tensor] if trains_prototypes else None
-    return params, proto_grad, float(total.value), components
+    return params, proto_grad, total.value.item(), components
 
 
 def train(dataset: Dataset, config: RunConfig, step=video_step):
