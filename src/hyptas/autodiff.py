@@ -320,11 +320,11 @@ def _video_reduce(a: Tensor, rows, mean: bool) -> Tensor:
     the block's size for a mean)."""
     av = a.value
     spans = _spans(rows, av.shape[0])
-    sizes = np.array([(hi - lo) * (av.size // av.shape[0]) for lo, hi in spans])
     reduce = np.mean if mean else np.sum
     out = np.array([reduce(av[lo:hi]) for lo, hi in spans])
 
     def push(g):
+        sizes = np.array([(hi - lo) * (av.size // av.shape[0]) for lo, hi in spans])
         _accumulate(a, np.repeat(g / sizes if mean else g, sizes).reshape(av.shape))
 
     return a.tape._register(out, (a,), push)
@@ -450,16 +450,6 @@ def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int]) -> Tensor
 # Dilated temporal-convolution layer
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _packed_rows(rows: tuple[int, ...], pad: int) -> np.ndarray:
-    """Output-buffer row of every input row when videos of `rows` frames sit
-    in one buffer with pad zero rows between neighbours (read-only)."""
-    offsets = np.cumsum((0,) + rows[:-1]) + pad * np.arange(len(rows))
-    index = np.concatenate([np.arange(o, o + n) for o, n in zip(offsets, rows)])
-    index.flags.writeable = False
-    return index
-
-
 def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout),
     and its backward `grads(g, need_x, need_w) -> (gx, gw)` (None where not needed).
@@ -482,7 +472,6 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
         raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
     k, L = wv.shape[0], xv.shape[0]
-    rows = tuple(rows)
     pad = (k // 2) * dilation
     # (o, lo, hi) per video: its rows lo:hi of x sit at buffer rows o + pad on
     windows = [(lo + pad * i, lo, hi) for i, (lo, hi) in enumerate(_spans(rows, L))]
@@ -490,11 +479,8 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
     starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
 
     xp = np.zeros((span + 2 * pad, xv.shape[1]))
-    valid = _packed_rows(rows, pad) if len(rows) > 1 else None
-    if valid is None:
-        xp[pad : pad + L] = xv
-    else:
-        xp[valid + pad] = xv
+    for o, lo, hi in windows:
+        xp[o + pad : o + pad + hi - lo] = xv[lo:hi]
     out = np.zeros((L, wv.shape[2]))
     for o, lo, hi in windows:
         for j, s in enumerate(starts):
@@ -507,7 +493,7 @@ def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
             for o, lo, hi in windows:
                 for j, s in enumerate(starts):
                     gp[o + s : o + s + hi - lo] += g[lo:hi] @ wv[j].T
-            gx = gp[pad : pad + L] if valid is None else gp[valid + pad]
+            gx = np.concatenate([gp[o + pad : o + pad + hi - lo] for o, lo, hi in windows])
         if need_w:
             def video_gw(o, lo, hi):
                 gw = np.empty_like(wv)

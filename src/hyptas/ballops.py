@@ -1,20 +1,26 @@
-"""Every Poincare-ball formula the losses use, each one fused tape op.
+"""Every Poincare-ball formula of the package, each with one implementation.
 
-Geodesic distance, distance to the origin, the exp map at the origin, the
-entailment-cone exterior angle and the cone aperture each have this one
-implementation. Each is a single tape node: its forward computes in numpy
-the expressions, in the order, of the tape-primitive composition it
-replaces, and its gradient rule replays the gradient arithmetic that
-`Tape.backward` would run over that composition, node by node in reverse
-creation order, with one `_accumulate` per contribution to each input. So
-values and gradients keep the composed form's bits, clamps included, and a
-branch whose input needs no gradient is skipped. The composed forms live in
+The formulas the losses use (geodesic distance, distance to the origin,
+the exp map at the origin, the entailment-cone exterior angle and the cone
+aperture) are each one fused tape op. Its forward computes in numpy the
+expressions, in the order, of the tape-primitive composition it replaces,
+and its gradient rule replays the gradient arithmetic that `Tape.backward`
+would run over that composition, node by node in reverse creation order,
+with one `_accumulate` per contribution to each input (dropped there for
+an input that needs no gradient). So values and gradients keep the composed
+form's bits, clamps included. The composed forms live in
 `tests/ball_oracles.py` as forward and gradient oracles. Inference, the
 prototype log value and the `hyptas check` suites run the same ops forward
-through `evaluate` on constants, which the tape does not record. Clamping
-follows one policy: norms floored, artanh arguments kept below 1,
-inverse-trig arguments clipped to their closed domains. `geometry` keeps
-only the numpy kernels of Riemannian Adam's retraction.
+through `evaluate` on constants, which the tape does not record.
+
+The last section holds Riemannian Adam's retraction in numpy: Mobius
+addition (until merged with the tape form inlined in `distance_rows`), the
+exp and log maps at any base point, and projection into the open ball.
+
+Rows are (N, d) float64; the ball of curvature c has radius 1/sqrt(c).
+Clamping follows one policy: norms floored (BALL_EPS off the boundary,
+DENOM_EPS under denominators), artanh arguments kept below 1, inverse-trig
+arguments clipped to their closed domains.
 """
 
 from __future__ import annotations
@@ -25,7 +31,10 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, _accumulate, _same_tape
 from .errors import ShapeError
-from .geometry import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
+
+BALL_EPS = 1e-5        # norm clearance kept from the ball boundary
+DENOM_EPS = 1e-15      # floor for denominators
+ARTANH_ARG_MAX = 1.0 - 1e-12
 
 
 def evaluate(op, *args) -> np.ndarray:
@@ -97,39 +106,29 @@ def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     out, norm_grad = _artanh_distance(w_norm, math.sqrt(c))
 
     def push(g):
-        gx, gy = x.needs_grad, y.needs_grad
         g_w = _row_norm_grad(norm_grad(g), w, w_norm, w_active)
         g_num = g_w / den
         g_den = np.sum(-g_w * w / den, axis=1, keepdims=True) * den_kept
         # den = 1 + 2c<u,y> + (c^2 |u|^2) |y|^2
-        if gx:
-            g_uu = g_den * yy * (c * c)
-        if gy:
-            g_yy = g_den * uu_cc
+        g_uu = g_den * yy * (c * c)
+        g_yy = g_den * uu_cc
         g_uy = g_den * (2.0 * c)
         # num = coef_u u + coef_y y
-        if gy:
-            _accumulate(y, g_num * coef_y)
-        if gx:
-            g_coef_y = np.sum(g_num * yv, axis=1, keepdims=True)
-            g_u = g_num * coef_u
+        _accumulate(y, g_num * coef_y)
+        g_coef_y = np.sum(g_num * yv, axis=1, keepdims=True)
+        g_u = g_num * coef_u
         g_coef_u = np.sum(g_num * u, axis=1, keepdims=True)
-        if gx:
-            g_uu = g_uu + g_coef_y * -c
-        if gy:
-            g_yy = g_yy + g_coef_u * c
+        g_uu = g_uu + g_coef_y * -c
+        g_yy = g_yy + g_coef_u * c
         g_uy = g_uy + g_coef_u * (2.0 * c)
         # the three inner products, then u = -x
-        if gx:
-            g_u = g_u + g_uy * yv
-        if gy:
-            _accumulate(y, g_uy * u)
-            _accumulate(y, g_yy * yv)
-            _accumulate(y, g_yy * yv)
-        if gx:
-            g_u = g_u + g_uu * u
-            g_u = g_u + g_uu * u
-            _accumulate(x, -g_u)
+        g_u = g_u + g_uy * yv
+        _accumulate(y, g_uy * u)
+        _accumulate(y, g_yy * yv)
+        _accumulate(y, g_yy * yv)
+        g_u = g_u + g_uu * u
+        g_u = g_u + g_uu * u
+        _accumulate(x, -g_u)
 
     return tape._register(out, (x, y), push)
 
@@ -150,7 +149,7 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
     """Project rows of a Euclidean (N, d) tensor into the ball via exp at the origin.
 
     The radial tanh gain is capped at 1 - BALL_EPS so every output row stays
-    strictly inside with the same clearance `geometry.project_rows` enforces.
+    strictly inside with the same clearance `project_rows` enforces.
     Past the cap the gain is constant, so such rows pass no gradient through
     their norm.
     """
@@ -199,7 +198,6 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     keep = ((nx > BALL_EPS) & (nxy > BALL_EPS) & (cos_theta < 1.0 - 1e-12)).astype(np.float64)
 
     def push(g):
-        gx, gy = x.needs_grad, y.needs_grad
         g_cos = -(g * keep) / np.sqrt(np.maximum(1.0 - cos_theta * cos_theta, DENOM_EPS))
         g_quotient = g_cos * cos_kept
         g_num = g_quotient / den
@@ -207,39 +205,28 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
         # den = (|x| |x-y|) sqrt(inner)
         g_lengths = g_prod * root
         g_inner = g_prod * lengths / np.maximum(2.0 * root, DENOM_EPS) * inner_kept
-        if gx:
-            g_nx = g_lengths * nxy
+        g_nx = g_lengths * nxy
         g_nxy = g_lengths * nx
         # inner = (1 + |x|^2 |y|^2) - 2<x,y>
         g_xy = -g_inner * 2.0
-        if gx:
-            g_xx = g_inner * yy
-        if gy:
-            g_yy = g_inner * xx
+        g_xx = g_inner * yy
+        g_yy = g_inner * xx
         # num = <x,y>(1 + |x|^2) - |x|^2 (1 + |y|^2)
-        if gx:
-            g_xx = g_xx + -g_num * yy1
-        if gy:
-            g_yy = g_yy + -g_num * xx
+        g_xx = g_xx + -g_num * yy1
+        g_yy = g_yy + -g_num * xx
         g_xy = g_xy + g_num * xx1
-        if gx:
-            g_xx = g_xx + g_num * xy
+        g_xx = g_xx + g_num * xy
         # the norms, then the three inner products
         g_diff = _row_norm_grad(g_nxy, diff, nxy, nxy_active)
-        if gx:
-            _accumulate(x, g_diff)
-        if gy:
-            _accumulate(y, -g_diff)
-        if gx:
-            _accumulate(x, _row_norm_grad(g_nx, xv, nx, nx_active))
-            _accumulate(x, g_xy * yv)
-        if gy:
-            _accumulate(y, g_xy * xv)
-            _accumulate(y, g_yy * yv)
-            _accumulate(y, g_yy * yv)
-        if gx:
-            _accumulate(x, g_xx * xv)
-            _accumulate(x, g_xx * xv)
+        _accumulate(x, g_diff)
+        _accumulate(y, -g_diff)
+        _accumulate(x, _row_norm_grad(g_nx, xv, nx, nx_active))
+        _accumulate(x, g_xy * yv)
+        _accumulate(y, g_xy * xv)
+        _accumulate(y, g_yy * yv)
+        _accumulate(y, g_yy * yv)
+        _accumulate(x, g_xx * xv)
+        _accumulate(x, g_xx * xv)
 
     return tape._register(np.arccos(cos_theta) * keep, (x, y), push)
 
@@ -265,3 +252,49 @@ def aperture_rows(x: Tensor, K: float) -> Tensor:
         _accumulate(x, _row_norm_grad(-g_arg * arg / norm, xv, norm, active))
 
     return x.tape._register(np.arcsin(clipped), (x,), push)
+
+
+# ---------------------------------------------------------------------------
+# Riemannian Adam's retraction, in numpy
+# ---------------------------------------------------------------------------
+
+def mobius_add_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Gyrovector addition x (+) y applied row-wise.
+
+    ((1 + 2c<x,y> + c|y|^2) x + (1 - c|x|^2) y) / (1 + 2c<x,y> + c^2 |x|^2 |y|^2)
+    """
+    xx, yy, xy = _rows_dot(x, x), _rows_dot(y, y), _rows_dot(x, y)
+    num = (1.0 + 2.0 * c * xy + c * yy) * x + (1.0 - c * xx) * y
+    den = 1.0 + 2.0 * c * xy + c * c * xx * yy
+    return num / np.maximum(den, DENOM_EPS)
+
+
+def project_rows(x: np.ndarray, c: float) -> np.ndarray:
+    """Rescale any row with c*|row|^2 >= (1 - BALL_EPS)^2 to norm (1-BALL_EPS)/sqrt(c)."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    limit = (1.0 - BALL_EPS) / math.sqrt(c)
+    scale = np.where(norms >= limit, limit / np.maximum(norms, DENOM_EPS), 1.0)
+    return x * scale
+
+
+def exp_map_rows(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """Exponential map at each row of x applied to the matching row of v."""
+    sqrt_c = math.sqrt(c)
+    lam = 2.0 / np.maximum(1.0 - c * _rows_dot(x, x), DENOM_EPS)
+    vnorm = np.linalg.norm(v, axis=1, keepdims=True)
+    safe = np.maximum(vnorm, DENOM_EPS)
+    gain = np.tanh(sqrt_c * lam * vnorm / 2.0) / (sqrt_c * safe)
+    second = np.where(vnorm > 0.0, gain * v, np.zeros_like(v))
+    return project_rows(mobius_add_rows(x, second, c), c)
+
+
+def log_map_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    """Logarithmic map at each row of x toward the matching row of y."""
+    sqrt_c = math.sqrt(c)
+    w = mobius_add_rows(-x, y, c)
+    wnorm = np.linalg.norm(w, axis=1, keepdims=True)
+    lam = 2.0 / np.maximum(1.0 - c * _rows_dot(x, x), DENOM_EPS)
+    arg = np.minimum(sqrt_c * wnorm, ARTANH_ARG_MAX)
+    gain = (2.0 / (sqrt_c * lam)) * np.arctanh(arg) / np.maximum(wnorm, DENOM_EPS)
+    return np.where(wnorm > 0.0, gain * w, np.zeros_like(w))

@@ -3,10 +3,10 @@
 Each suite re-derives expected behavior through an independent route —
 closed forms, central finite differences, a perfect-predictor sampler run,
 and brute-force metric references over frame sets — and reports pass/fail
-with a one-line detail. The geometry suites run the `ballops` formulas that
-training runs, forward on constants that no tape records, and the round
-trip runs the `geometry` kernels of the Riemannian Adam retraction. The
-acceptance tests run the same suites at their full sizes.
+with a one-line detail. The geometry suites run the `ballops` formulas:
+the loss ops that training runs, forward on constants that no tape
+records, and, for the round trip, the numpy kernels of the Riemannian Adam
+retraction. The acceptance tests run the same suites at their full sizes.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 from . import autodiff as td
 from . import ballops as bo
 from .autodiff import finite_diff_check
-from .ballops import evaluate
+from .ballops import evaluate, exp_map_rows, log_map_rows
 from .diffusion import label_decode, label_encode, make_schedule, sample
-from .geometry import exp_map_rows, log_map_rows
 from .data import RunConfig
 from .losses import cross_entropy, phase_loss
 from .metrics import edit_score, f1_at_overlap, frame_accuracy

@@ -360,6 +360,9 @@ def read_labels(path, class_names: list[str], mapping: str = "the mapping") -> n
 # ---------------------------------------------------------------------------
 
 DECAY_KINDS = ("exp", "linear", "cosine")  # push-pull timestep decays
+# The largest norm of a starting prototype (`trainer.init_prototypes`), so a
+# curvature c needs c * PROTOTYPE_INIT_RADIUS^2 < 1 to hold them in its ball.
+PROTOTYPE_INIT_RADIUS = 0.1
 _POSITIVE = ("lr", "proto_lr", "curvature", "cone_k", "margin")
 _NONNEGATIVE = ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lambda_gg")
 # Upper bounds on the sizes the model and schedule allocate from: the schedule
@@ -429,6 +432,11 @@ class RunConfig:
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
                 bound = "> 0" if positive else ">= 0"
                 raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+        if self.curvature * PROTOTYPE_INIT_RADIUS**2 >= 1.0:
+            raise ConfigError(
+                f"curvature = {self.curvature} puts the starting prototypes outside the ball: "
+                f"its radius 1/sqrt(curvature) must exceed {PROTOTYPE_INIT_RADIUS}"
+            )
         if self.decay not in DECAY_KINDS:
             raise ConfigError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
         if self.embed_dim < 1 or self.encoder_channels < 1:

@@ -5,15 +5,16 @@ rescales Euclidean gradients by the inverse conformal metric
 (1 - c|z|^2)^2 / 4, keeps Adam moments in the tangent space at the current
 point without parallel transport between steps (the standard practical
 simplification), then retracts with the exponential map and re-projects into
-the open ball (Becigneul & Ganea, ICLR 2019).
+the open ball (Becigneul & Ganea, ICLR 2019), through the numpy kernels of
+`ballops`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .ballops import exp_map_rows, project_rows
 from .errors import ContractViolation, NonFiniteLossError, ShapeError
-from .geometry import exp_map_rows, project_rows
 from .losses import Prototypes
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015), the

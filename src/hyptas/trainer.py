@@ -39,7 +39,14 @@ import numpy as np
 from . import autodiff as td
 from . import ballops as bo
 from .autodiff import Tape
-from .data import Dataset, RunConfig, parse_config_text, read_checkpoint, write_checkpoint
+from .data import (
+    PROTOTYPE_INIT_RADIUS,
+    Dataset,
+    RunConfig,
+    parse_config_text,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .diffusion import (
     NoiseSchedule,
     forward_corrupt,
@@ -113,14 +120,15 @@ class TrainedState:
 
 
 def init_prototypes(classes: int, dim: int, curvature: float, seed: int) -> Prototypes:
-    """Pairwise-distinct points in a small ball around the origin (norm <= 0.1)."""
+    """Pairwise-distinct points in a small ball around the origin (norm below
+    PROTOTYPE_INIT_RADIUS)."""
     if classes < 2:
         raise ShapeError(f"need at least two classes, got {classes}")
     rng = np.random.default_rng(seed)
     while True:
         directions = rng.normal(size=(classes, dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = rng.uniform(0.02, 0.1, size=(classes, 1))
+        radii = rng.uniform(0.02, PROTOTYPE_INIT_RADIUS, size=(classes, 1))
         points = directions * radii
         diff = points[:, None, :] - points[None, :, :]
         off_diag = np.linalg.norm(diff, axis=2)[~np.eye(classes, dtype=bool)]

@@ -5,10 +5,12 @@ and gradients follow from the primitives' own rules. The fused ops in
 `hyptas.ballops` compute the same expressions in the same order and replay
 this composition's gradient arithmetic, so on every input, clamped rows
 included, they must agree with these oracles to the bit, in the value and
-in the gradient of every input. `mobius_add_rows` exists only here: the
-fused `distance_rows` inlines it. So do the tape primitives that only these
-compositions use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, `div_rows`,
-`rows_dot`, `row_norm`), with the gradient rules they had in `autodiff`.
+in the gradient of every input. The tape form of `mobius_add_rows` exists
+only here: the fused `distance_rows` inlines it, and `ballops` keeps the
+retraction's numpy form. The tape primitives that only these compositions
+use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, `div_rows`, `rows_dot`,
+`row_norm`) live only here too, with the gradient rules they had in
+`autodiff`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from hyptas import autodiff as td
 from hyptas.autodiff import Tensor, _accumulate, _same_tape
+from hyptas.ballops import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
 from hyptas.errors import ShapeError
-from hyptas.geometry import ARTANH_ARG_MAX, BALL_EPS, DENOM_EPS
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -94,7 +94,8 @@ def packed_forward_layer(xv, w, b, dilation, rows, step=None, residual=False):
     k, length = w.shape[0], xv.shape[0]
     pad = (k // 2) * dilation
     span = length + pad * (len(rows) - 1)
-    valid = td._packed_rows(tuple(rows), pad)
+    offsets = np.cumsum((0,) + tuple(rows[:-1])) + pad * np.arange(len(rows))
+    valid = np.concatenate([np.arange(o, o + n) for o, n in zip(offsets, rows)])
     xp = np.zeros((span + 2 * pad, xv.shape[1]))
     xp[valid + pad] = xv
     out = np.zeros((span, w.shape[2]))

@@ -12,7 +12,6 @@ import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape, finite_diff_check
 from hyptas.errors import AutodiffError, ShapeError
-from hyptas import geometry
 
 
 def mean_all(a):
@@ -216,7 +215,7 @@ class TestBallOps:
             tape = Tape()
             tx, ty = tape.const(X), tape.const(Y)
             assert np.allclose(
-                oracle.mobius_add_rows(tx, ty, c).value, geometry.mobius_add_rows(X, Y, c),
+                oracle.mobius_add_rows(tx, ty, c).value, bo.mobius_add_rows(X, Y, c),
                 atol=1e-12,
             )
 
@@ -437,12 +436,6 @@ class TestPackedConv1d:
             np.testing.assert_allclose(gxi, ref_gx, rtol=1e-12, atol=1e-12)
             gw_sum += ref_gw
         np.testing.assert_allclose(gw, gw_sum, rtol=1e-12, atol=1e-12)
-
-    def test_videos_sit_pad_rows_apart(self):
-        # A tap reaches at most pad rows past a video's edge, so pad zero rows
-        # between neighbours suffice.
-        assert td._packed_rows((3, 4), 2).tolist() == [0, 1, 2, 5, 6, 7, 8]
-        assert td._packed_rows((2, 1, 3), 4).tolist() == [0, 1, 6, 11, 12, 13]
 
     @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
     def test_changing_one_video_leaves_the_others_alone(self, dilation):

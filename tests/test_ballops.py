@@ -13,7 +13,7 @@ import ball_oracles as oracle
 import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape
-from hyptas.geometry import BALL_EPS, DENOM_EPS
+from hyptas.ballops import BALL_EPS, DENOM_EPS
 
 FORMULAS = oracle.FORMULAS
 TWO_INPUTS = ("distance_rows", "exterior_angle_rows")

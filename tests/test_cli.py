@@ -1,3 +1,4 @@
+import os
 import re
 import shutil
 import subprocess
@@ -17,6 +18,10 @@ GEN_ARGS = [
     "--feature-dim", "6", "--noise", "0.3", "--frames", "6", "9", "--segments", "3", "3",
     "--seed", "4",
 ]
+# Subprocesses import the package this run tests, with or without PYTHONPATH.
+SRC = str(Path(hyptas.cli.__file__).resolve().parents[1])
+SUBPROCESS_ENV = dict(os.environ,
+                      PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 TRAIN_SETS = [
     "--set", "epochs=3", "--set", "timesteps=50", "--set", "infer_steps=2",
     "--set", "encoder_channels=8", "--set", "embed_dim=8",
@@ -129,6 +134,27 @@ class TestTrain:
         assert code == 1
         assert f"error: {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_curvature_too_large_for_the_starting_prototypes(self, workspace, tmp_path, capsys,
+                                                             monkeypatch, source):
+        # Starting prototypes reach norm 0.1, outside the ball of radius
+        # 1/sqrt(150); the run is refused as a config error before training.
+        _, data, _ = workspace
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(hyptas.cli, "train", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curvature = 150\n")
+        setting = ["--set", "curvature=150"] if source == "set" else ["--config", str(cfg)]
+        code = run(["train", "--data", str(data), "--out", str(tmp_path / "m.htck")] + setting)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        prefix = "error: " if source == "set" else f"error: {cfg}: "
+        assert err.startswith(prefix + "curvature = 150.0 puts the starting prototypes outside")
+        assert not (tmp_path / "m.htck").exists()
 
     def test_config_file_plus_set_overrides(self, workspace, tmp_path):
         _, data, _ = workspace
@@ -262,7 +288,7 @@ class TestExitCodes:
     def test_console_script_wired(self):
         proc = subprocess.run(
             [sys.executable, "-c", "from hyptas.cli import main; main()"],
-            input="", capture_output=True, text=True,
+            input="", capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 1  # no subcommand is a usage error
 
@@ -272,7 +298,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, hyptas.cli; print('numpy.random' in sys.modules)"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
@@ -281,7 +307,7 @@ class TestExitCodes:
         pred, gt = tmp_path / "no_pred", tmp_path / "no_gt"
         proc = subprocess.run(
             [sys.executable, "-m", "hyptas.cli", "eval", "--pred", str(pred), "--gt", str(gt)],
-            input="", capture_output=True, text=True,
+            input="", capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 1, proc.stderr
         assert str(pred) in proc.stderr or str(gt) in proc.stderr
@@ -320,6 +346,9 @@ class TestMalformedCheckpoint:
         assert str(bad) in err and section in err
 
     def test_curvature_that_puts_prototypes_outside_the_ball(self, workspace, tmp_path, capsys):
+        # The stored config is refused first: no run could have trained at
+        # this curvature. Stored points outside the ball of a valid curvature
+        # are refused by section (`test_exit_one_naming_path_and_section`).
         from hyptas.data import read_checkpoint, write_checkpoint
 
         _, data, ckpt = workspace
@@ -332,7 +361,7 @@ class TestMalformedCheckpoint:
         code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
         err = capsys.readouterr().err
         assert code == 1, err
-        assert str(bad) in err and "prototypes/points" in err and "ball" in err
+        assert err.startswith(f"error: {bad}: stored config invalid: curvature = 10000.0 puts")
 
     def test_non_utf8_section_name(self, workspace, tmp_path, capsys):
         _, data, ckpt = workspace

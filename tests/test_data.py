@@ -212,6 +212,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="curvature"):
             read_config(path)
 
+    def test_curvature_must_leave_the_starting_prototypes_inside(self, tmp_path):
+        # The starting prototypes reach norm PROTOTYPE_INIT_RADIUS = 0.1, so
+        # the ball's radius 1/sqrt(c) must exceed it.
+        assert RunConfig(curvature=99.0).curvature == 99.0
+        path = tmp_path / "run.cfg"
+        path.write_text("curvature = 150\n")
+        with pytest.raises(ConfigError, match=f"^{path}: curvature = 150.0 puts"):
+            read_config(path)
+
     def test_cosine_decay_selected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("decay = cosine\n")

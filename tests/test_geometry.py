@@ -1,9 +1,9 @@
 """Poincare-ball formulas against closed forms and metric properties.
 
 Mobius addition, projection and the exp/log maps at any base point are the
-numpy kernels of `geometry`. Distance, origin distance, exp at the origin,
-exterior angle and aperture are the `ballops` functions training uses, run
-forward on constants, which the tape does not record.
+numpy kernels of the retraction in `ballops`. Distance, origin distance,
+exp at the origin, exterior angle and aperture are the `ballops` functions
+training uses, run forward on constants, which the tape does not record.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 
 import hyptas.ballops as bo
 from hyptas.autodiff import Tape
-from hyptas.geometry import (
+from hyptas.ballops import (
     BALL_EPS,
     exp_map_rows,
     log_map_rows,

@@ -438,10 +438,13 @@ class TestRecordedNodes:
 
 class TestSkippedGradients:
     def test_step_gradients_keep_the_bytes_of_computing_every_branch(self, tiny_data, monkeypatch):
-        """Gradient rules skip operands that need no gradient. Making every
-        constant a leaf runs every branch again, as all of them once ran; the
-        gradients of each training group's own leaves (parameters, prototype
-        copies) must not change by a bit."""
+        """The gradient rules of the two-operand primitives, `scale_rows` and
+        the layer ops skip operands that need no gradient; the fused ball ops
+        compute every operand's gradient, and `_accumulate` keeps constants
+        clean by dropping it. Making every constant a leaf runs every branch
+        again, as all of them once ran; the gradients of each training
+        group's own leaves (parameters, prototype copies) must not change by
+        a bit."""
         config = RunConfig(epochs=2, e1=1, seed=3, infer_steps=2, timesteps=50)
         leaf, backward = Tape.leaf, Tape.backward
 
