@@ -346,9 +346,26 @@ class TestMalformedCheckpoint:
         assert str(bad) in err and section in err
 
     def test_curvature_that_puts_prototypes_outside_the_ball(self, workspace, tmp_path, capsys):
-        # The stored config is refused first: no run could have trained at
-        # this curvature. Stored points outside the ball of a valid curvature
-        # are refused by section (`test_exit_one_naming_path_and_section`).
+        # Rows of norm 0.2 lie inside the ball at curvature 1 but outside the
+        # ball of radius 1/sqrt(99): the points are checked at the stored curvature.
+        from hyptas.data import read_checkpoint, write_checkpoint
+
+        _, data, ckpt = workspace
+        sections = read_checkpoint(ckpt)
+        sections["config_text"] = sections["config_text"].replace(
+            "curvature = 1.0", "curvature = 99.0"
+        )
+        points = sections["prototypes/points"]
+        sections["prototypes/points"] = 0.2 * points / np.linalg.norm(points, axis=1, keepdims=True)
+        bad = tmp_path / "bad.htck"
+        write_checkpoint(bad, list(sections.items()))
+        code = run(["infer", "--ckpt", str(bad), "--data", str(data), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert str(bad) in err and "prototypes/points" in err and "ball" in err
+
+    def test_stored_curvature_too_large_for_the_starting_prototypes(self, workspace, tmp_path,
+                                                                     capsys):
         from hyptas.data import read_checkpoint, write_checkpoint
 
         _, data, ckpt = workspace
