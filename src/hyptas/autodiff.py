@@ -40,7 +40,13 @@ sums the per-video losses into the 0-d root that `Tape.backward` seeds.
 Inference runs without a tape, in `model.ForwardRunner`.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
-test suite: central differences against the tape's analytic gradients.
+test suite: central differences against the tape's analytic gradients, with
+each perturbed point evaluated on a tape of its own. `stacked_finite_diff_check`
+(behind `hyptas check`) takes the same differences for a function of stacked
+copies: every perturbed point is one copy of a single pass over constants,
+so it returns `finite_diff_check`'s bits whenever each copy keeps the bits
+it has alone, as every training op and loss does. Both share one routine
+for the perturbed points, the difference quotients and the error.
 """
 
 from __future__ import annotations
@@ -574,6 +580,47 @@ def conv_layer(
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
+def _perturbed(point: list[np.ndarray], step: float):
+    """The 2N perturbed points of `point` in order: for each coordinate k (the
+    inputs in order, each flattened), the point with k moved by +step, then by
+    -step. Only the moved input is copied."""
+    for pi, p in enumerate(point):
+        flat = p.reshape(-1)
+        for ci in range(flat.size):
+            for delta in (step, -step):
+                moved = p.copy()
+                moved.reshape(-1)[ci] = flat[ci] + delta
+                yield point[:pi] + [moved] + point[pi + 1:]
+
+
+def _central_differences(base, point, step, values_at) -> float:
+    """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
+
+    `base(tape, leaves)` builds the scalar whose recorded tape gives the
+    analytic gradient at `point`; `values_at(points)` returns the function's
+    value at each of the `_perturbed` points, in their order.
+    """
+    if step <= 0.0:
+        raise AutodiffError(f"finite-difference step must be > 0, got {step}")
+    point = [np.asarray(p, dtype=np.float64) for p in point]
+
+    tape = Tape()
+    leaves = [tape.leaf(p) for p in point]
+    out = base(tape, leaves)
+    if not math.isfinite(float(out.value)):
+        raise AutodiffError("function evaluated non-finite at the base point")
+    grads = tape.backward(out)
+    analytic = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves])
+
+    values = np.asarray(values_at(_perturbed(point, step)), dtype=np.float64)
+    if values.shape != (2 * analytic.size,):
+        raise AutodiffError(f"{values.shape} values for {2 * analytic.size} perturbed points")
+    if not np.all(np.isfinite(values)):
+        raise AutodiffError("function evaluated non-finite at a perturbed point")
+    fd = (values[0::2] - values[1::2]) / (2.0 * step)
+    return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic)), initial=0.0))
+
+
 def finite_diff_check(
     f: Callable[[Tape, list[Tensor]], Tensor],
     point: Sequence[np.ndarray],
@@ -585,36 +632,32 @@ def finite_diff_check(
     leaves at the base point, then, 2 * total_coordinates times, constants at
     the perturbed points, on a tape that records nothing.
     """
-    if step <= 0.0:
-        raise AutodiffError(f"finite-difference step must be > 0, got {step}")
-    point = [np.asarray(p, dtype=np.float64) for p in point]
+    def values_at(points):
+        out = []
+        for arrays in points:
+            t = Tape()
+            out.append(float(f(t, [t.const(a) for a in arrays]).value))
+        return out
 
-    tape = Tape()
-    leaves = [tape.leaf(p) for p in point]
-    out = f(tape, leaves)
-    base = float(out.value)
-    if not math.isfinite(base):
-        raise AutodiffError("function evaluated non-finite at the base point")
-    grads = tape.backward(out)
-    analytic = [grads[leaf] for leaf in leaves]
+    return _central_differences(f, point, step, values_at)
 
-    def value_at(arrays) -> float:
+
+def stacked_finite_diff_check(
+    f: Callable[[Tape, list[Tensor]], Tensor],
+    point: Sequence[np.ndarray],
+    step: float = 1e-5,
+) -> float:
+    """`finite_diff_check` of `total(f)` for an `f` that takes stacked copies.
+
+    `f` takes each input as V copies stacked along axis 0 and returns the
+    (V,) tensor of the copies' values. The analytic gradient comes from one
+    recorded tape at the base point (V = 1), and the 2N perturbed points from
+    one pass over constants that stacks them (V = 2N): copy 2k moves
+    coordinate k by +step and copy 2k + 1 by -step. Where each copy's value
+    has the bits it has alone, the result equals `finite_diff_check`'s.
+    """
+    def values_at(points):
         t = Tape()
-        v = float(f(t, [t.const(a) for a in arrays]).value)
-        if not math.isfinite(v):
-            raise AutodiffError("function evaluated non-finite at a perturbed point")
-        return v
+        return f(t, [t.const(np.concatenate(copies)) for copies in zip(*points)]).value
 
-    worst = 0.0
-    for pi, p in enumerate(point):
-        flat = p.reshape(-1)
-        for ci in range(flat.size):
-            bumped = [q.copy() for q in point]
-            bumped[pi].reshape(-1)[ci] = flat[ci] + step
-            hi = value_at(bumped)
-            bumped[pi].reshape(-1)[ci] = flat[ci] - step
-            lo = value_at(bumped)
-            fd = (hi - lo) / (2.0 * step)
-            a = float(analytic[pi].reshape(-1)[ci])
-            worst = max(worst, abs(a - fd) / max(1.0, abs(a)))
-    return worst
+    return _central_differences(lambda tape, leaves: total(f(tape, leaves)), point, step, values_at)

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The desk-scale experiments
-(criteria 5-8) share three fully trained models per configuration through
-session fixtures; everything is deterministic given the pinned seeds, so
-reported numbers are bit-reproducible on one platform.
+Run with `pytest tests/test_acceptance.py -v -s`. Every test here carries
+the `acceptance` marker, so `pytest -m "not acceptance"` runs the rest of
+the suite. The desk-scale experiments (criteria 5-8) share three fully
+trained models per configuration through session fixtures; everything is
+deterministic given the pinned seeds, so reported numbers are
+bit-reproducible on one platform.
 """
 
 import time
@@ -25,6 +27,8 @@ from hyptas.metrics import evaluate_videos, f1_at_overlap
 from hyptas.trainer import infer_video, load_checkpoint, save_checkpoint, train
 
 from loss_surfaces import all_surfaces
+
+pytestmark = pytest.mark.acceptance
 
 # Frozen desk-scale setup: C = 6, 40 train / 10 test, L ~= 100, moderate noise.
 ACC_SPEC = SyntheticSpec(
