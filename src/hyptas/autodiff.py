@@ -21,23 +21,20 @@ one line and the whole tape auditable. A gradient rule computes only the
 gradients of operands that need one: a constant operand (features, masks)
 costs no backward arithmetic.
 
-Fused ops stand for a whole composition of primitives: each denoiser layer
-is one `conv_layer` node (dilated convolution, biases, the decoder's step
-projection, residual and relu) and each classification head one
-`softmax_head` node, and the Poincare-ball formulas are fused ops of their
-own in `ballops`, registered through `Tape._register` like the primitives
+Fused ops stand for a whole composition of primitives: the Poincare-ball
+formulas in `ballops`, and the denoiser's conv stacks and classification
+heads in `model`, register through `Tape._register` like the primitives
 here. A fused op computes the composition's numpy expressions in the same
-order and replays its gradient arithmetic, so values and gradients keep the
-composition's bits; the compositions live in the test suite as oracles.
+order and replays its gradient arithmetic, so values and gradients keep
+the composition's bits; the compositions live in the test suite as
+oracles.
 
-Training stacks its videos in time, and the layer ops, `sums` and `mean`
-take their frame counts as `rows` (a lone video is rows = (L,)). The layer
-ops keep every tap inside its video, run every matmul over each video's
-own rows, take each video's weight gradients over its own rows and sum
-them left to right, and `sums` and `mean` reduce per video. A packed
-training step thus gives each video the bits of a tape of its own; `total`
-sums the per-video losses into the 0-d root that `Tape.backward` seeds.
-Inference runs without a tape, in `model.ForwardRunner`.
+Training stacks its videos in time, and `sums` and `mean` take their frame
+counts as `rows` (a lone video is rows = (L,)) and reduce per video, as the
+denoiser's nodes keep each video's matmuls and weight gradients apart. A
+packed training step thus gives each video the bits of a tape of its own;
+`total` sums the per-video losses into the 0-d root that `Tape.backward`
+seeds. Inference runs without a tape, in `model.ForwardRunner`.
 
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients, with
@@ -379,17 +376,6 @@ def pick_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return a.tape._register(a.value[idx], (a,), push)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    na = a.value.shape[1]
-
-    def push(g):
-        _accumulate(a, g[:, :na])
-        _accumulate(b, g[:, na:])
-
-    return tape._register(np.concatenate([a.value, b.value], axis=1), (a, b), push)
-
-
 # ---------------------------------------------------------------------------
 # Softmax (row-wise over class columns)
 # ---------------------------------------------------------------------------
@@ -411,169 +397,6 @@ def softmax(a: Tensor) -> Tensor:
         _accumulate(a, _softmax_grad(out, g))
 
     return a.tape._register(out, (a,), push)
-
-
-def _matmul_rows(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
-    """a @ b with one matmul per video's rows of a, so that each video gets
-    the bits of its own matmul (a row of a BLAS matmul can change in its
-    last bits with the matmul's row count)."""
-    if len(spans) == 1:
-        return a @ b
-    return np.concatenate([a[lo:hi] @ b for lo, hi in spans])
-
-
-def softmax_head(h: Tensor, w: Tensor, b: Tensor, rows: Sequence[int]) -> Tensor:
-    """Class probabilities softmax(h @ w + b) of h (L, d), w (d, C), b (1, C).
-
-    One op for the composition matmul -> row-bias add -> softmax, with its
-    arithmetic: the same forward expressions, and a backward that hands the
-    softmax gradient to b and through the matmul to h and w. `rows` gives
-    the frame counts of the videos stacked in h. Every matmul runs per
-    video, as in `_dilated_conv`, and w and b get the videos' own gradients
-    summed left to right.
-    """
-    tape = _same_tape(h, w, b)
-    hv, wv, bv = h.value, w.value, b.value
-    spans = _spans(rows, hv.shape[0])
-    z = _matmul_rows(hv, wv, spans)
-    if bv.shape != (1, z.shape[1]):
-        raise ShapeError(f"softmax_head: bias {bv.shape} for logits {z.shape}")
-    out = _softmax_rows(z + bv)
-
-    def push(g):
-        gz = _softmax_grad(out, g)
-        if b.needs_grad:
-            _accumulate(b, _in_order([np.sum(gz[lo:hi], axis=0, keepdims=True) for lo, hi in spans]))
-        if h.needs_grad:
-            _accumulate(h, _matmul_rows(gz, wv.T, spans))
-        if w.needs_grad:
-            _accumulate(w, _in_order([hv[lo:hi].T @ gz[lo:hi] for lo, hi in spans]))
-
-    return tape._register(out, (h, w, b), push)
-
-
-# ---------------------------------------------------------------------------
-# Dilated temporal-convolution layer
-# ---------------------------------------------------------------------------
-
-def _dilated_conv(xv: np.ndarray, wv: np.ndarray, dilation: int, rows):
-    """'Same'-padded dilated convolution: x (L, Cin), w (k, Cin, Cout) -> (L, Cout),
-    and its backward `grads(g, need_x, need_w) -> (gx, gw)` (None where not needed).
-
-    Tap j reads frames offset by (j - k//2) * dilation; out-of-range frames
-    contribute zero. `rows` gives the frame counts of the videos stacked in
-    x, and no tap reads across a video boundary. Both passes work on one
-    zero-padded buffer that holds every video with pad = (k//2) * dilation
-    zero rows on each side (pad rows between neighbours, since a tap reaches
-    at most pad rows past a video's edge), so each video's padded frames are
-    one window of it, and sum one matmul per tap on row-slice views, tap by
-    tap. A single im2col matmul would reorder the float sums and change the
-    result bits.
-
-    Both passes run each tap's matmul over each video's window: a row of a
-    BLAS matmul can change in its last bits with the matmul's row count, so
-    only per-video matmuls give every video the bits of its own buffer. The
-    kernel gradient is the videos' own gradients summed left to right.
-    """
-    if xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]:
-        raise ShapeError(f"conv_layer: got input {xv.shape}, kernel {wv.shape}")
-    k, L = wv.shape[0], xv.shape[0]
-    pad = (k // 2) * dilation
-    # (o, lo, hi) per video: its rows lo:hi of x sit at buffer rows o + pad on
-    windows = [(lo + pad * i, lo, hi) for i, (lo, hi) in enumerate(_spans(rows, L))]
-    span = L + pad * (len(rows) - 1)  # rows of the buffer between its outer pads
-    starts = [j * dilation for j in range(k)]  # tap j's window in the padded rows
-
-    xp = np.zeros((span + 2 * pad, xv.shape[1]))
-    for o, lo, hi in windows:
-        xp[o + pad : o + pad + hi - lo] = xv[lo:hi]
-    out = np.zeros((L, wv.shape[2]))
-    for o, lo, hi in windows:
-        for j, s in enumerate(starts):
-            out[lo:hi] += xp[o + s : o + s + hi - lo] @ wv[j]
-
-    def grads(g, need_x, need_w):
-        gx = gw = None
-        if need_x:
-            gp = np.zeros_like(xp)
-            for o, lo, hi in windows:
-                for j, s in enumerate(starts):
-                    gp[o + s : o + s + hi - lo] += g[lo:hi] @ wv[j].T
-            gx = np.concatenate([gp[o + pad : o + pad + hi - lo] for o, lo, hi in windows])
-        if need_w:
-            def video_gw(o, lo, hi):
-                gw = np.empty_like(wv)
-                for j, s in enumerate(starts):
-                    gw[j] = xp[o + s : o + s + hi - lo].T @ g[lo:hi]
-                return gw
-
-            gw = _in_order([video_gw(*window) for window in windows])
-        return gx, gw
-
-    return out, grads
-
-
-def conv_layer(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    dilation: int,
-    rows: Sequence[int],
-    step: tuple[Sequence[np.ndarray], Tensor, Tensor] | None = None,
-    residual: bool = False,
-) -> Tensor:
-    """One dilated temporal-convolution layer as one op:
-    relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])).
-
-    x (L, Cin), w (k, Cin, Cout), b (1, Cout); `rows` as in `_dilated_conv`.
-    `step = (e, sw, sb)` adds a step projection: `e` is a list of fixed
-    (1, E) arrays, one per video, each projected on its own by the (E, Cout)
-    weight sw and (1, Cout) bias sb (a 1-row matmul) and added to its
-    video's rows. `residual` adds the input. The backward replays the
-    composition's gradient arithmetic: the
-    residual's gradient reaches x before the convolution's, each bias gets
-    the column sum of the relu's gradient, and sw gets e.T times it. Every
-    weight gradient is taken per video over its own rows and the videos'
-    gradients are summed left to right, as one tape per video would.
-    """
-    parents = (x, w, b) if step is None else (x, w, b) + tuple(step[1:])
-    tape = _same_tape(*parents)
-    conv, conv_grads = _dilated_conv(x.value, w.value, dilation, rows)
-    bias_shape = (1, conv.shape[1])
-    if b.value.shape != bias_shape:
-        raise ShapeError(f"conv_layer: bias {b.value.shape} for output {conv.shape}")
-    z = conv + b.value
-    if step is not None:
-        e, sw, sb = step
-        if sb.value.shape != bias_shape:
-            raise ShapeError(f"conv_layer: step bias {sb.value.shape} for output {conv.shape}")
-        if len(e) != len(rows):
-            raise ShapeError(f"conv_layer: {len(e)} step embeddings for {len(rows)} videos")
-        z = z + np.repeat(np.concatenate([ev @ sw.value + sb.value for ev in e]), rows, axis=0)
-    if residual:
-        if x.value.shape != z.shape:
-            raise ShapeError(f"conv_layer: residual input {x.value.shape} for output {z.shape}")
-        z = x.value + z
-    mask = z > 0.0
-
-    def push(g):
-        g = g * mask
-        if residual:
-            _accumulate(x, g)
-        gsums = [np.sum(g[lo:hi], axis=0, keepdims=True) for lo, hi in _spans(rows, g.shape[0])]
-        gsum = _in_order(gsums)
-        if step is not None:
-            if sw.needs_grad:
-                _accumulate(sw, _in_order([ev.T @ gv for ev, gv in zip(e, gsums)]))
-            _accumulate(sb, gsum)
-        _accumulate(b, gsum)
-        gx, gw = conv_grads(g, x.needs_grad, w.needs_grad)
-        if gx is not None:
-            _accumulate(x, gx)
-        if gw is not None:
-            _accumulate(w, gw)
-
-    return tape._register(z * mask, parents, push)
 
 
 # ---------------------------------------------------------------------------

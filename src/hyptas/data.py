@@ -316,9 +316,13 @@ def read_mapping(path) -> list[str]:
         if not line.strip():
             continue
         parts = line.split(maxsplit=1)
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
             raise FormatError(f"{path}:{lineno}: expected 'index name', got {line!r}")
-        names[int(parts[0])] = parts[1].strip()
+        index, name = int(parts[0]), parts[1].strip()
+        if index in names or name in names.values():
+            what = f"index {index}" if index in names else f"class name {name!r}"
+            raise FormatError(f"{path}:{lineno}: {what} is already mapped")
+        names[index] = name
     if not names:
         raise FormatError(f"{path}: empty mapping")
     if sorted(names) != list(range(len(names))):

@@ -7,15 +7,16 @@ Both stacks use the fixed MS-TCN layout (Farha & Gall, CVPR 2019): kernel
 `KERNEL` at dilations `DILATIONS`, and the decoder adds a projection of the
 `STEP_DIM`-wide sinusoidal step embedding to every layer. Only the widths
 vary, so a `DenoiserConfig` holds the input, output and hidden widths alone.
-In training, each layer (convolution, bias, step projection, residual,
-relu) is one `autodiff.conv_layer` tape op and each classification head one
-`autodiff.softmax_head`. A training pass stacks its videos in time (a lone
-video is a stack of one) and passes their frame counts `rows` and one step
-per video, so a trainable encode + decode records 11 nodes, however many
-videos it stacks, each decoded at its own step. Inference runs the same
-arithmetic without a tape: a `ForwardRunner` owns padded numpy buffers for
-one set of videos, encodes them once and decodes all of them at one step
-per sampler step.
+One class, `_Stack`, runs the forward of every layer (convolution, bias,
+step projection, residual, relu) on zero-padded buffers of its own, and
+holds the stack's backward beside it. A training pass stacks its videos in
+time (a lone video is a stack of one) and passes their frame counts `rows`
+and one step per video; `BoundDenoiser.encode` and `decode` each record
+their stack as one tape node and their classification head as another, so
+a trainable encode + decode records 4 nodes, however many videos it stacks,
+each decoded at its own step. Inference runs the same stacks without a
+tape: a `ForwardRunner` builds them for one set of videos, encodes them
+once and decodes all of them at one step per sampler step.
 
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
@@ -30,13 +31,13 @@ import functools
 import itertools
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as td
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, _accumulate, _in_order
 from .errors import ShapeError
 from .metrics import Segment
 
@@ -77,6 +78,10 @@ def sinusoidal_step_embedding(t: int, dim: int) -> np.ndarray:
     return emb
 
 
+def _layer_name(stack: str, i: int) -> str:
+    return f"{stack}.in" if i == 0 else f"{stack}.layer{i}"
+
+
 def _glorot(rng, shape, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -93,25 +98,18 @@ class Denoiser:
         k, ch, d = KERNEL, config.encoder_channels, config.embed_dim
         params: dict[str, np.ndarray] = {}
 
-        def conv_init(name, cin, cout):
-            params[f"{name}.w"] = _glorot(rng, (k, cin, cout), k * cin, cout)
-            # small positive bias keeps every relu channel initially live
-            params[f"{name}.b"] = np.full((1, cout), 0.01)
-
-        conv_init("enc.in", config.feature_dim, ch)
-        for i in range(1, len(DILATIONS)):
-            conv_init(f"enc.layer{i}", ch, ch)
-        params["enc.head.w"] = _glorot(rng, (ch, config.classes), ch, config.classes)
-        params["enc.head.b"] = np.zeros((1, config.classes))
-
-        conv_init("dec.in", config.classes + ch, d)
-        for i in range(1, len(DILATIONS)):
-            conv_init(f"dec.layer{i}", d, d)
-        for i in range(len(DILATIONS)):
-            params[f"dec.step{i}.w"] = _glorot(rng, (STEP_DIM, d), STEP_DIM, d)
-            params[f"dec.step{i}.b"] = np.zeros((1, d))
-        params["dec.head.w"] = _glorot(rng, (d, config.classes), d, config.classes)
-        params["dec.head.b"] = np.zeros((1, config.classes))
+        for stack, cin, cout in (("enc", config.feature_dim, ch), ("dec", config.classes + ch, d)):
+            for i in range(len(DILATIONS)):
+                name, width = _layer_name(stack, i), cin if i == 0 else cout
+                params[f"{name}.w"] = _glorot(rng, (k, width, cout), k * width, cout)
+                # small positive bias keeps every relu channel initially live
+                params[f"{name}.b"] = np.full((1, cout), 0.01)
+            if stack == "dec":
+                for i in range(len(DILATIONS)):
+                    params[f"dec.step{i}.w"] = _glorot(rng, (STEP_DIM, d), STEP_DIM, d)
+                    params[f"dec.step{i}.b"] = np.zeros((1, d))
+            params[f"{stack}.head.w"] = _glorot(rng, (cout, config.classes), cout, config.classes)
+            params[f"{stack}.head.b"] = np.zeros((1, config.classes))
         self._shapes = {name: arr.shape for name, arr in params.items()}
         self.flat = np.concatenate([arr.ravel() for arr in params.values()])
         self.params = self.views(self.flat)
@@ -132,39 +130,74 @@ class Denoiser:
         return BoundDenoiser(self.config, tape, bound)
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
+    """a @ b with one matmul per video's rows of a, so that each video gets
+    the bits of its own matmul (a row of a BLAS matmul can change in its
+    last bits with the matmul's row count)."""
+    return a @ b if len(spans) == 1 else np.concatenate([a[lo:hi] @ b for lo, hi in spans])
+
+
+def _checked_features(features, config: DenoiserConfig) -> np.ndarray:
+    """Features (L, D) as float64, refused unless L > 0, D is the model's
+    feature_dim and every value is finite."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != config.feature_dim:
+        raise ShapeError(f"features {features.shape} do not match feature_dim {config.feature_dim}")
+    if features.shape[0] == 0:
+        raise ShapeError("a video needs at least one frame")
+    if not np.all(np.isfinite(features)):
+        raise ShapeError("non-finite features")
+    return features
+
+
+@dataclass
 class BoundDenoiser:
     """Forward passes over bound parameters. Every pass takes the frame
-    counts `rows` of the videos stacked in its inputs ((L,) for one video);
-    every layer is row-local except the convolution inside each
-    `conv_layer`, which gets `rows` so that no tap reads across a video
-    boundary."""
+    counts `rows` of the videos stacked in its inputs ((L,) for one video),
+    runs its conv stack as one tape node over a `_Stack`, whose backward the
+    node calls, and its classification head as one node."""
 
-    def __init__(self, config: DenoiserConfig, tape: Tape, bound: dict[str, Tensor]):
-        self.config = config
-        self.tape = tape
-        self.bound = bound
+    config: DenoiserConfig
+    tape: Tape
+    bound: dict[str, Tensor]
 
-    def _layer(self, stack: str, i: int, x: Tensor, rows, step=None) -> Tensor:
-        name = f"{stack}.in" if i == 0 else f"{stack}.layer{i}"
-        return td.conv_layer(
-            x, self.bound[f"{name}.w"], self.bound[f"{name}.b"], DILATIONS[i], rows,
-            step=step, residual=i > 0,
-        )
+    def _pass(self, stack: str, inputs: Sequence[Tensor], rows: Sequence[int], es=None):
+        """The conv stack over the columns of `inputs` side by side, one node
+        whose parents are `inputs` and the stack's parameters, and its
+        classification head softmax(h @ w + b), one node: (h, probabilities).
+
+        Both run each matmul over rows per video, and w and b get the
+        videos' own gradients summed left to right."""
+        spans = td._spans(rows, inputs[0].value.shape[0])
+        params = {n: t for n, t in self.bound.items() if n.startswith(stack) and ".head." not in n}
+        net = _Stack({n: t.value for n, t in params.items()}, stack, rows, per_video=True)
+        net.write(np.concatenate([t.value for t in inputs], axis=1))
+        out = np.empty((sum(rows), net.layers[-1].w.shape[2]))
+        net.forward(es, out, net.frame_starts)
+        cuts = list(itertools.accumulate(t.value.shape[1] for t in inputs))[:-1]
+
+        def push(g):
+            grads, gx = net.backward(g, out, es, any(t.needs_grad for t in inputs))
+            for name, grad in grads.items():
+                _accumulate(params[name], grad)
+            for t, part in zip(inputs, () if gx is None else np.split(gx, cuts, axis=1)):
+                _accumulate(t, part)
+
+        h = self.tape._register(out, (*inputs, *params.values()), push)
+        w, b = self.bound[f"{stack}.head.w"], self.bound[f"{stack}.head.b"]
+        probs = td._softmax_rows(_matmul_rows(out, w.value, spans) + b.value)
+
+        def head_push(g):
+            gz = td._softmax_grad(probs, g)
+            _accumulate(b, _in_order([np.sum(gz[lo:hi], axis=0, keepdims=True) for lo, hi in spans]))
+            _accumulate(h, _matmul_rows(gz, w.value.T, spans))
+            _accumulate(w, _in_order([out[lo:hi].T @ gz[lo:hi] for lo, hi in spans]))
+
+        return h, self.tape._register(probs, (h, w, b), head_push)
 
     def encode(self, features: np.ndarray, rows: Sequence[int]) -> tuple[Tensor, Tensor]:
         """Features (L, D) -> (condition (L, channels), encoder probabilities (L, C))."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.config.feature_dim:
-            raise ShapeError(
-                f"features {features.shape} do not match feature_dim {self.config.feature_dim}"
-            )
-        if not np.all(np.isfinite(features)):
-            raise ShapeError("non-finite features")
-        h = self.tape.const(features)
-        for i in range(len(DILATIONS)):
-            h = self._layer("enc", i, h, rows)
-        p_enc = td.softmax_head(h, self.bound["enc.head.w"], self.bound["enc.head.b"], rows)
-        return h, p_enc
+        return self._pass("enc", [self.tape.const(_checked_features(features, self.config))], rows)
 
     def decode(
         self, y_t: Tensor, condition: Tensor, t: Sequence[int], rows: Sequence[int]
@@ -175,47 +208,158 @@ class BoundDenoiser:
         draws its own. The returned embeddings are the final layer's output
         before the classification head.
         """
-        if y_t.value.shape[0] != condition.value.shape[0]:
-            raise ShapeError(
-                f"signal rows {y_t.value.shape[0]} vs condition rows {condition.value.shape[0]}"
-            )
-        if y_t.value.shape[1] != self.config.classes:
-            raise ShapeError(f"signal {y_t.value.shape} does not match classes {self.config.classes}")
-        e = [sinusoidal_step_embedding(int(tv), STEP_DIM) for tv in t]
-        h = td.concat_cols(y_t, condition)
-        for i in range(len(DILATIONS)):
-            step = (e, self.bound[f"dec.step{i}.w"], self.bound[f"dec.step{i}.b"])
-            h = self._layer("dec", i, h, rows, step)
-        probs = td.softmax_head(h, self.bound["dec.head.w"], self.bound["dec.head.b"], rows)
-        return h, probs
+        cfg, signal = self.config, y_t.value.shape
+        if signal[1] != cfg.classes or condition.value.shape != (signal[0], cfg.encoder_channels):
+            raise ShapeError(f"signal {signal} and condition {condition.value.shape} do not "
+                             f"match {cfg.classes} classes and {cfg.encoder_channels} channels")
+        if len(t) != len(rows):
+            raise ShapeError(f"{len(t)} steps for {len(rows)} videos")
+        es = [sinusoidal_step_embedding(int(tv), STEP_DIM) for tv in t]
+        return self._pass("dec", [y_t, condition], rows, es)
 
 
-def _copy_rows(dst, dst_starts, src, src_starts, rows) -> None:
-    """Copy each video's rows of `src` to `dst`, the slice at one start to the
-    slice at the other."""
-    for d, s, n in zip(dst_starts, src_starts, rows):
-        dst[d : d + n] = src[s : s + n]
+class _Layer:
+    """Convolution layer i of a `_Stack`: its parameters, the zero-padded
+    buffer of its input, in which video v's frames start at row frames[v],
+    and views of the stack's scratch `acc` and `tap` over its span."""
+
+    def __init__(self, params, stack: str, i: int, rows, frame_starts, per_video: bool, acc, tap):
+        self.name = _layer_name(stack, i)
+        self.w, b = params[f"{self.name}.w"], params[f"{self.name}.b"]
+        self.step = (params[f"dec.step{i}.w"], params[f"dec.step{i}.b"]) if stack == "dec" else None
+        self.residual, self.dilation = i > 0, DILATIONS[i]
+        self.pad = (KERNEL // 2) * self.dilation
+        self.span = sum(rows) + self.pad * (len(rows) - 1)  # the rows between the outer pads
+        # An inference decoder layer runs once per sampler step, where adding
+        # a bias of full rows is faster than broadcasting it.
+        self.bias = b if per_video or self.step is None else np.repeat(b, self.span, axis=0)
+        # each video's first row in the span, and its frames
+        self.videos = [(lo + self.pad * v, n) for v, (lo, n) in enumerate(zip(frame_starts, rows))]
+        self.frames = [s + self.pad for s, _ in self.videos]
+        self.inputs = np.zeros((self.span + 2 * self.pad, self.w.shape[1]))
+        self.z, d = acc[: self.span], self.dilation
+        # Per window of the tap matmuls (each video's, or the whole span), its
+        # taps' input rows and its rows of z and tap, viewed once here rather
+        # than at every sampler step.
+        self.windows = [([self.inputs[s + j * d : s + j * d + n] for j in range(KERNEL)],
+                         self.z[s : s + n], tap[s : s + n])
+                        for s, n in (self.videos if per_video else [(0, self.span)])]
 
 
-@dataclass
-class _BufferedLayer:
-    """One convolution layer of a `ForwardRunner` and its buffers.
+class _Stack:
+    """One conv stack of the denoiser, the encoder's or the decoder's
+    `len(DILATIONS)` layers, over videos of `rows` frames stacked in time:
+    the only implementation of a layer's forward, with the stack's backward
+    beside it.
 
-    `inputs` holds the videos in `_dilated_conv`'s zero-padded layout; `acc`
-    and `tap` span its rows between the outer pads, in the same layout, and
-    their rows between the videos are never read. They are scratch, views of
-    memory that every layer of the runner shares."""
+    Each layer owns `inputs`, a zero-padded buffer of its input: pad =
+    (KERNEL // 2) * dilation zero rows before, between and after the videos,
+    so no tap reads across a video boundary (a tap reaches at most pad rows
+    past a video's edge). A layer writes its relu output into the videos'
+    rows of the next layer's buffer, so pad rows are never written and stay
+    zero. The layers share two scratch arrays, `acc` and `tap`, whose rows
+    between the videos are never read.
 
-    w: np.ndarray
-    bias: np.ndarray  # b, or for a decoder layer b repeated on every row of `acc`
-    step: tuple[np.ndarray, np.ndarray] | None  # (sw, sb) of a decoder layer
-    residual: bool
-    dilation: int
-    starts: list[int]  # each video's first row in `acc`
-    frames: list[int]  # each video's first row in `inputs`
-    inputs: np.ndarray
-    acc: np.ndarray
-    tap: np.ndarray
+    Forward, each layer sums one matmul per tap, tap by tap (the first tap
+    assigned: a matmul's sums start at +0.0, so a tap is never -0.0 and
+    0.0 + tap is tap; one im2col matmul would reorder the sums and change
+    the bits); then, in place, it adds b, the step projection e @ sw + sb and
+    the residual input, and applies relu as z * (z > 0), which keeps -0.0
+    for a negative z (np.maximum would not). Every op after the matmuls is
+    row-local, so the rows between the videos cost a little arithmetic and
+    no bits. A row of a BLAS matmul can change in its last bits with the
+    matmul's row count, so the stack of a `BoundDenoiser` pass (training)
+    runs each tap's matmul over each video's window, which gives every
+    video the bits of a tape of its own, and adds each video's own step
+    projection; the stacks of a `ForwardRunner` (inference, no tape) run it
+    once over the whole span, with one step for all videos.
+
+    The backward walks the same buffers from the last layer down. Each relu
+    mask is read back as output > 0, from the next layer's input. A layer's
+    input gradient is the convolution's, tap by tap per video into a zeroed
+    buffer in the input's layout, plus the residual's: the tape formed
+    residual + convolution, the same bits. Every weight, bias and
+    step-projection gradient is taken per video over its own rows, and the
+    videos' parts are summed left to right.
+    """
+
+    def __init__(self, params: Mapping[str, np.ndarray], stack: str, rows: Sequence[int],
+                 per_video: bool):
+        self.rows = tuple(rows)
+        self.frame_starts = [0, *itertools.accumulate(self.rows)][:-1]
+        widest = sum(self.rows) + (KERNEL // 2) * max(DILATIONS) * (len(self.rows) - 1)
+        shape = (widest, params[f"{stack}.in.w"].shape[2])
+        acc, tap = np.zeros(shape), np.zeros(shape)
+        self.layers = [_Layer(params, stack, i, self.rows, self.frame_starts, per_video, acc, tap)
+                       for i in range(len(DILATIONS))]
+
+    def write(self, x: np.ndarray) -> None:
+        """Copy each video's rows of x, stacked like the stack's videos, into
+        the first columns of the first layer's buffer."""
+        first = self.layers[0]
+        for f, s, n in zip(first.frames, self.frame_starts, self.rows):
+            first.inputs[f : f + n, : x.shape[1]] = x[s : s + n]
+
+    def forward(self, es, out: np.ndarray, out_starts: Sequence[int]) -> None:
+        """Run the layers in turn, each writing its output into the next
+        one's inputs and the last into the rows of `out` at `out_starts`. A
+        decoder's `es` holds one step embedding per window."""
+        for i, layer in enumerate(self.layers):
+            z = layer.z
+            for taps, zw, tw in layer.windows:
+                np.matmul(taps[0], layer.w[0], out=zw)
+                for j in range(1, KERNEL):
+                    np.matmul(taps[j], layer.w[j], out=tw)
+                    zw += tw
+            z += layer.bias
+            if layer.step is not None:
+                sw, sb = layer.step
+                for (_, zw, _), e in zip(layer.windows, es):
+                    zw += e @ sw + sb
+            if layer.residual:
+                z += layer.inputs[layer.pad : layer.pad + layer.span]
+            dst, starts = (out, out_starts) if i + 1 == len(self.layers) else (
+                self.layers[i + 1].inputs, self.layers[i + 1].frames)
+            if len(self.rows) == 1:
+                np.multiply(z, z > 0.0, out=dst[starts[0] : starts[0] + layer.span])
+            else:
+                np.multiply(z, z > 0.0, out=z)
+                for start, (s, n) in zip(starts, layer.videos):
+                    dst[start : start + n] = z[s : s + n]
+
+    def backward(self, g: np.ndarray, out: np.ndarray, es, input_grad: bool):
+        """From g, the gradient of `out` (the last forward's output, its videos
+        stacked): the gradients {parameter name: gradient}, and the gradient
+        of the first layer's input (its videos stacked) if `input_grad`, else
+        None. Only a per-video stack has one: it reuses the tap views of its
+        windows, which are its videos in order."""
+        grads: dict[str, np.ndarray] = {}
+        g, g_starts = g * (out > 0.0), self.frame_starts
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            d, parts = layer.dilation, [(s, gs, n) for (s, n), gs in zip(layer.videos, g_starts)]
+            gsums = [np.sum(g[gs : gs + n], axis=0, keepdims=True) for _, gs, n in parts]
+            grads[f"{layer.name}.b"] = _in_order(gsums)
+            if layer.step is not None:
+                grads[f"dec.step{i}.w"] = _in_order([e.T @ gv for e, gv in zip(es, gsums)])
+                grads[f"dec.step{i}.b"] = grads[f"{layer.name}.b"]
+            gw = [np.empty_like(layer.w) for _ in parts]
+            for part, (taps, _, _), (_, gs, n) in zip(gw, layer.windows, parts):
+                for j in range(KERNEL):
+                    np.matmul(taps[j].T, g[gs : gs + n], out=part[j])
+            grads[f"{layer.name}.w"] = _in_order(gw)
+            if i == 0 and not input_grad:
+                return grads, None
+            gx = np.zeros_like(layer.inputs)
+            for s, gs, n in parts:
+                for j in range(KERNEL):
+                    gx[s + j * d : s + j * d + n] += g[gs : gs + n] @ layer.w[j].T
+            if i == 0:
+                videos = zip(layer.frames, self.rows)
+                return grads, np.concatenate([gx[f : f + n] for f, n in videos])
+            for f, (_, gs, n) in zip(layer.frames, parts):  # the residual's gradient
+                gx[f : f + n] += g[gs : gs + n]
+            g, g_starts = gx * (layer.inputs > 0.0), layer.frames
 
 
 class ForwardRunner:
@@ -223,103 +367,28 @@ class ForwardRunner:
     encoded once when the runner is built, and each `decode` is one sampler
     step over all of them, stacked in time.
 
-    The runner owns one zero-padded input buffer per convolution layer (an
-    encoder layer's only while it encodes), in `_dilated_conv`'s layout:
-    pad = (KERNEL // 2) * dilation zero rows before, between and after the
-    videos. A layer writes its relu output into the videos' rows of the next
-    layer's buffer, so pad rows are never written and stay zero across
-    steps. The encoder's output goes once into the condition columns of the
-    decoder's first buffer; a decode writes only the signal's C columns.
-
-    The arithmetic is that of the tape ops' forward over all rows at once.
-    Each layer sums one matmul per tap over the whole buffer span (the
-    first tap assigned: a matmul's sums start at +0.0, so a tap is never
-    -0.0 and 0.0 + tap is tap); then, in place, it adds b, the step
-    projection e @ sw + sb and the residual input, and applies relu as
-    z * (z > 0), which keeps -0.0 for a negative z (np.maximum would not).
-    Every op after the matmuls is row-local, so the rows between the
-    videos cost a little arithmetic and no bits. The decoder's output rows
-    are gathered for the head, softmax(h @ w + b), one matmul over all
-    frames. The encoder's classification head, which inference never
-    reads, is skipped.
+    Its stacks run each tap's matmul once over the whole span, and every
+    video at the one step of the sampler. The encoder's buffers live only while it
+    encodes; its output goes once into the condition columns of the
+    decoder's first buffer, and a decode writes only the signal's C
+    columns. The decoder's output rows are the embeddings, and its head is
+    softmax(h @ w + b), one matmul over all frames. The encoder's
+    classification head, which inference never reads, is skipped.
     """
 
     def __init__(self, model: Denoiser, videos: Sequence[np.ndarray]):
-        cfg = model.config
-        for f in videos:
-            if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
-                raise ShapeError(
-                    f"features {f.shape} do not match checkpoint feature_dim {cfg.feature_dim}"
-                )
-            if f.shape[0] == 0:
-                raise ShapeError("a video needs at least one frame")
-            if not np.all(np.isfinite(f)):
-                raise ShapeError("non-finite features")
+        cfg, p = model.config, model.params
+        videos = [_checked_features(f, cfg) for f in videos]
         self.rows = tuple(f.shape[0] for f in videos)
-        self.frame_starts = [0, *itertools.accumulate(self.rows)][:-1]
-        p, ch, d = model.params, cfg.encoder_channels, cfg.embed_dim
         self.classes = cfg.classes
-        widest = sum(self.rows) + (KERNEL // 2) * max(DILATIONS) * (len(self.rows) - 1)
-        self._scratch = [np.empty(widest * max(ch, d)) for _ in range(2)]
-        encoder = [
-            self._layer(p, "enc", i, cfg.feature_dim if i == 0 else ch, ch)
-            for i in range(len(DILATIONS))
-        ]
-        self.decoder = [
-            self._layer(p, "dec", i, cfg.classes + ch if i == 0 else d, d)
-            for i in range(len(DILATIONS))
-        ]
+        encoder = _Stack(p, "enc", self.rows, per_video=False)
+        self.decoder = _Stack(p, "dec", self.rows, per_video=False)
         self.head = (p["dec.head.w"], p["dec.head.b"])
         # The last decode's final-layer output, before the head.
-        self.embeddings = np.empty((sum(self.rows), d))
-        for f, start in zip(videos, encoder[0].frames):
-            encoder[0].inputs[start : start + f.shape[0]] = f
-        dec = self.decoder[0]
-        self._stack(encoder, None, dec.inputs[:, cfg.classes :], dec.frames)
-
-    def _layer(self, params, stack: str, i: int, cin: int, cout: int) -> _BufferedLayer:
-        name = f"{stack}.in" if i == 0 else f"{stack}.layer{i}"
-        step = (params[f"dec.step{i}.w"], params[f"dec.step{i}.b"]) if stack == "dec" else None
-        dilation = DILATIONS[i]
-        pad = (KERNEL // 2) * dilation
-        span = sum(self.rows) + pad * (len(self.rows) - 1)
-        starts = [lo + pad * v for v, lo in enumerate(self.frame_starts)]
-        # A decoder layer runs once per step, where adding a bias of full
-        # rows is faster than broadcasting it; the encoder runs once.
-        bias = params[f"{name}.b"]
-        if step is not None:
-            bias = np.repeat(bias, span, axis=0)
-        acc, tap = (buffer[: span * cout].reshape(span, cout) for buffer in self._scratch)
-        return _BufferedLayer(
-            w=params[f"{name}.w"], bias=bias, step=step, residual=i > 0,
-            dilation=dilation, starts=starts, frames=[s + pad for s in starts],
-            inputs=np.zeros((span + 2 * pad, cin)), acc=acc, tap=tap,
-        )
-
-    def _stack(self, layers: list[_BufferedLayer], e: np.ndarray | None, out, out_starts) -> None:
-        """Run the layers in turn, each writing its output into the next
-        one's inputs and the last into the rows of `out` at `out_starts`."""
-        for i, layer in enumerate(layers):
-            span, pad = layer.acc.shape[0], layer.dilation * (KERNEL // 2)
-            z = layer.acc
-            np.matmul(layer.inputs[:span], layer.w[0], out=z)
-            for j in range(1, KERNEL):
-                s = j * layer.dilation
-                np.matmul(layer.inputs[s : s + span], layer.w[j], out=layer.tap)
-                z += layer.tap
-            z += layer.bias
-            if layer.step is not None:
-                sw, sb = layer.step
-                z += e @ sw + sb
-            if layer.residual:
-                z += layer.inputs[pad : pad + span]
-            dst, starts = (out, out_starts) if i + 1 == len(layers) else (
-                layers[i + 1].inputs, layers[i + 1].frames)
-            if len(self.rows) == 1:
-                np.multiply(z, z > 0.0, out=dst[starts[0] : starts[0] + span])
-            else:
-                np.multiply(z, z > 0.0, out=z)
-                _copy_rows(dst, starts, z, layer.starts, self.rows)
+        self.embeddings = np.empty((sum(self.rows), cfg.embed_dim))
+        encoder.write(np.concatenate(videos))
+        first = self.decoder.layers[0]
+        encoder.forward(None, first.inputs[:, cfg.classes :], first.frames)
 
     def decode(self, y_t: np.ndarray, t: int) -> np.ndarray:
         """One sampler step: noisy signal (L, C) at step t -> probabilities (L, C)."""
@@ -327,10 +396,9 @@ class ForwardRunner:
             raise ShapeError(
                 f"signal {y_t.shape} for {sum(self.rows)} frames of {self.classes} classes"
             )
-        first = self.decoder[0]
-        _copy_rows(first.inputs[:, : self.classes], first.frames, y_t, self.frame_starts, self.rows)
-        self._stack(self.decoder, sinusoidal_step_embedding(t, STEP_DIM),
-                    self.embeddings, self.frame_starts)
+        self.decoder.write(y_t)
+        self.decoder.forward([sinusoidal_step_embedding(t, STEP_DIM)], self.embeddings,
+                             self.decoder.frame_starts)
         w, b = self.head
         return td._softmax_rows(self.embeddings @ w + b)
 

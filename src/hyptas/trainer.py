@@ -18,8 +18,8 @@ the prototypes while the phase trains them; they freeze at epoch E1.
 A packed group computes every bit that one tape per video computes
 (`tests/train_oracle.py` keeps that loop as the reference): a row of a BLAS
 matmul can change in its last bits with the matmul's row count, so the
-recorded layers and heads run each matmul over rows once per video (each
-video's step projection stays a 1-row matmul), every reduction (loss
+recorded conv stacks and heads run each matmul over rows once per video
+(each video's step projection stays a 1-row matmul), every reduction (loss
 terms, bias and weight gradients) runs per video, and only row-local numpy
 work runs on all rows at once. A 1-frame video, whose entailment term is
 zero, gets a tape of its own. Everything is a deterministic function of
@@ -319,9 +319,9 @@ def infer_videos(
     """Unmasked condition, deterministic reverse pass, every video at once.
 
     The videos are stacked in time in one `ForwardRunner`, which runs the
-    denoiser without a tape: it encodes all features once, and every
-    sampler step is one decode over all rows (each convolution keeps every
-    tap inside its video). Video i starts from the noise of `seeds[i]`.
+    denoiser's conv stacks without a tape: it encodes all features once,
+    and every sampler step is one decode over all rows (each convolution
+    keeps every tap inside its video). Video i starts from the noise of `seeds[i]`.
     Returns per video (labels, per-frame probabilities, ball embeddings
     from the final denoiser call).
 

@@ -1,15 +1,19 @@
-"""The denoiser layers composed from tape primitives: oracles for the fused
-`autodiff.conv_layer` and `autodiff.softmax_head`; and the forward-only
+"""The denoiser built from tape primitives, node by node: the oracle for the
+conv-stack and head nodes of `model.BoundDenoiser`; and the forward-only
 arithmetic over stacked videos, the oracle for `model.ForwardRunner`.
 
-Each function builds its layer the way the model once did, node by node, so
-its value and gradients follow from the primitives' own rules. The fused
-ops compute the same expressions in the same order and replay this
-composition's gradient arithmetic, so on every input they must agree with
-these oracles to the bit, in the value and in the gradient of every input.
-The tape primitives that only these compositions use live here too, with
-the gradient rules they had in `autodiff`: `matmul`, the row-bias `add_row`
-and `conv1d`, a tape op over the one convolution kernel in `autodiff`.
+`encode`, `decode` and `softmax_head` build one video's stacks and heads
+the way the model once did, one node per primitive (`conv1d`, the row-bias
+`add_row`, the step projection's and the head's `matmul`, the residual add,
+relu and softmax, and `concat_cols` in front of the decoder), so their
+values and gradients follow from the primitives' own rules. The model
+runs each stack and each head as one node and replays this composition's
+gradient arithmetic, so on every input it must agree with these oracles to
+the bit, in the value and in the gradient of every parameter and of the
+condition. Over stacked videos the reference is the composition on each
+video alone, with the videos' weight gradients summed left to right. The tape primitives that only
+these compositions use live here, with the gradient rules they had in
+`autodiff`.
 
 `packed_forward_layer` and `packed_denoiser` keep the arithmetic that
 inference once ran on the tape: one matmul per tap over the zero-padded
@@ -22,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from hyptas import autodiff as td
-from hyptas.autodiff import Tensor, _accumulate, _dilated_conv, _same_tape
+from hyptas.autodiff import Tensor, _accumulate, _same_tape
 from hyptas.errors import ShapeError
+from hyptas.model import DILATIONS, STEP_DIM, sinusoidal_step_embedding
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -53,37 +58,76 @@ def add_row(a: Tensor, b: Tensor) -> Tensor:
     return tape._register(av + bv, (a, b), push)
 
 
-def conv1d(x: Tensor, w: Tensor, dilation: int, rows) -> Tensor:
-    """The bare dilated convolution x (L, Cin), w (k, Cin, Cout) -> (L, Cout)
-    over the videos of `rows` frames stacked in x."""
-    tape = _same_tape(x, w)
-    out, grads = _dilated_conv(x.value, w.value, dilation, rows)
+def concat_cols(a: Tensor, b: Tensor) -> Tensor:
+    tape = _same_tape(a, b)
+    na = a.value.shape[1]
 
     def push(g):
-        gx, gw = grads(g, x.needs_grad, w.needs_grad)
-        if gx is not None:
-            _accumulate(x, gx)
-        if gw is not None:
-            _accumulate(w, gw)
+        _accumulate(a, g[:, :na])
+        _accumulate(b, g[:, na:])
+
+    return tape._register(np.concatenate([a.value, b.value], axis=1), (a, b), push)
+
+
+def conv1d(x: Tensor, w: Tensor, dilation: int) -> Tensor:
+    """The 'same'-padded dilated convolution of one video, x (L, Cin) by
+    w (k, Cin, Cout) -> (L, Cout): tap j reads frames offset by
+    (j - k//2) * dilation, and out-of-range frames read zero. Both passes
+    sum one matmul per tap over a zero-padded copy of x."""
+    tape = _same_tape(x, w)
+    xv, wv = x.value, w.value
+    k, length = wv.shape[0], xv.shape[0]
+    pad = (k // 2) * dilation
+    xp = np.zeros((length + 2 * pad, xv.shape[1]))
+    xp[pad : pad + length] = xv
+    taps = [xp[j * dilation : j * dilation + length] for j in range(k)]
+    out = np.zeros((length, wv.shape[2]))
+    for j, tap in enumerate(taps):
+        out += tap @ wv[j]
+
+    def push(g):
+        if x.needs_grad:
+            gp = np.zeros_like(xp)
+            for j in range(k):
+                gp[j * dilation : j * dilation + length] += g @ wv[j].T
+            _accumulate(x, gp[pad : pad + length].copy())
+        if w.needs_grad:
+            _accumulate(w, np.stack([tap.T @ g for tap in taps]))
 
     return tape._register(out, (x, w), push)
 
 
-def conv_layer(x, w, b, dilation, rows, step=None, residual=False):
-    """relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])), node by node, for one
-    video: rows = (L,), and the step's e a list of its one embedding."""
-    assert len(rows) == 1, "the composition adds one step projection to every row"
-    branch = add_row(conv1d(x, w, dilation, rows), b)
+def conv_layer(x, w, b, dilation, step=None, residual=False):
+    """relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])), node by node, for
+    one video; `step` is (e, sw, sb) with its one (1, E) embedding e."""
+    branch = add_row(conv1d(x, w, dilation), b)
     if step is not None:
-        (e,), sw, sb = step
+        e, sw, sb = step
         branch = add_row(branch, td.add(matmul(x.tape.const(e), sw), sb))
     return td.relu(x + branch if residual else branch)
 
 
-def softmax_head(h, w, b, rows):
-    """softmax(h @ w + b), node by node, for one video: rows = (L,)."""
-    assert len(rows) == 1, "the composition pools the weight gradients"
+def softmax_head(h, w, b):
+    """softmax(h @ w + b), node by node, for one video."""
     return td.softmax(add_row(matmul(h, w), b))
+
+
+def _stack(bound, name, h, e=None):
+    for i, dilation in enumerate(DILATIONS):
+        layer = f"{name}.in" if i == 0 else f"{name}.layer{i}"
+        step = None if e is None else (e, bound[f"dec.step{i}.w"], bound[f"dec.step{i}.b"])
+        h = conv_layer(h, bound[f"{layer}.w"], bound[f"{layer}.b"], dilation, step, residual=i > 0)
+    return h
+
+
+def encode(bound: dict[str, Tensor], features: np.ndarray) -> Tensor:
+    """One video's condition, from the tensors of a `BoundDenoiser.bound`."""
+    return _stack(bound, "enc", bound["enc.in.w"].tape.const(features))
+
+
+def decode(bound: dict[str, Tensor], y_t: Tensor, condition: Tensor, t: int) -> Tensor:
+    """One video's embeddings at step t, the decoder's final-layer output."""
+    return _stack(bound, "dec", concat_cols(y_t, condition), sinusoidal_step_embedding(t, STEP_DIM))
 
 
 def packed_forward_layer(xv, w, b, dilation, rows, step=None, residual=False):
@@ -114,8 +158,6 @@ def packed_denoiser(model, videos):
     """Encode the videos stacked in time with `packed_forward_layer`; returns
     `decode(y_t, t) -> (embeddings, probabilities)` over all their rows, the
     head one matmul over all of them."""
-    from hyptas.model import DILATIONS, STEP_DIM, sinusoidal_step_embedding
-
     p, rows = model.params, tuple(v.shape[0] for v in videos)
 
     def stack(name, h, e=None):

@@ -1,6 +1,4 @@
-import functools
 import math
-import operator
 import zlib
 
 import numpy as np
@@ -98,7 +96,7 @@ class TestBackwardBasics:
         a = tape.leaf(np.zeros((4, 3)))
         b = tape.leaf(np.array([[1.0, 2.0, 3.0]]))
         with pytest.raises(ShapeError):
-            td.add(a, b)  # a row bias has its own rule, inside the fused layer ops
+            td.add(a, b)  # a row bias has its own rule, inside the denoiser's nodes
         out = td.total(layers.add_row(a, b))
         grads = tape.backward(out)
         assert np.allclose(grads[b], [[4.0, 4.0, 4.0]])
@@ -166,11 +164,11 @@ def _op_cases():
         "row_norm": lambda t, l: mean_all(oracle.row_norm(l[0])),
         "scale_div_rows": lambda t, l: mean_all(td.scale_rows(l[0], td.add(oracle.row_norm(l[1]), 0.2))),
         "gather_rows": lambda t, l: mean_all(td.gather_rows(l[0], np.array([0, 2, 1, 2]))),
-        "slice_concat": lambda t, l: mean_all(td.concat_cols(td.pick_rows(l[0], np.arange(0, 2)),
-                                                            td.pick_rows(l[1], np.array([2, 0])))),
+        "slice_concat": lambda t, l: mean_all(layers.concat_cols(td.pick_rows(l[0], np.arange(0, 2)),
+                                                                td.pick_rows(l[1], np.array([2, 0])))),
         "video_sum_mean": lambda t, l: td.total(td.mul(td.add(
             td.sums(td.square(l[0]), (2, 1)), td.mean(l[1], (1, 2))), np.array([0.7, -1.3]))),
-        "conv1d": lambda t, l: mean_all(layers.conv1d(l[0], t.const(w3), 2, (3,))),
+        "conv1d": lambda t, l: mean_all(layers.conv1d(l[0], t.const(w3), 2)),
     }
 
 
@@ -309,7 +307,7 @@ class TestPaddedConv1d:
         g = rng.normal(size=(length, 4))
         tape = Tape()
         x, w = tape.leaf(xv), tape.leaf(wv)
-        out = layers.conv1d(x, w, dilation, (length,))
+        out = layers.conv1d(x, w, dilation)
         # total(out * g) hands conv1d's backward exactly g
         grads = tape.backward(td.total(td.mul(out, tape.const(g))))
         ref_out, ref_gx, ref_gw = shifted_conv1d(xv, wv, g, dilation)
@@ -322,7 +320,7 @@ class TestPaddedConv1d:
         rng = np.random.default_rng(dilation * 31 + length)
 
         def f(tape, leaves):
-            return mean_all(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, (length,))))
+            return mean_all(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation)))
 
         pt = [rng.normal(size=(length, 3)), rng.normal(size=(3, 3, 2))]
         assert finite_diff_check(f, pt) < 1e-6
@@ -400,270 +398,3 @@ class TestSingleUseTape:
         tape.backward(out)
         with pytest.raises(AutodiffError, match="single use"):
             tape.backward(out)
-
-
-def _packed_case(rng, rows, cin=3, cout=2, kernel=3):
-    xv = rng.normal(size=(sum(rows), cin))
-    wv = rng.normal(size=(kernel, cin, cout))
-    g = rng.normal(size=(sum(rows), cout))
-    return xv, wv, g
-
-
-def _conv_with_grads(xv, wv, g, dilation, rows):
-    """conv1d output and, for upstream gradient g, the gradients of x and w."""
-    tape = Tape()
-    x, w = tape.leaf(xv), tape.leaf(wv)
-    out = layers.conv1d(x, w, dilation, rows)
-    grads = tape.backward(td.total(td.mul(out, tape.const(g))))
-    return out.value, grads[x], grads[w]
-
-
-class TestPackedConv1d:
-    ROWS = (7, 3, 12, 1, 5)  # 3 and 1 are shorter than the pad at dilations 4 and 8
-
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
-    @pytest.mark.parametrize("kernel", [2, 3])
-    def test_matches_per_video_conv(self, dilation, kernel):
-        rng = np.random.default_rng(70 + dilation + kernel)
-        xv, wv, g = _packed_case(rng, self.ROWS, kernel=kernel)
-        out, gx, gw = _conv_with_grads(xv, wv, g, dilation, self.ROWS)
-        cuts = np.cumsum(self.ROWS)[:-1]
-        gw_sum = np.zeros_like(wv)
-        for xi, gi, oi, gxi in zip(np.split(xv, cuts), np.split(g, cuts),
-                                   np.split(out, cuts), np.split(gx, cuts)):
-            ref_out, ref_gx, ref_gw = _conv_with_grads(xi, wv, gi, dilation, (len(xi),))
-            np.testing.assert_allclose(oi, ref_out, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(gxi, ref_gx, rtol=1e-12, atol=1e-12)
-            gw_sum += ref_gw
-        np.testing.assert_allclose(gw, gw_sum, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
-    def test_changing_one_video_leaves_the_others_alone(self, dilation):
-        rng = np.random.default_rng(90 + dilation)
-        xv, wv, g = _packed_case(rng, self.ROWS)
-        changed = xv.copy()
-        lo, hi = self.ROWS[0], self.ROWS[0] + self.ROWS[1]
-        changed[lo:hi] = rng.normal(size=(hi - lo, xv.shape[1]))
-        base_out, base_gx, _ = _conv_with_grads(xv, wv, g, dilation, self.ROWS)
-        out, gx, _ = _conv_with_grads(changed, wv, g, dilation, self.ROWS)
-        others = np.r_[0:lo, hi:xv.shape[0]]
-        assert out[others].tobytes() == base_out[others].tobytes()
-        assert gx[others].tobytes() == base_gx[others].tobytes()
-        assert not np.array_equal(out[lo:hi], base_out[lo:hi])
-
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
-    def test_against_central_differences(self, dilation):
-        rng = np.random.default_rng(dilation * 17)
-        rows = (5, 2, 6)
-
-        def f(tape, leaves):
-            return mean_all(oracle.tanh(layers.conv1d(leaves[0], leaves[1], dilation, rows)))
-
-        pt = [rng.normal(size=(sum(rows), 3)), rng.normal(size=(3, 3, 2))]
-        assert finite_diff_check(f, pt) < 1e-6
-
-    @pytest.mark.parametrize("rows", [(4, 4), (10, 0), (12,)])
-    def test_row_counts_must_split_the_input(self, rows):
-        tape = Tape()
-        x, w = tape.const(np.ones((10, 3))), tape.const(np.ones((3, 3, 2)))
-        with pytest.raises(ShapeError, match="row counts"):
-            layers.conv1d(x, w, 1, rows)
-
-
-def _layer_inputs(rng, rows, residual, step, cin=5, cout=5, kernel=3, edim=6, dead=True):
-    """Inputs of one dilated layer. With `dead`, output channels 0 and 1 have
-    a bias that keeps them negative on every row, and channel 2 is exactly
-    0 before the relu: all three pass no gradient."""
-    if not residual:
-        cin = cout + 2
-    arrays = {
-        "x": rng.normal(size=(sum(rows), cin)),
-        "w": rng.normal(size=(kernel, cin, cout)),
-        "b": rng.normal(size=(1, cout)) * 0.3,
-    }
-    if step:
-        arrays.update(e=[rng.normal(size=(1, edim)) for _ in rows],
-                      sw=rng.normal(size=(edim, cout)), sb=rng.normal(size=(1, cout)) * 0.3)
-    if dead:
-        arrays["b"][0, :2] = -50.0
-        for name, index in (("w", (..., 2)), ("b", (0, 2)), ("sw", (..., 2)), ("sb", (0, 2))):
-            if name in arrays:
-                arrays[name][index] = 0.0
-        if residual:
-            arrays["x"][:, 2] = 0.0
-    return arrays
-
-
-def _run_layer(impl, arrays, dilation, rows, residual, x_leaf, g, gx):
-    """One layer on a fresh tape, and the gradients of loss = total(out * g)
-    + total(x * gx), where the second term, built after the layer, hands x a
-    gradient before the layer pushes its own."""
-    tape = Tape()
-    x = tape.leaf(arrays["x"]) if x_leaf else tape.const(arrays["x"])
-    w, b = tape.leaf(arrays["w"]), tape.leaf(arrays["b"])
-    leaves = {"w": w, "b": b}
-    step = None
-    if "e" in arrays:
-        sw, sb = tape.leaf(arrays["sw"]), tape.leaf(arrays["sb"])
-        leaves.update(sw=sw, sb=sb)
-        step = (arrays["e"], sw, sb)
-    if x_leaf:
-        leaves["x"] = x
-    before = len(tape.nodes)
-    out = impl(x, w, b, dilation, rows, step=step, residual=residual)
-    layer_nodes = len(tape.nodes) - before
-    loss = td.total(td.mul(out, tape.const(g)))
-    if x_leaf:
-        loss = td.add(loss, td.total(td.mul(x, tape.const(gx))))
-    grads = tape.backward(loss)
-    return out.value, {k: grads[t] for k, t in leaves.items()}, layer_nodes
-
-
-def _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx):
-    """`_run_layer` of the composition on each video of `rows` alone: the
-    values and the x gradients stacked, the weight gradients summed left to
-    right in video order."""
-    runs = []
-    for v, (lo, hi) in enumerate(zip(np.cumsum((0,) + rows[:-1]), np.cumsum(rows))):
-        own = dict(arrays, x=arrays["x"][lo:hi])
-        if "e" in arrays:
-            own["e"] = [arrays["e"][v]]
-        runs.append(_run_layer(layers.conv_layer, own, dilation, (hi - lo,), residual, x_leaf,
-                               g[lo:hi], gx[lo:hi]))
-    grads = {
-        name: np.concatenate([r[1][name] for r in runs]) if name == "x"
-        else functools.reduce(operator.add, [r[1][name] for r in runs])
-        for name in runs[0][1]
-    }
-    return np.concatenate([r[0] for r in runs]), grads, None
-
-
-class TestFusedConvLayer:
-    """`conv_layer` against the node-by-node composition in `layer_oracles`:
-    the same bytes in the value and in the gradient of every input. Over
-    packed rows the reference is the composition on each video alone, with
-    that video's own step embedding: values and x gradients stacked in time,
-    and every weight gradient summed left to right over the videos."""
-
-    ONE = (20,)
-    PACKED = (7, 1, 3, 12)  # a 1-frame video, and videos shorter than pad at dilations 4, 8
-
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
-    @pytest.mark.parametrize("rows", [ONE, PACKED], ids=["one", "packed"])
-    @pytest.mark.parametrize("x_leaf", [False, True], ids=["xconst", "xleaf"])
-    @pytest.mark.parametrize("step", [False, True], ids=["nostep", "step"])
-    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
-    def test_bit_identical_to_composition(self, residual, step, x_leaf, rows, dilation):
-        rng = np.random.default_rng([dilation, len(rows) == 1, x_leaf, step, residual])
-        arrays = _layer_inputs(rng, rows, residual, step)
-        g = rng.normal(size=(sum(rows), arrays["w"].shape[2]))
-        gx = rng.normal(size=arrays["x"].shape)
-        fused = _run_layer(td.conv_layer, arrays, dilation, rows, residual, x_leaf, g, gx)
-        composed = _one_tape_per_video(arrays, rows, dilation, residual, x_leaf, g, gx)
-        assert fused[0].tobytes() == composed[0].tobytes()
-        assert fused[1].keys() == composed[1].keys()
-        for name in fused[1]:
-            assert fused[1][name].tobytes() == composed[1][name].tobytes(), name
-        assert fused[2] == 1
-        assert np.all(fused[0][:, :3] == 0.0) and np.any(fused[0][:, 3:] > 0.0)
-        assert np.all(fused[1]["b"][0, :3] == 0.0)
-
-    @pytest.mark.parametrize("rows", [(9,), (5, 2, 6)], ids=["one", "packed"])
-    @pytest.mark.parametrize("residual,step", [(False, False), (True, True)],
-                             ids=["plain", "residual_step"])
-    def test_against_central_differences(self, residual, step, rows):
-        rng = np.random.default_rng(61 + 2 * residual + (len(rows) == 1))
-        arrays = _layer_inputs(rng, rows, residual, step, cin=3, cout=3, edim=4, dead=False)
-        e = arrays.pop("e", None)
-
-        def f(tape, leaves):
-            x, w, b, *rest = leaves
-            return mean_all(td.square(td.conv_layer(
-                x, w, b, 2, rows, step=(e, *rest) if step else None, residual=residual)))
-
-        assert finite_diff_check(f, list(arrays.values())) < 1e-6
-
-    def test_shapes_are_checked(self):
-        tape = Tape()
-        x, w = tape.const(np.ones((6, 3))), tape.const(np.ones((3, 3, 2)))
-        with pytest.raises(ShapeError, match="bias"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 3))), 1, (6,))
-        with pytest.raises(ShapeError, match="residual"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, (6,), residual=True)
-        with pytest.raises(ShapeError, match="row counts"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(4, 4))
-        step = ([np.ones((1, 2))] * 3, tape.const(np.ones((2, 2))), tape.const(np.ones((1, 2))))
-        with pytest.raises(ShapeError, match="3 step embeddings for 2 videos"):
-            td.conv_layer(x, w, tape.const(np.ones((1, 2))), 1, rows=(3, 3), step=step)
-
-
-class TestFusedSoftmaxHead:
-    @pytest.mark.parametrize("h_leaf", [False, True], ids=["hconst", "hleaf"])
-    def test_bit_identical_to_composition(self, h_leaf):
-        rng = np.random.default_rng(71 + h_leaf)
-        hv, wv, bv = rng.normal(size=(30, 8)), rng.normal(size=(8, 5)), rng.normal(size=(1, 5))
-        g, gh = rng.normal(size=(30, 5)), rng.normal(size=(30, 8))
-
-        def run(impl):
-            tape = Tape()
-            h = tape.leaf(hv) if h_leaf else tape.const(hv)
-            w, b = tape.leaf(wv), tape.leaf(bv)
-            out = impl(h, w, b, (30,))
-            loss = td.total(td.mul(out, tape.const(g)))
-            if h_leaf:  # h holds a gradient before the head pushes its own
-                loss = td.add(loss, td.total(td.mul(h, tape.const(gh))))
-            grads = tape.backward(loss)
-            return [out.value] + [grads[t] for t in (h, w, b) if t.needs_grad]
-
-        fused, composed = run(td.softmax_head), run(layers.softmax_head)
-        assert len(fused) == len(composed) == 3 + h_leaf
-        assert [a.tobytes() for a in fused] == [a.tobytes() for a in composed]
-
-    @pytest.mark.parametrize("h_leaf", [False, True], ids=["hconst", "hleaf"])
-    def test_packed_rows_give_each_video_its_own_head(self, h_leaf):
-        """Over packed rows (a 1-frame video among them) the values and the h
-        gradient are the stacked ones of each video alone, and w and b get
-        the videos' gradients summed left to right."""
-        rng = np.random.default_rng(75 + h_leaf)
-        rows = (9, 1, 30, 4)
-        hv, wv, bv = rng.normal(size=(44, 32)), rng.normal(size=(32, 19)), rng.normal(size=(1, 19))
-        g = rng.normal(size=(44, 19))
-
-        def run(h_value, g_value, rows):
-            tape = Tape()
-            h = tape.leaf(h_value) if h_leaf else tape.const(h_value)
-            w, b = tape.leaf(wv), tape.leaf(bv)
-            out = td.softmax_head(h, w, b, rows)
-            grads = tape.backward(td.total(td.mul(out, tape.const(g_value))))
-            return [out.value] + [grads[t] for t in (h, w, b) if t.needs_grad]
-
-        packed = run(hv, g, rows)
-        cuts = np.cumsum((0,) + rows)
-        alone = [run(hv[lo:hi], g[lo:hi], (hi - lo,)) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        stacked = [np.concatenate(parts) for parts in zip(*[a[: 1 + h_leaf] for a in alone])]
-        summed = [functools.reduce(operator.add, parts) for parts in zip(*[a[1 + h_leaf :] for a in alone])]
-        assert [a.tobytes() for a in packed] == [a.tobytes() for a in stacked + summed]
-
-    def test_one_node(self):
-        tape = Tape()
-        h = tape.leaf(np.ones((4, 3)))
-        out = td.softmax_head(h, tape.const(np.ones((3, 2))), tape.const(np.zeros((1, 2))), (4,))
-        assert tape.nodes == [h, out]
-
-    def test_against_central_differences(self):
-        rng = np.random.default_rng(73)
-
-        def f(tape, leaves):
-            return mean_all(td.square(td.softmax_head(*leaves, (6,))))
-
-        pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
-        assert finite_diff_check(f, pt) < 1e-4
-
-    def test_packed_against_central_differences(self):
-        rng = np.random.default_rng(74)
-
-        def f(tape, leaves):
-            return mean_all(td.square(td.softmax_head(*leaves, rows=(2, 1, 3))))
-
-        pt = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
-        assert finite_diff_check(f, pt) < 1e-4

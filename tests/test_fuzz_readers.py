@@ -255,6 +255,26 @@ def test_damaged_dataset_text_files_exit_zero_or_one(trained, tmp_path, capsys, 
             _assert_handled(code, capsys, damaged, f"{mutate.__name__} case {case}")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("0 a\n\u00b2 b\n", 2, "expected 'index name'"),  # '\u00b2'.isdigit(), but int() refuses it
+    ("0 a\n1 b\n0 c\n", 3, "index 0 is already mapped"),
+    ("0 a\n1 a\n", 2, "class name 'a' is already mapped"),
+], ids=["superscript_index", "repeated_index", "repeated_name"])
+def test_pinned_mappings_exit_one(trained, tmp_path, capsys, text, line, message):
+    """A superscript index once escaped `read_mapping` as a ValueError (exit
+    2); a repeated index once let the later line win, and a repeated name
+    once mapped every label of that name to the later index."""
+    _, data, _ = trained
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    mapping = copy / "mapping.txt"
+    mapping.write_text(text, encoding="utf-8")
+    code = run(["train", "--data", str(copy), "--out", str(tmp_path / "m.htck")] + TRAIN_SETS)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{mapping}:{line}: " in err and message in err
+
+
 def test_damaged_config_files_exit_one_before_reading_data(trained, tmp_path, capsys):
     """A config that parses reaches the missing --data directory, which is
     refused by its own path; one that does not is refused by the config's."""

@@ -348,7 +348,7 @@ def odd_state():
 
 class TestForwardRunner:
     """`infer_videos` runs the denoiser in a `model.ForwardRunner`, with the
-    bytes of the tape ops for one video and of the forward-only arithmetic
+    bytes of a bound pass for one video and of the forward-only arithmetic
     over the stacked videos of a split: labels, probabilities and ball
     coordinates."""
 
@@ -438,10 +438,11 @@ class TestRecordedNodes:
 
 class TestSkippedGradients:
     def test_step_gradients_keep_the_bytes_of_computing_every_branch(self, tiny_data, monkeypatch):
-        """The gradient rules of the two-operand primitives, `scale_rows` and
-        the layer ops skip operands that need no gradient; the fused ball ops
-        compute every operand's gradient, and `_accumulate` keeps constants
-        clean by dropping it. Making every constant a leaf runs every branch
+        """The gradient rules of the two-operand primitives and `scale_rows`
+        skip operands that need no gradient, as the denoiser's stack nodes
+        skip their first layer's input gradient; the fused ball ops and the
+        heads compute every operand's gradient, and `_accumulate` keeps
+        constants clean by dropping it. Making every constant a leaf runs every branch
         again, as all of them once ran; the gradients of each training
         group's own leaves (parameters, prototype copies) must not change by
         a bit."""
