@@ -73,10 +73,6 @@ class Tensor:
         self.grad = None
         self.name = name
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         label = self.name or "tensor"
         return f"<{label} shape={self.value.shape} leaf={self._push is None and self.needs_grad}>"
@@ -403,28 +399,29 @@ def softmax(a: Tensor) -> Tensor:
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _perturbed(point: list[np.ndarray], step: float):
+FD_STEP = 1e-5  # the central differences' step, in every input coordinate
+
+
+def _perturbed(point: list[np.ndarray]):
     """The 2N perturbed points of `point` in order: for each coordinate k (the
-    inputs in order, each flattened), the point with k moved by +step, then by
-    -step. Only the moved input is copied."""
+    inputs in order, each flattened), the point with k moved by +FD_STEP, then
+    by -FD_STEP. Only the moved input is copied."""
     for pi, p in enumerate(point):
         flat = p.reshape(-1)
         for ci in range(flat.size):
-            for delta in (step, -step):
+            for delta in (FD_STEP, -FD_STEP):
                 moved = p.copy()
                 moved.reshape(-1)[ci] = flat[ci] + delta
                 yield point[:pi] + [moved] + point[pi + 1:]
 
 
-def _central_differences(base, point, step, values_at) -> float:
+def _central_differences(base, point, values_at) -> float:
     """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
 
     `base(tape, leaves)` builds the scalar whose recorded tape gives the
     analytic gradient at `point`; `values_at(points)` returns the function's
     value at each of the `_perturbed` points, in their order.
     """
-    if step <= 0.0:
-        raise AutodiffError(f"finite-difference step must be > 0, got {step}")
     point = [np.asarray(p, dtype=np.float64) for p in point]
 
     tape = Tape()
@@ -435,19 +432,18 @@ def _central_differences(base, point, step, values_at) -> float:
     grads = tape.backward(out)
     analytic = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves])
 
-    values = np.asarray(values_at(_perturbed(point, step)), dtype=np.float64)
+    values = np.asarray(values_at(_perturbed(point)), dtype=np.float64)
     if values.shape != (2 * analytic.size,):
         raise AutodiffError(f"{values.shape} values for {2 * analytic.size} perturbed points")
     if not np.all(np.isfinite(values)):
         raise AutodiffError("function evaluated non-finite at a perturbed point")
-    fd = (values[0::2] - values[1::2]) / (2.0 * step)
+    fd = (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic)), initial=0.0))
 
 
 def finite_diff_check(
     f: Callable[[Tape, list[Tensor]], Tensor],
     point: Sequence[np.ndarray],
-    step: float = 1e-5,
 ) -> float:
     """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
 
@@ -462,13 +458,12 @@ def finite_diff_check(
             out.append(float(f(t, [t.const(a) for a in arrays]).value))
         return out
 
-    return _central_differences(f, point, step, values_at)
+    return _central_differences(f, point, values_at)
 
 
 def stacked_finite_diff_check(
     f: Callable[[Tape, list[Tensor]], Tensor],
     point: Sequence[np.ndarray],
-    step: float = 1e-5,
 ) -> float:
     """`finite_diff_check` of `total(f)` for an `f` that takes stacked copies.
 
@@ -476,11 +471,11 @@ def stacked_finite_diff_check(
     (V,) tensor of the copies' values. The analytic gradient comes from one
     recorded tape at the base point (V = 1), and the 2N perturbed points from
     one pass over constants that stacks them (V = 2N): copy 2k moves
-    coordinate k by +step and copy 2k + 1 by -step. Where each copy's value
+    coordinate k by +FD_STEP and copy 2k + 1 by -FD_STEP. Where each copy's value
     has the bits it has alone, the result equals `finite_diff_check`'s.
     """
     def values_at(points):
         t = Tape()
         return f(t, [t.const(np.concatenate(copies)) for copies in zip(*points)]).value
 
-    return _central_differences(lambda tape, leaves: total(f(tape, leaves)), point, step, values_at)
+    return _central_differences(lambda tape, leaves: total(f(tape, leaves)), point, values_at)

@@ -19,6 +19,7 @@ from . import checks
 from .data import (
     RunConfig,
     SyntheticSpec,
+    ascii_number,
     atomic_write_bytes,
     feature_path,
     generate_synthetic,
@@ -40,9 +41,22 @@ logger = logging.getLogger(__name__)
 
 def _seed(text: str) -> int:
     """`--seed` value: a non-negative integer, refused while the flags are parsed."""
-    if not text.isdecimal():
+    value = ascii_number(text, int) if text.isdecimal() else None
+    if value is None:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return value
+
+
+def _ascii(kind: type[int] | type[float]):
+    """The argparse type of an int or float flag, which refuses a value
+    `ascii_number` refuses."""
+    def parse(text: str):
+        value = ascii_number(text, kind)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        return value
+
+    return parse
 
 
 def _add_set_flag(parser: argparse.ArgumentParser) -> None:
@@ -58,10 +72,16 @@ def _resolve_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if args.config:
         return read_config(args.config, overrides=overrides)
-    try:
-        return RunConfig(**overrides)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    return RunConfig(**overrides)
+
+
+def _add_inference_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags `infer` and `export-embeddings` share."""
+    parser.add_argument("--ckpt", required=True)
+    parser.add_argument("--data", required=True, help="dataset directory")
+    parser.add_argument("--split", choices=("train", "test"), default="test")
+    parser.add_argument("--steps", type=_ascii(int))
+    parser.add_argument("--seed", type=_seed, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,17 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset directory")
     gen.add_argument("--out", required=True, help="target dataset directory")
-    gen.add_argument("--videos", type=int, default=SyntheticSpec.videos)
-    gen.add_argument("--tasks", type=int, default=SyntheticSpec.num_tasks)
-    gen.add_argument("--actions-per-task", type=int, default=SyntheticSpec.actions_per_task)
-    gen.add_argument("--shared-actions", type=int, default=SyntheticSpec.shared_actions)
-    gen.add_argument("--feature-dim", type=int, default=SyntheticSpec.feature_dim)
-    gen.add_argument("--noise", type=float, default=SyntheticSpec.feature_noise)
-    gen.add_argument("--smoothing", type=int, default=SyntheticSpec.smoothing_halfwidth)
-    gen.add_argument("--frames", type=int, nargs=2, default=list(SyntheticSpec.frames_per_segment),
-                     metavar=("LO", "HI"))
-    gen.add_argument("--segments", type=int, nargs=2, default=list(SyntheticSpec.segments_per_video),
-                     metavar=("LO", "HI"))
+    integer = _ascii(int)
+    gen.add_argument("--videos", type=integer, default=SyntheticSpec.videos)
+    gen.add_argument("--tasks", type=integer, default=SyntheticSpec.num_tasks)
+    gen.add_argument("--actions-per-task", type=integer, default=SyntheticSpec.actions_per_task)
+    gen.add_argument("--shared-actions", type=integer, default=SyntheticSpec.shared_actions)
+    gen.add_argument("--feature-dim", type=integer, default=SyntheticSpec.feature_dim)
+    gen.add_argument("--noise", type=_ascii(float), default=SyntheticSpec.feature_noise)
+    gen.add_argument("--smoothing", type=integer, default=SyntheticSpec.smoothing_halfwidth)
+    gen.add_argument("--frames", type=integer, nargs=2,
+                     default=list(SyntheticSpec.frames_per_segment), metavar=("LO", "HI"))
+    gen.add_argument("--segments", type=integer, nargs=2,
+                     default=list(SyntheticSpec.segments_per_video), metavar=("LO", "HI"))
     gen.add_argument("--seed", type=_seed, default=0)
 
     tr = sub.add_parser("train", help="train on a dataset directory, write a checkpoint")
@@ -92,12 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_set_flag(tr)
 
     inf = sub.add_parser("infer", help="write predicted label files for a split")
-    inf.add_argument("--ckpt", required=True)
-    inf.add_argument("--data", required=True, help="dataset directory")
-    inf.add_argument("--split", choices=("train", "test"), default="test")
+    _add_inference_flags(inf)
     inf.add_argument("--out", required=True, help="directory for predicted label files")
-    inf.add_argument("--steps", type=int)
-    inf.add_argument("--seed", type=_seed, default=0)
 
     ev = sub.add_parser("eval", help="compare prediction and ground-truth label directories")
     ev.add_argument("--pred", required=True)
@@ -107,12 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--seed", type=_seed, default=0)
 
     exp = sub.add_parser("export-embeddings", help="write ball coordinates + labels as CSV")
-    exp.add_argument("--ckpt", required=True)
-    exp.add_argument("--data", required=True)
-    exp.add_argument("--split", choices=("train", "test"), default="test")
+    _add_inference_flags(exp)
     exp.add_argument("--out", required=True, help="CSV path")
-    exp.add_argument("--steps", type=int)
-    exp.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -44,6 +44,7 @@ CHECKPOINT_MAGIC = b"HTCK"
 FORMAT_VERSION = 1
 _MAX_ELEMENTS = 1 << 31  # dimension-overflow guard for file payloads
 _MAX_NDIM = 32           # tensor rank guard; numpy 1.x allows at most 32
+TEST_FRACTION = 0.2      # the share of generated videos in the test split
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,6 @@ class SyntheticSpec:
     videos: int = 50
     seed: int = 0
     smoothing_halfwidth: int = 2
-    test_fraction: float = 0.2
 
     def __post_init__(self):
         if self.num_tasks < 1 or self.actions_per_task < 1 or self.shared_actions < 0:
@@ -79,8 +79,6 @@ class SyntheticSpec:
             raise ShapeError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
         if self.videos < 1 or self.feature_dim < 1:
             raise ShapeError("need at least one video and one feature dimension")
-        if not 0.0 <= self.test_fraction < 1.0:
-            raise ShapeError("test_fraction must lie in [0, 1)")
         if self.smoothing_halfwidth < 0:
             raise ShapeError(f"smoothing_halfwidth must be >= 0, got {self.smoothing_halfwidth}")
         frames, segments = self.frames_per_segment[1], self.segments_per_video[1]
@@ -201,7 +199,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             )
         videos.append(VideoRecord(f"video_{v:04d}", features, labels))
 
-    n_test = int(round(spec.test_fraction * len(videos)))
+    n_test = int(round(TEST_FRACTION * len(videos)))
     n_train = len(videos) - n_test
     return Dataset(videos[:n_train], videos[n_train:], names, spec.feature_dim)
 
@@ -308,6 +306,19 @@ def write_mapping(path, class_names: list[str]) -> None:
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def ascii_number(text: str, kind: type[int] | type[float]) -> int | float | None:
+    """`kind(text)` for kind int or float, or None where text is not ASCII or
+    kind refuses it. Every number read from outside (config values, flags,
+    mapping indices) goes through here: Python's int() and float() also take
+    any Unicode decimal digit (int('٣') is 3) and Unicode spaces."""
+    if not text.isascii():
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
 def read_mapping(path) -> list[str]:
     path = Path(path)
     names: dict[int, str] = {}
@@ -316,9 +327,10 @@ def read_mapping(path) -> list[str]:
         if not line.strip():
             continue
         parts = line.split(maxsplit=1)
-        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
+        index = ascii_number(parts[0], int) if len(parts) == 2 and parts[0].isdigit() else None
+        if index is None:
             raise FormatError(f"{path}:{lineno}: expected 'index name', got {line!r}")
-        index, name = int(parts[0]), parts[1].strip()
+        name = parts[1].strip()
         if index in names or name in names.values():
             what = f"index {index}" if index in names else f"class name {name!r}"
             raise FormatError(f"{path}:{lineno}: {what} is already mapped")
@@ -491,19 +503,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         kind = _CONFIG_TYPES[key]
-        try:
-            if kind is bool:
-                values[key] = _BOOL_WORDS[value.lower()]
-            elif kind is int:
-                values[key] = int(value)
-            elif kind is float:
-                values[key] = float(value)
-            else:
-                values[key] = value
-        except (KeyError, ValueError):
+        if kind is bool:
+            parsed = _BOOL_WORDS.get(value.lower())
+        else:
+            parsed = value if kind is str else ascii_number(value, kind)
+        if parsed is None:
             raise ConfigError(
                 f"{source}:{lineno}: cannot parse {value!r} as {kind.__name__} for {key!r}"
-            ) from None
+            )
+        values[key] = parsed
     return values
 
 
@@ -519,7 +527,7 @@ def read_config(path, overrides: dict | None = None) -> RunConfig:
         values.update(overrides)
     try:
         return RunConfig(**values)
-    except (TypeError, ConfigError) as e:
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -598,7 +606,9 @@ def _unpack_sections(blob: bytes, path: str) -> dict[str, object]:
                 )
             shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
             n = math.prod(shape)  # Python ints, so a huge product cannot wrap
-            if n > _MAX_ELEMENTS:
+            # numpy refuses a zero-size shape whose other dims overflow its
+            # byte count too, so the cap bounds the product of nonzero dims.
+            if math.prod(filter(None, shape)) > _MAX_ELEMENTS:
                 raise FormatError(f"{path}: tensor {name!r} dimensions out of range")
             arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape)
             sections[name] = arr.astype(np.float64)
@@ -628,14 +638,9 @@ def write_dataset(dataset: Dataset, root) -> None:
     for record in dataset.train + dataset.test:
         write_features(feature_path(root, record.id), record.features)
         write_labels(root / "labels" / f"{record.id}.txt", record.labels, dataset.class_names)
-    atomic_write_bytes(
-        root / "splits" / "train.txt",
-        ("\n".join(r.id for r in dataset.train) + "\n").encode("utf-8"),
-    )
-    atomic_write_bytes(
-        root / "splits" / "test.txt",
-        ("\n".join(r.id for r in dataset.test) + "\n").encode("utf-8"),
-    )
+    for name, records in (("train", dataset.train), ("test", dataset.test)):
+        ids = "\n".join(r.id for r in records) + "\n"
+        atomic_write_bytes(split_path(root, name), ids.encode("utf-8"))
 
 
 def split_path(root, name: str) -> Path:

@@ -161,23 +161,12 @@ def push_pull(
     return td.mean(ratio - td.mul(radius, np.repeat(factors, rows)[:, None]), rows)
 
 
-def geodesic_guidance(
-    x: Tensor,
-    z_assigned: Tensor,
-    c: float,
-    frozen: bool,
-    rows: Sequence[int],
-    allow_unfrozen: bool = False,
-) -> Tensor:
+def geodesic_guidance(x: Tensor, z_assigned: Tensor, c: float, rows: Sequence[int]) -> Tensor:
     """Mean squared defect of d(O, z) = d(O, x) + d(x, z), one per video.
 
     Exactly zero when every embedding sits on the radial geodesic from the
-    origin to its prototype. Prototypes must be frozen; `allow_unfrozen`
-    exists only for the single-phase ablation where they are deliberately
-    dynamic targets.
+    origin to its prototype.
     """
-    if not frozen and not allow_unfrozen:
-        raise ContractViolation("geodesic guidance requires frozen prototypes")
     if x.value.shape != z_assigned.value.shape:
         raise ShapeError(f"embeddings {x.value.shape} vs prototypes {z_assigned.value.shape}")
     target = bo.origin_distance_rows(z_assigned, c)
@@ -226,8 +215,9 @@ def phase_loss(
     `t` one diffusion step per video, and `z` one copy of the prototypes
     per video (each video's own leaf, so each gets its own gradient).
     `frozen` says whether the prototypes are frozen: geodesic guidance
-    refuses unfrozen ones unless the phase trains them (the single-phase
-    ablation). Every term is reduced per video. Returns the (V,) total and
+    raises ContractViolation on unfrozen ones unless the phase trains them
+    (the single-phase ablation, where they are deliberately dynamic
+    targets). Every term is reduced per video. Returns the (V,) total and
     the (V,) value array of every computed term, cross-entropy included.
     """
     rule, c = PHASES[phase], config.curvature
@@ -242,7 +232,9 @@ def phase_loss(
         assigned = td.gather_rows(z, index)
         if name == "pp":
             return push_pull(x, assigned, t, config.timesteps, config.decay, c, rows)
-        return geodesic_guidance(x, assigned, c, frozen, rows, rule.trains_prototypes)
+        if not frozen and not rule.trains_prototypes:
+            raise ContractViolation("geodesic guidance requires frozen prototypes")
+        return geodesic_guidance(x, assigned, c, rows)
 
     components = {"ce": ce.value}
     total = td.mul(ce, config.lambda_ce)

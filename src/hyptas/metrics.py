@@ -128,21 +128,18 @@ def f1_at_overlap(pred: Sequence[int], gt: Sequence[int], tau: float) -> float:
     return _f1_from_counts(*match_counts(pred, gt, tau))
 
 
-def evaluate_videos(
-    pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
-    thresholds: Sequence[float] = OVERLAP_THRESHOLDS,
-) -> dict[str, float]:
+def evaluate_videos(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[str, float]:
     """Dataset-level report over (pred, gt) pairs.
 
-    Accuracy is frame-pooled, F1@tau comes from pooled TP/FP/FN, edit is
-    averaged per video. Returns the five metrics plus their unweighted mean
-    under the key "Avg".
+    Accuracy is frame-pooled, F1@tau for each tau of OVERLAP_THRESHOLDS
+    comes from pooled TP/FP/FN, edit is averaged per video. Returns the five
+    metrics plus their unweighted mean under the key "Avg".
     """
     correct = 0
     frames = 0
     edit_sum = 0.0
     count = 0
-    pooled = {tau: [0, 0, 0] for tau in thresholds}
+    pooled = {tau: [0, 0, 0] for tau in OVERLAP_THRESHOLDS}
     for pred, gt in pairs:
         pred, gt = _check_pair(pred, gt)
         correct += int(np.sum(pred == gt))
@@ -150,14 +147,15 @@ def evaluate_videos(
         p_segs, g_segs = segments_from_labels(pred), segments_from_labels(gt)
         edit_sum += _edit(p_segs, g_segs)
         count += 1
-        for tau in thresholds:
+        for tau in OVERLAP_THRESHOLDS:
             tp, fp, fn = _match(p_segs, g_segs, tau)
             pooled[tau][0] += tp
             pooled[tau][1] += fp
             pooled[tau][2] += fn
     if count == 0:
         raise ShapeError("no videos to evaluate")
-    report = {f"F1@{int(round(tau * 100))}": _f1_from_counts(*pooled[tau]) for tau in thresholds}
+    report = {f"F1@{int(round(tau * 100))}": _f1_from_counts(*counts)
+              for tau, counts in pooled.items()}
     report["Edit"] = edit_sum / count
     report["Acc"] = 100.0 * correct / frames
     report["Avg"] = sum(report.values()) / len(report)

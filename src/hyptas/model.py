@@ -438,12 +438,10 @@ def mask_vector(
     return keep
 
 
-def apply_masking(condition: Tensor, keep: np.ndarray | None) -> Tensor:
+def apply_masking(condition: Tensor, keep: np.ndarray) -> Tensor:
     """Zero the condition rows whose (L, 1) keep-mask entry is 0, with the
-    masks of stacked videos stacked alike; None (every video drew the none
-    prior) keeps the condition as is. Labels and signals are untouched."""
-    if keep is None:
-        return condition
+    masks of stacked videos stacked alike. A row kept scales by 1.0, which
+    keeps its value and gradient bits. Labels and signals are untouched."""
     return td.scale_rows(condition, condition.tape.const(keep))
 
 

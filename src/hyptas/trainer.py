@@ -5,15 +5,16 @@ Each epoch walks a permutation of the training videos in chunks of
 uniformly in [1, T], a conditioning mask kind, the label noise and (for the
 relation prior) the masked segment. A chunk then trains as groups, each one
 tape: the whole chunk stacked in time when every video has at least two
-frames and it holds at most `PACK_ROWS` frames, otherwise one tape per
-video, which is a stack of one and runs the same code (rows = (L,)). A
-group's tape binds the parameters once, encodes its features, masks the
-condition, corrupts the encoded labels, decodes at each video's own step,
-maps into the ball, and builds each video's phase loss; one backward
-gives every weight the left-to-right sum of the videos' own gradients,
-which goes into its view of one flat gradient sum. Each chunk then takes
-one Adam step over the flat weight buffer, and one Riemannian Adam step on
-the prototypes while the phase trains them; they freeze at epoch E1.
+frames and it holds at most `PACK_ROWS` frames (a bound on a tape's
+memory), otherwise one tape per video, which is a stack of one and runs the
+same code (rows = (L,)). A group's tape binds the parameters once, encodes
+its features, masks the condition, corrupts the encoded labels, decodes at
+each video's own step, maps into the ball, and builds each video's phase
+loss; one backward gives every weight the left-to-right sum of the videos'
+own gradients, which goes into one flat gradient sum laid out like the
+weights. Each chunk then takes one Adam step over the flat weight buffer,
+and one Riemannian Adam step on the prototypes while the phase trains them;
+they freeze at epoch E1.
 
 A packed group computes every bit that one tape per video computes
 (`tests/train_oracle.py` keeps that loop as the reference): a row of a BLAS
@@ -70,14 +71,15 @@ from .optim import Adam, RiemannianAdam
 
 logger = logging.getLogger(__name__)
 
-# Frames one packed training tape may hold. A larger chunk trains one tape per
-# video: a step's memory grows with its rows (about 9 MB of arrays at 1000
-# frames), and splitting a chunk into several packed groups would sum the
-# weight gradients as (g1 + g2) + (g3 + g4) instead of ((g1 + g2) + g3) + g4.
-# Packing such chunks anyway costs time and memory: with every chunk packed,
-# the benchmark's `long` workload (4 x 1000-frame chunks, seed 1, 45 s runs,
-# 2-vCPU Xeon) trained at 63k-68k frames/s in a peak RSS of 85 MB, against
-# 85k-92k frames/s in 57-59 MB with one tape per video.
+# Frames one packed training tape may hold, for memory: a tape's memory grows
+# with its rows, and a larger chunk trains one tape per video (splitting it
+# into several packed groups would sum the weight gradients as (g1 + g2) +
+# (g3 + g4) instead of ((g1 + g2) + g3) + g4). On the benchmark's `long` data
+# (4 x 1000-frame videos, seed 1, 10 epochs, 2-vCPU Xeon) one packed tape per
+# chunk trained 1-3% faster (112.8k-114.0k against 110.7k-111.6k frames/s,
+# the same checkpoint bytes) but in 72 MB of peak RSS against 48 MB: traced,
+# a 4,000-frame tape holds 19.8 MB when its backward starts and peaks at
+# 29.5 MB, against 5.0 and 7.5 MB for one video.
 PACK_ROWS = 1024
 
 
@@ -159,24 +161,21 @@ class _Draw:
     """One video's random choices for one training step."""
 
     t: int
-    mask_kind: str
     noise: np.ndarray
     keep: np.ndarray
 
 
-def _group_step(model, prototypes, schedule, config, phase, videos, draws):
-    """One tape over the videos of a group, stacked in time: the gradients of
-    the parameters and (while they train) of each video's prototype copy,
-    and each video's loss total and components."""
+def _group_step(model, prototypes, schedule, config, phase, videos, draws, grad):
+    """One tape over the videos of a group, stacked in time: writes the
+    parameters' gradient into `grad`, laid out like `model.flat`, and
+    returns it, each video's prototype copy gradient (while trained),
+    loss total and components. It allocates no gradient array."""
     rows = tuple(video.labels.shape[0] for video in videos)
     classes = prototypes.count
     tape = Tape()
     bound = model.bind(tape, trainable=True)
     condition, p_enc = bound.encode(np.concatenate([video.features for video in videos]), rows)
-    keep = None
-    if any(d.mask_kind != "none" for d in draws):
-        keep = np.concatenate([d.keep for d in draws])
-    masked = apply_masking(condition, keep)
+    masked = apply_masking(condition, np.concatenate([d.keep for d in draws]))
     y_t = tape.const(np.concatenate([
         forward_corrupt(label_encode(video.labels, classes), d.t, schedule, d.noise)
         for video, d in zip(videos, draws)
@@ -202,12 +201,12 @@ def _group_step(model, prototypes, schedule, config, phase, videos, draws):
         if not math.isfinite(total.value[v]):
             raise NonFiniteLossError(f"total {phase} loss is non-finite at t={t}")
     grads = tape.backward(td.total(total))
-    params = {name: grads[tensor] for name, tensor in bound.bound.items()}
+    np.concatenate([grads[tensor].ravel() for tensor in bound.bound.values()], out=grad)
     proto_grads = []
     if trains_prototypes:
         g = grads[proto_tensor]
         proto_grads = [g[v * classes : (v + 1) * classes] for v in range(len(videos))]
-    return params, proto_grads, total.value, components
+    return grad, proto_grads, total.value, components
 
 
 def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
@@ -224,7 +223,7 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
     net_opt = Adam(model.flat, config.lr, model.views)
     proto_opt = RiemannianAdam(prototypes, config.proto_lr)
     grad_sum = np.zeros_like(model.flat)
-    grad_views = model.views(grad_sum)
+    grad = np.empty_like(model.flat)
     rng = np.random.default_rng(config.seed + 2)
     e1 = config.stabilization_epochs
     log = TrainLog()
@@ -249,16 +248,15 @@ def train(dataset: Dataset, config: RunConfig) -> tuple[TrainedState, TrainLog]:
                 mask_kind = sample_mask_kind(rng)
                 noise = rng.standard_normal((lengths[idx], dataset.num_classes))
                 keep = mask_vector(mask_kind, train_segments[idx], lengths[idx], rng)
-                draws[idx] = _Draw(t, mask_kind, noise, keep)
+                draws[idx] = _Draw(t, noise, keep)
             grad_sum.fill(0.0)
             proto_grad_sum = np.zeros_like(prototypes.points)
             for group in _groups(batch, lengths):
-                params, proto_grads, totals, components = _group_step(
+                grad, proto_grads, totals, components = _group_step(
                     model, prototypes, schedule, config, phase,
-                    [dataset.train[i] for i in group], [draws[i] for i in group],
+                    [dataset.train[i] for i in group], [draws[i] for i in group], grad,
                 )
-                for name, g in params.items():
-                    grad_views[name] += g
+                grad_sum += grad
                 for g in proto_grads:
                     proto_grad_sum += g
                 for v in range(len(group)):
@@ -404,7 +402,7 @@ def load_checkpoint(path) -> TrainedState:
     values = parse_config_text(config_text, source=f"{path}:config_text")
     try:
         config = RunConfig(**values)
-    except (TypeError, ConfigError) as e:
+    except ConfigError as e:
         raise FormatError(f"{path}: stored config invalid: {e}") from e
 
     points = _section(sections, path, "prototypes/points", 2)

@@ -92,7 +92,7 @@ def gg_surface(labels, c=1.0):
         ball = bo.exp_map_origin_rows(leaves[0], c)
         protos = bo.exp_map_origin_rows(leaves[1], c)
         assigned = td.gather_rows(protos, labels)
-        return td.total(losses.geodesic_guidance(ball, assigned, c, True, (len(labels),)))
+        return td.total(losses.geodesic_guidance(ball, assigned, c, (len(labels),)))
 
     return f
 

@@ -21,11 +21,15 @@ entry point `main` is exempt; the console script calls it.
 An operator method cannot be resolved this way, since `a * b` may be a
 `Tensor` or an ndarray product. So every operator method `Tensor` defines
 is counted at run time instead, over a tiny training in both phase layouts
-and a packed inference.
+and a packed inference. A property is counted at run time too, over the
+same run from data generation on: the attribute rule above counts any
+`.shape` as a use of a `shape` property, where nearly every one is an
+ndarray's.
 """
 
 import ast
 import functools
+import importlib
 import inspect
 import operator
 import re
@@ -139,21 +143,20 @@ def _is_operator(name: str) -> bool:
     return name in ops or name.replace("__r", "__", 1) in ops
 
 
-def test_every_tensor_operator_method_is_called(monkeypatch):
-    calls: dict[str, int] = {}
+def _counted(calls: dict[str, int], name: str, fn):
+    calls[name] = 0
 
-    def counted(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    @functools.wraps(fn)
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
 
-        return wrapper
+    return wrapper
 
-    for name, fn in list(vars(td.Tensor).items()):
-        if inspect.isfunction(fn) and _is_operator(name):
-            calls[name] = 0
-            monkeypatch.setattr(td.Tensor, name, counted(name, fn))
+
+def _tiny_run():
+    """Generate a tiny dataset, train on it in both phase layouts and run a
+    packed inference after each training."""
     data = generate_synthetic(SyntheticSpec(
         num_tasks=2, actions_per_task=1, shared_actions=2, feature_dim=4,
         frames_per_segment=(5, 8), segments_per_video=(2, 3), videos=6, seed=2,
@@ -163,6 +166,31 @@ def test_every_tensor_operator_method_is_called(monkeypatch):
                            single_phase=single_phase)
         state, _ = train(data, config)
         infer_videos(state, [v.features for v in data.test], 2, range(len(data.test)))
+
+
+def test_every_tensor_operator_method_is_called(monkeypatch):
+    calls: dict[str, int] = {}
+    for name, fn in list(vars(td.Tensor).items()):
+        if inspect.isfunction(fn) and _is_operator(name):
+            monkeypatch.setattr(td.Tensor, name, _counted(calls, name, fn))
+    _tiny_run()
     assert calls, "Tensor defines no operator method"
     unused = sorted(name for name, count in calls.items() if count == 0)
     assert not unused, f"Tensor operator methods nothing calls: {unused}"
+
+
+def test_every_property_is_read(monkeypatch):
+    reads: dict[str, int] = {}
+    for path in SOURCES:
+        module = importlib.import_module(f"{PACKAGE}.{path.stem}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            for name, member in list(vars(cls).items()):
+                if isinstance(member, property):
+                    qualified = f"{path.stem}.{cls.__name__}.{name}"
+                    monkeypatch.setattr(cls, name, property(_counted(reads, qualified, member.fget)))
+    _tiny_run()
+    assert reads, "no package class defines a property"
+    unread = sorted(name for name, count in reads.items() if count == 0)
+    assert not unread, f"properties nothing reads: {unread}"

@@ -35,7 +35,7 @@ class TestStackedCentralDifferences:
         # neighbouring copy that is too small to move the difference
         # quotients still shows here.
         surfaces, leaves = checks._composite_surfaces(np.random.default_rng(4))
-        points = list(td._perturbed([np.asarray(p) for p in leaves], 1e-5))
+        points = list(td._perturbed([np.asarray(p) for p in leaves]))
         for f in surfaces:
             tape = td.Tape()
             stacked = f(tape, [tape.const(np.concatenate(c)) for c in zip(*points)]).value

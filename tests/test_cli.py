@@ -285,6 +285,20 @@ class TestExitCodes:
         assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,value", [
+        (["gen-data", "--out", "{tmp}/d", "--videos", "٣"], "٣"),
+        (["gen-data", "--out", "{tmp}/d", "--noise", "٠.٥"], "٠.٥"),
+        (["gen-data", "--out", "{tmp}/d", "--frames", "٢", "٣"], "٢"),
+        (["check", "--seed", "٣"], "٣"),
+        (["train", "--data", "{tmp}", "--out", "{tmp}/m.htck", "--set", "epochs=٣"], "٣"),
+        (["infer", "--ckpt", "{tmp}/m.htck", "--data", "{tmp}", "--out", "{tmp}/p",
+          "--steps", "٢"], "٢"),
+    ], ids=["videos", "noise", "frames", "seed", "set", "steps"])
+    def test_non_ascii_number_rejected(self, tmp_path, capsys, command, value):
+        assert run([arg.format(tmp=tmp_path) for arg in command]) == 1
+        assert repr(value) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_console_script_wired(self):
         proc = subprocess.run(
             [sys.executable, "-c", "from hyptas.cli import main; main()"],

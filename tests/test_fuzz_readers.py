@@ -10,7 +10,7 @@ rewrite header fields; the text mutations truncate, flip bits, cut bytes,
 repeat a line, or (config text only) give a key a random value. Config
 text is damaged both as a `train --config` file, parsed before the missing
 `--data` directory is read, and as the checkpoint's `config_text` section.
-Fixed cases pin two tensor headers that once escaped as exit 2, a NaN
+Fixed cases pin three tensor headers that once escaped as exit 2, a NaN
 feature value that once exited 1 without naming its file, a parameter of
 4.8e307 that once exited 0 with garbage, and sizes of 10**30 that once
 exited 2 from inside numpy.
@@ -184,7 +184,8 @@ def _extra_tensor(ndim: int, dims: tuple[int, ...], payload: bytes) -> bytes:
 @pytest.mark.parametrize("section", [
     _extra_tensor(65, (1,) * 65, bytes(8)),               # more dimensions than numpy allows
     _extra_tensor(4, (1 << 16,) * 4, b""),                # product 2**64 wraps to 0 in int64
-], ids=["ndim_65", "dims_product_wraps"])
+    _extra_tensor(3, (0, 1 << 31, 1 << 31), b""),         # zero size, 2**65 bytes to numpy
+], ids=["ndim_65", "dims_product_wraps", "zero_size_overflows"])
 def test_pinned_tensor_headers_exit_one(trained, tmp_path, capsys, section):
     _, data, ckpt = trained
     blob = ckpt.read_bytes()

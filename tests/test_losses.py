@@ -187,14 +187,14 @@ class TestGeodesicGuidance:
         direction = np.array([0.6, 0.8])
         x = const_ball(tape, [0.3 * direction])
         z = const_ball(tape, [0.4 * direction])
-        assert geodesic_guidance(x, z, 1.0, True, (1,)).value.item() == pytest.approx(
+        assert geodesic_guidance(x, z, 1.0, (1,)).value.item() == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_embedding_on_prototype_is_zero(self):
         tape = Tape()
         z = const_ball(tape, [[0.4, 0.0]])
-        assert geodesic_guidance(z, z, 1.0, True, (1,)).value.item() == pytest.approx(
+        assert geodesic_guidance(z, z, 1.0, (1,)).value.item() == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -204,21 +204,9 @@ class TestGeodesicGuidance:
         x = const_ball(tape, [[-0.4, 0.0]])
         z = const_ball(tape, [[0.4, 0.0]])
         expect = (2.0 * 2.0 * math.atanh(0.4)) ** 2
-        out = geodesic_guidance(x, z, 1.0, True, (1,)).value.item()
+        out = geodesic_guidance(x, z, 1.0, (1,)).value.item()
         assert out == pytest.approx(expect, abs=1e-9)
         assert out == pytest.approx(2.8717, abs=1e-3)
-
-    def test_unfrozen_prototypes_rejected(self):
-        tape = Tape()
-        x = const_ball(tape, [[0.2, 0.0]])
-        with pytest.raises(ContractViolation):
-            geodesic_guidance(x, x, 1.0, False, (1,))
-
-    def test_single_phase_opt_in(self):
-        tape = Tape()
-        x = const_ball(tape, [[0.2, 0.0]])
-        out = geodesic_guidance(x, x, 1.0, False, (1,), allow_unfrozen=True)
-        assert out.value.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def _terms(tape, emb, proto_tan, logits, labels, config):
@@ -233,7 +221,7 @@ def _terms(tape, emb, proto_tan, logits, labels, config):
         "entail": temporal_entailment(x, config.cone_k, rows).value.item(),
         "margin": prototype_margin(z, config.margin, 1.0, 1).value.item(),
         "pp": push_pull(x, assigned, [100], config.timesteps, config.decay, 1.0, rows).value.item(),
-        "gg": geodesic_guidance(x, assigned, 1.0, True, rows).value.item(),
+        "gg": geodesic_guidance(x, assigned, 1.0, rows).value.item(),
     }
     return x, z, ce, values
 
@@ -301,8 +289,17 @@ class TestComposites:
         emb, proto_tan, logits, labels = draw_safe_config(rng)
         tape = Tape()
         x, z, ce, _ = _terms(tape, emb, proto_tan, logits, labels, RunConfig())
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="frozen prototypes"):
             phase_loss("guidance", RunConfig(), ce, x, z, labels, [100], False, (len(labels),))
+
+    def test_single_phase_guides_toward_unfrozen_prototypes(self):
+        rng = np.random.default_rng(12)
+        emb, proto_tan, logits, labels = draw_safe_config(rng)
+        tape = Tape()
+        x, z, ce, values = _terms(tape, emb, proto_tan, logits, labels, RunConfig())
+        _, components = phase_loss("single", RunConfig(), ce, x, z, labels, [100], False,
+                                   (len(labels),))
+        assert components["gg"].item() == values["gg"]
 
     def test_gradients_reach_prototypes_only_via_margin_and_pp(self):
         rng = np.random.default_rng(13)

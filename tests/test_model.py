@@ -172,11 +172,15 @@ class TestDecode:
 class TestMasking:
     SEGMENTS = segments_from_labels([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2])
 
-    def test_none_is_identity(self):
+    def test_none_keeps_values_and_gradients(self):
+        rng = np.random.default_rng(3)
         tape = Tape()
-        cond = tape.const(np.ones((12, 3)))
-        out = apply_masking(cond, None)
-        assert out is cond
+        cond = tape.leaf(rng.normal(size=(12, 3)))
+        out = apply_masking(cond, mask_vector("none", self.SEGMENTS, 12, rng))
+        assert np.array_equal(out.value, cond.value)
+        g = rng.normal(size=(12, 3))
+        grads = tape.backward(td.total(td.mul(out, tape.const(g))))
+        assert np.array_equal(grads[cond], g)
 
     def test_position_zeroes_everything(self):
         tape = Tape()

@@ -50,10 +50,7 @@ def video_step(model, prototypes, schedule, config, phase, video, segments, rng)
     tape = Tape()
     bound = model.bind(tape, trainable=True)
     condition, p_enc = bound.encode(video.features, rows)
-    keep = None
-    if mask_kind != "none":
-        keep = mask_vector(mask_kind, segments, video.labels.shape[0], rng)
-    masked = apply_masking(condition, keep)
+    masked = apply_masking(condition, mask_vector(mask_kind, segments, video.labels.shape[0], rng))
     y_t = tape.const(forward_corrupt(label_encode(video.labels, classes), t, schedule, noise))
     emb, probs = bound.decode(y_t, masked, [t], rows)
     ball = bo.exp_map_origin_rows(emb, config.curvature)
