@@ -2,14 +2,19 @@
 
 Each suite re-derives expected behavior through an independent route —
 closed forms, central finite differences, a perfect-predictor sampler run,
-and brute-force metric references over frame sets — and reports pass/fail
-with a one-line detail. The geometry suites run the `ballops` formulas:
+and brute-force metric references — and reports pass/fail with a one-line
+detail. The geometry suites run the `ballops` formulas:
 the loss ops that training runs, forward on constants that no tape
 records, and, for the round trip, the numpy kernels of the Riemannian Adam
 retraction. The gradient suite checks the phase totals that training
 builds against central differences; each surface takes its inputs as
 stacked copies, so all perturbed points of a surface are one pass of
 `phase_loss` over 2N five-frame videos (`autodiff.stacked_finite_diff_check`).
+The metric suite draws all its pairs first, then scores each once on each
+side: a one-pair `evaluate_videos` report against a frame loop, one
+Levenshtein table per pair over the label runs (all tables filled together
+in numpy) and frame-index sets with one IoU table per pair. The references
+share no code with `hyptas.metrics`.
 The acceptance tests run the same suites at their full sizes.
 """
 
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .ballops import evaluate, exp_map_rows, log_map_rows
 from .diffusion import label_decode, label_encode, make_schedule, sample
 from .data import RunConfig
 from .losses import cross_entropy, phase_loss
-from .metrics import edit_score, f1_at_overlap, frame_accuracy
+from .metrics import evaluate_videos, f1_at_overlap
 
 
 @dataclass(frozen=True)
@@ -192,32 +196,41 @@ def _ref_accuracy(pred, gt):
     return 100.0 * hits / len(pred)
 
 
-def _ref_edit(pred, gt):
-    def runs(seq):
-        out = []
-        for v in seq:
-            if not out or out[-1] != v:
-                out.append(v)
-        return tuple(out)
-
-    a, b = runs(pred), runs(gt)
-
-    @lru_cache(maxsize=None)
-    def lev(i, j):
-        if i == 0 or j == 0:
-            return i + j
-        return min(
-            lev(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
-            lev(i - 1, j) + 1,
-            lev(i, j - 1) + 1,
-        )
-
-    score = 100.0 * (1.0 - lev(len(a), len(b)) / max(len(a), len(b)))
-    lev.cache_clear()
-    return score
+def _ref_runs(seq):
+    return [v for i, v in enumerate(seq) if i == 0 or v != seq[i - 1]]
 
 
-def _ref_f1(pred, gt, tau):
+def _ref_edits(pairs):
+    """Edit score of every (pred, gt) pair from one Levenshtein table per pair
+    over the label runs. All tables advance a row at a time together: a row
+    takes the diagonal and the deletion from the row above, then the
+    insertions by a running minimum of D[i, k] + (j - k) over k <= j."""
+    a_runs = [_ref_runs(pred) for pred, _ in pairs]
+    b_runs = [_ref_runs(gt) for _, gt in pairs]
+    a_len = np.array([len(a) for a in a_runs])
+    b_len = np.array([len(b) for b in b_runs])
+    a = np.full((len(pairs), a_len.max()), -1)  # padding past a run's end is never read
+    b = np.full((len(pairs), b_len.max()), -1)
+    for k, (ra, rb) in enumerate(zip(a_runs, b_runs)):
+        a[k, :len(ra)] = ra
+        b[k, :len(rb)] = rb
+    cols = np.arange(b.shape[1] + 1)
+    row = np.tile(cols, (len(pairs), 1))  # D[0, j] = j
+    dist = np.zeros(len(pairs), dtype=np.int64)
+    for i in range(1, a.shape[1] + 1):
+        step = np.empty_like(row)
+        step[:, 0] = i
+        step[:, 1:] = np.minimum(row[:, :-1] + (a[:, i - 1:i] != b), row[:, 1:] + 1)
+        row = np.minimum.accumulate(step - cols, axis=1) + cols
+        done = a_len == i
+        dist[done] = row[done, b_len[done]]
+    return [100.0 * (1.0 - d / max(la, lb))
+            for d, la, lb in zip(dist.tolist(), a_len.tolist(), b_len.tolist())]
+
+
+def _ref_match_counts(pred, gt, taus):
+    """(TP, FP, FN) at each threshold, by the greedy rule over frame-index sets
+    and one IoU table per pair."""
     def frame_segments(seq):
         segs, start = [], 0
         for i in range(1, len(seq)):
@@ -227,20 +240,26 @@ def _ref_f1(pred, gt, tau):
         segs.append((seq[start], frozenset(range(start, len(seq)))))
         return segs
 
-    p_segs, g_segs = frame_segments(list(pred)), frame_segments(list(gt))
-    taken, tp = set(), 0
-    for label, frames in p_segs:
-        best = None
-        for idx, (g_label, g_frames) in enumerate(g_segs):
-            if idx in taken or g_label != label:
-                continue
-            iou = len(frames & g_frames) / len(frames | g_frames)
-            if best is None or iou > best[0]:
-                best = (iou, idx)
-        if best is not None and best[0] > tau:
-            tp += 1
-            taken.add(best[1])
-    fp, fn = len(p_segs) - tp, len(g_segs) - tp
+    p_segs, g_segs = frame_segments(pred), frame_segments(gt)
+    table = [[(idx, len(frames & g_frames) / len(frames | g_frames))
+              for idx, (g_label, g_frames) in enumerate(g_segs) if g_label == label]
+             for label, frames in p_segs]
+    counts = []
+    for tau in taus:
+        taken, tp = set(), 0
+        for row in table:
+            best = None
+            for idx, iou in row:
+                if idx not in taken and (best is None or iou > best[0]):
+                    best = (iou, idx)
+            if best is not None and best[0] > tau:
+                tp += 1
+                taken.add(best[1])
+        counts.append((tp, len(p_segs) - tp, len(g_segs) - tp))
+    return counts
+
+
+def _ref_f1(tp, fp, fn):
     if tp + fp == 0 or tp + fn == 0:
         return 0.0
     p, r = tp / (tp + fp), tp / (tp + fn)
@@ -249,16 +268,21 @@ def _ref_f1(pred, gt, tau):
 
 def metrics_reference_agreement(pairs: int = 1000, seed: int = 6) -> CheckResult:
     rng = np.random.default_rng(seed)
-    for k in range(pairs):
+    drawn = []
+    for _ in range(pairs):
         n = int(rng.integers(1, 31))
-        pred = rng.integers(0, 5, size=n)
-        gt = rng.integers(0, 5, size=n)
-        if frame_accuracy(pred, gt) != _ref_accuracy(list(pred), list(gt)):
+        drawn.append((rng.integers(0, 5, size=n), rng.integers(0, 5, size=n)))
+    lists = [(pred.tolist(), gt.tolist()) for pred, gt in drawn]
+    ref_edits = _ref_edits(lists)
+    taus = (0.10, 0.25, 0.50)
+    for k, ((pred, gt), (p_list, g_list)) in enumerate(zip(drawn, lists)):
+        report = evaluate_videos([(pred, gt)])
+        if report["Acc"] != _ref_accuracy(p_list, g_list):
             return CheckResult("metrics.reference_agreement", False, f"accuracy mismatch on pair {k}")
-        if abs(edit_score(pred, gt) - _ref_edit(list(pred), list(gt))) > 1e-12:
+        if abs(report["Edit"] - ref_edits[k]) > 1e-12:
             return CheckResult("metrics.reference_agreement", False, f"edit mismatch on pair {k}")
-        for tau in (0.10, 0.25, 0.50):
-            if abs(f1_at_overlap(pred, gt, tau) - _ref_f1(pred, gt, tau)) > 1e-12:
+        for tau, counts in zip(taus, _ref_match_counts(p_list, g_list, taus)):
+            if abs(report[f"F1@{round(tau * 100)}"] - _ref_f1(*counts)) > 1e-12:
                 return CheckResult(
                     "metrics.reference_agreement", False, f"F1@{tau} mismatch on pair {k}"
                 )

@@ -384,8 +384,10 @@ _NONNEGATIVE = ("lambda_ce", "lambda_entail", "lambda_margin", "lambda_pp", "lam
 # Upper bounds on the sizes the model and schedule allocate from: the schedule
 # holds timesteps + 1 values built in a Python loop, and each width w sizes
 # (3, w, w) convolution weights. Far above any desk-scale run, far below
-# what numpy refuses or what exhausts memory.
-SIZE_CAPS = {"timesteps": 100_000, "embed_dim": 1024, "encoder_channels": 1024}
+# what numpy refuses or what exhausts memory. The epoch count is rounded
+# through a float for the phase split, which a float can hold only so far.
+SIZE_CAPS = {"epochs": 1_000_000, "timesteps": 100_000, "embed_dim": 1024,
+             "encoder_channels": 1024}
 # Upper bounds on the sizes `generate_synthetic` allocates from, checked by
 # `SyntheticSpec` (a range by its upper end). The transition grammars hold
 # tasks * vocabulary^2 entries, at most about 2.5 million under the class

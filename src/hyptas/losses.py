@@ -64,7 +64,10 @@ class Prototypes:
             raise ShapeError(f"need a (C >= 2, d) prototype matrix, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise GeometryError("non-finite prototype coordinates")
-        if np.any(self.curvature * np.sum(pts * pts, axis=1) >= 1.0):
+        # A coordinate of 1/sqrt(c) or more lies outside the ball by itself;
+        # refusing it before squaring keeps the squares finite.
+        outside = np.any(np.abs(pts) >= 1.0 / math.sqrt(self.curvature))
+        if outside or np.any(self.curvature * np.sum(pts * pts, axis=1) >= 1.0):
             raise GeometryError("prototypes must lie strictly inside the ball")
         self.points = pts
 

@@ -11,8 +11,7 @@ pools TP/FP/FN for F1, and averages edit scores per video.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,17 +20,12 @@ from .errors import ShapeError
 OVERLAP_THRESHOLDS = (0.10, 0.25, 0.50)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A maximal run of one label over inclusive frame indices [start, end]."""
 
     label: int
     start: int
     end: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ShapeError(f"segment start {self.start} after end {self.end}")
 
 
 def segments_from_labels(labels: Sequence[int]) -> list[Segment]:
@@ -39,9 +33,10 @@ def segments_from_labels(labels: Sequence[int]) -> list[Segment]:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ShapeError("need a nonempty 1-D label sequence")
+    values = labels.tolist()
     starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
     ends = [s - 1 for s in starts[1:]] + [labels.size - 1]
-    return [Segment(int(labels[s]), s, e) for s, e in zip(starts, ends)]
+    return [Segment(values[s], s, e) for s, e in zip(starts, ends)]
 
 
 def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
@@ -52,31 +47,39 @@ def _check_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return pred, gt
 
 
-def frame_accuracy(pred: Sequence[int], gt: Sequence[int]) -> float:
-    pred, gt = _check_pair(pred, gt)
-    return 100.0 * float(np.sum(pred == gt)) / pred.size
-
-
 def _levenshtein(a: list[int], b: list[int]) -> int:
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        row = [i]
-        for j, y in enumerate(b, start=1):
-            row.append(min(prev[j - 1] + (x != y), prev[j] + 1, row[j - 1] + 1))
-        prev = row
-    return prev[-1]
+    """Edit distance by Myers' bit-parallel column update (J. ACM 1999), in
+    Hyyro's global form: bit i of `pv` / `mv` says the DP column steps up /
+    down by one from row i to row i + 1. Python ints make it exact at any
+    length of `a`."""
+    if not a:
+        return len(b)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    peq: dict[int, int] = {}
+    for i, x in enumerate(a):
+        peq[x] = peq.get(x, 0) | (1 << i)
+    pv, mv, score = full, 0, len(a)
+    for y in b:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 of the table steps up by one per column
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def _edit(p_segs: list[Segment], g_segs: list[Segment]) -> float:
     p_labels = [s.label for s in p_segs]
     g_labels = [s.label for s in g_segs]
     return 100.0 * (1.0 - _levenshtein(p_labels, g_labels) / max(len(p_labels), len(g_labels)))
-
-
-def edit_score(pred: Sequence[int], gt: Sequence[int]) -> float:
-    """100 * (1 - Levenshtein(segment labels) / max(segment counts))."""
-    pred, gt = _check_pair(pred, gt)
-    return _edit(segments_from_labels(pred), segments_from_labels(gt))
 
 
 def _segment_iou(a: Segment, b: Segment) -> float:
@@ -87,31 +90,47 @@ def _segment_iou(a: Segment, b: Segment) -> float:
     return inter / union
 
 
-def _match(p_segs: list[Segment], g_segs: list[Segment], tau: float) -> tuple[int, int, int]:
-    if not 0.0 < tau < 1.0:
-        raise ShapeError(f"overlap threshold must lie in (0, 1), got {tau}")
-    used = [False] * len(g_segs)
-    tp = 0
+def _match(p_segs: list[Segment], g_segs: list[Segment],
+           taus: Sequence[float]) -> list[tuple[int, int, int]]:
+    """(TP, FP, FN) at each threshold of `taus`, from one pass that lists each
+    predicted segment's candidates: the same-label ground-truth segments it
+    overlaps, in index order. Segments tile the frames, so one forward sweep
+    finds them; a segment it skips has IoU 0, which never wins the strict
+    comparison."""
+    candidates = []
+    first = 0
     for p in p_segs:
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(g_segs):
-            if used[j] or g.label != p.label:
-                continue
-            iou = _segment_iou(p, g)
-            if iou > best_iou:  # strict: ties keep the earliest candidate
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou > tau:
-            tp += 1
-            used[best_j] = True
-    fp = len(p_segs) - tp
-    fn = len(g_segs) - tp
-    return tp, fp, fn
+        while g_segs[first].end < p.start:
+            first += 1
+        row = []
+        j = first
+        while j < len(g_segs) and g_segs[j].start <= p.end:
+            if g_segs[j].label == p.label:
+                row.append((j, _segment_iou(p, g_segs[j])))
+            j += 1
+        candidates.append(row)
+    counts = []
+    for tau in taus:
+        used = set()
+        tp = 0
+        for row in candidates:
+            best_iou, best_j = 0.0, -1
+            for j, iou in row:
+                if iou > best_iou and j not in used:  # strict: ties keep the earliest
+                    best_iou, best_j = iou, j
+            if best_j >= 0 and best_iou > tau:
+                tp += 1
+                used.add(best_j)
+        counts.append((tp, len(p_segs) - tp, len(g_segs) - tp))
+    return counts
 
 
 def match_counts(pred: Sequence[int], gt: Sequence[int], tau: float) -> tuple[int, int, int]:
     """Greedy (TP, FP, FN) under the pinned rule described in the module docstring."""
     pred, gt = _check_pair(pred, gt)
-    return _match(segments_from_labels(pred), segments_from_labels(gt), tau)
+    if not 0.0 < tau < 1.0:
+        raise ShapeError(f"overlap threshold must lie in (0, 1), got {tau}")
+    return _match(segments_from_labels(pred), segments_from_labels(gt), (tau,))[0]
 
 
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -139,7 +158,7 @@ def evaluate_videos(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dic
     frames = 0
     edit_sum = 0.0
     count = 0
-    pooled = {tau: [0, 0, 0] for tau in OVERLAP_THRESHOLDS}
+    pooled = [[0, 0, 0] for _ in OVERLAP_THRESHOLDS]
     for pred, gt in pairs:
         pred, gt = _check_pair(pred, gt)
         correct += int(np.sum(pred == gt))
@@ -147,15 +166,14 @@ def evaluate_videos(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dic
         p_segs, g_segs = segments_from_labels(pred), segments_from_labels(gt)
         edit_sum += _edit(p_segs, g_segs)
         count += 1
-        for tau in OVERLAP_THRESHOLDS:
-            tp, fp, fn = _match(p_segs, g_segs, tau)
-            pooled[tau][0] += tp
-            pooled[tau][1] += fp
-            pooled[tau][2] += fn
+        for sums, (tp, fp, fn) in zip(pooled, _match(p_segs, g_segs, OVERLAP_THRESHOLDS)):
+            sums[0] += tp
+            sums[1] += fp
+            sums[2] += fn
     if count == 0:
         raise ShapeError("no videos to evaluate")
     report = {f"F1@{int(round(tau * 100))}": _f1_from_counts(*counts)
-              for tau, counts in pooled.items()}
+              for tau, counts in zip(OVERLAP_THRESHOLDS, pooled)}
     report["Edit"] = edit_sum / count
     report["Acc"] = 100.0 * correct / frames
     report["Avg"] = sum(report.values()) / len(report)

@@ -95,3 +95,26 @@ class TestSuitesCanFail:
         result = checks.metrics_reference_agreement(pairs=200)
         assert not result.passed
         assert "F1@" in result.detail
+
+    def test_metrics_reference_agreement_catches_an_edit_distance_one_too_many(self, monkeypatch):
+        real = metrics._levenshtein
+
+        def one_too_many(a, b):
+            return real(a, b) + (a != b)
+
+        monkeypatch.setattr(metrics, "_levenshtein", one_too_many)
+        result = checks.metrics_reference_agreement(pairs=200)
+        assert not result.passed
+        assert "edit mismatch" in result.detail
+
+    def test_metrics_reference_agreement_catches_an_intersection_one_too_short(self, monkeypatch):
+        def short_intersection(a, b):
+            inter = min(a.end, b.end) - max(a.start, b.start)
+            if inter <= 0:
+                return 0.0
+            return inter / (max(a.end, b.end) - min(a.start, b.start) + 1)
+
+        monkeypatch.setattr(metrics, "_segment_iou", short_intersection)
+        result = checks.metrics_reference_agreement(pairs=200)
+        assert not result.passed
+        assert "F1@" in result.detail

@@ -156,6 +156,24 @@ class TestTrain:
         assert err.startswith(prefix + "curvature = 150.0 puts the starting prototypes outside")
         assert not (tmp_path / "m.htck").exists()
 
+    def test_epochs_above_its_cap_rejected_before_training(self, workspace, tmp_path, capsys,
+                                                           monkeypatch):
+        # 0.4 * epochs is rounded through a float for the phase split; a
+        # 401-digit count would overflow it.
+        _, data, _ = workspace
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(hyptas.cli, "train", no_training)
+        epochs = "1" + "0" * 400
+        out = tmp_path / "m.htck"
+        code = run(["train", "--data", str(data), "--out", str(out), "--set", f"epochs={epochs}"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: epochs = {epochs} is above its cap of 1000000")
+        assert not out.exists()
+
     def test_config_file_plus_set_overrides(self, workspace, tmp_path):
         _, data, _ = workspace
         cfg = tmp_path / "run.cfg"

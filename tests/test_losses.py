@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,13 @@ class TestPrototypesType:
             Prototypes(np.array([[1.5, 0.0], [0.0, 0.0]]), 1.0)
         with pytest.raises(GeometryError):
             Prototypes(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1.0)
+
+    def test_huge_coordinate_refused_before_squaring(self):
+        # Squaring 1.7e308 overflows; the refusal comes first, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="strictly inside the ball"):
+                Prototypes(np.array([[1.7e308, 0.0], [0.1, 0.2]]), 1.0)
 
     def test_freeze_makes_points_immutable(self):
         p = Prototypes(np.array([[0.1, 0.0], [0.0, 0.1]]), 1.0)

@@ -3,20 +3,28 @@
 The references here share no code with `hyptas.metrics`: accuracy counts in
 a Python loop, the edit reference is a memoized recursion, and the F1
 reference works on explicit frame-index sets under the same pinned tie rule.
+Two oracles pin the library's kernels to their plain forms: the two-row
+Levenshtein table for the bit-parallel edit distance, and the per-threshold
+scan over every ground-truth segment, on the library's own IoU, for the
+one-pass match at all thresholds.
 """
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyptas.errors import ShapeError
 from hyptas.metrics import (
+    OVERLAP_THRESHOLDS,
     Segment,
-    edit_score,
+    _levenshtein,
+    _match,
+    _segment_iou,
     evaluate_videos,
     f1_at_overlap,
-    frame_accuracy,
     match_counts,
     segments_from_labels,
 )
@@ -128,6 +136,44 @@ def enumerate_maximal_matchings(pred, gt, tau):
     return all_sizes
 
 
+def dp_levenshtein(a, b):
+    """The textbook two-row Levenshtein table."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        row = [i]
+        for j, y in enumerate(b, start=1):
+            row.append(min(prev[j - 1] + (x != y), prev[j] + 1, row[j - 1] + 1))
+        prev = row
+    return prev[-1]
+
+
+def scan_match(p_segs, g_segs, tau):
+    """One threshold at a time, scanning every ground-truth segment for each
+    prediction (the rule before candidates were listed once per pair)."""
+    used = [False] * len(g_segs)
+    tp = 0
+    for p in p_segs:
+        best_iou, best_j = 0.0, -1
+        for j, g in enumerate(g_segs):
+            if used[j] or g.label != p.label:
+                continue
+            iou = _segment_iou(p, g)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0 and best_iou > tau:
+            tp += 1
+            used[best_j] = True
+    return tp, len(p_segs) - tp, len(g_segs) - tp
+
+
+def accuracy(pred, gt):
+    return evaluate_videos([(pred, gt)])["Acc"]
+
+
+def edit(pred, gt):
+    return evaluate_videos([(pred, gt)])["Edit"]
+
+
 def random_pair(rng, max_len=30, classes=5):
     n = int(rng.integers(1, max_len + 1))
     pred = rng.integers(0, classes, size=n)
@@ -167,35 +213,35 @@ class TestSegments:
 
 class TestFrameAccuracy:
     def test_identical(self):
-        assert frame_accuracy([1, 2, 3], [1, 2, 3]) == 100.0
+        assert accuracy([1, 2, 3], [1, 2, 3]) == 100.0
 
     def test_three_quarters(self):
-        assert frame_accuracy([0, 1, 1, 1], [0, 0, 1, 1]) == 75.0
+        assert accuracy([0, 1, 1, 1], [0, 0, 1, 1]) == 75.0
 
     def test_disjoint(self):
-        assert frame_accuracy([0, 0], [1, 1]) == 0.0
+        assert accuracy([0, 0], [1, 1]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            frame_accuracy([0], [0, 1])
+            accuracy([0], [0, 1])
 
 
 class TestEditScore:
     def test_identical_sequences(self):
-        assert edit_score([0, 0, 1, 2, 2], [0, 1, 1, 2, 2]) == 100.0
+        assert edit([0, 0, 1, 2, 2], [0, 1, 1, 2, 2]) == 100.0
 
     def test_worked_example(self):
         # gt segments [A, B, A] vs pred segments [A, B]: one deletion of three
-        assert edit_score([0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]) == pytest.approx(100 * (1 - 1 / 3))
+        assert edit([0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]) == pytest.approx(100 * (1 - 1 / 3))
 
     def test_fully_disjoint(self):
-        assert edit_score([0, 1, 2], [3, 4, 5]) == 0.0
+        assert edit([0, 1, 2], [3, 4, 5]) == 0.0
 
     def test_against_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             pred, gt = random_pair(rng)
-            assert edit_score(pred, gt) == pytest.approx(ref_edit(list(pred), list(gt)), abs=1e-12)
+            assert edit(pred, gt) == pytest.approx(ref_edit(list(pred), list(gt)), abs=1e-12)
 
 
 class TestF1:
@@ -216,6 +262,15 @@ class TestF1:
     def test_unmatched_predictions_are_false_positives(self):
         tp, fp, fn = match_counts([2, 2, 2, 0], [0, 0, 0, 0], 0.10)
         assert tp == 1 and fp == 1
+
+    def test_equal_iou_goes_to_the_earliest_ground_truth(self):
+        # pred 0:3-6 overlaps gt 0:0-3 and gt 0:6-9 each by one frame of a
+        # 7-frame union. Taking the earliest leaves gt 0:6-9 for pred 0:8-9
+        # (IoU 2/4); taking the later one would leave pred 0:8-9 unmatched.
+        pred = [2, 2, 2, 0, 0, 0, 0, 2, 0, 0]
+        gt = [0, 0, 0, 0, 1, 1, 0, 0, 0, 0]
+        assert match_counts(pred, gt, 0.10) == (2, 2, 1)
+        assert match_counts(pred, gt, 0.10) == ref_match_counts(pred, gt, 0.10)
 
     def test_threshold_range_checked(self):
         with pytest.raises(ShapeError):
@@ -254,8 +309,8 @@ class TestBoundsAndPooling:
         for _ in range(200):
             pred, gt = random_pair(rng)
             values = [
-                frame_accuracy(pred, gt),
-                edit_score(pred, gt),
+                accuracy(pred, gt),
+                edit(pred, gt),
                 f1_at_overlap(pred, gt, 0.25),
             ]
             assert all(0.0 <= v <= 100.0 for v in values)
@@ -293,9 +348,45 @@ class TestBoundsAndPooling:
         rng = np.random.default_rng(37)
         pairs = [random_pair(rng) for _ in range(20)]
         report = evaluate_videos(pairs)
-        assert report["Edit"] == sum(edit_score(p, g) for p, g in pairs) / len(pairs)
+        assert report["Edit"] == sum(edit(p, g) for p, g in pairs) / len(pairs)
         for tau in (0.10, 0.25, 0.50):
             tp, fp, fn = (sum(c) for c in zip(*(match_counts(p, g, tau) for p, g in pairs)))
             precision, recall = tp / (tp + fp), tp / (tp + fn)
             f1 = 100.0 * 2.0 * precision * recall / (precision + recall)
             assert report[f"F1@{int(round(tau * 100))}"] == f1
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+@st.composite
+def label_lists(draw, max_size):
+    symbols, size = draw(st.integers(1, 6)), draw(st.integers(0, max_size))
+    return draw(st.lists(st.integers(0, symbols - 1), min_size=size, max_size=size))
+
+
+@st.composite
+def tied_pairs(draw):
+    """Equal-length label sequences built from short runs of few labels, so
+    that a prediction often overlaps two ground-truth segments equally."""
+    labels = st.integers(0, draw(st.integers(1, 3)) - 1)
+    runs = st.lists(st.tuples(labels, st.integers(1, 4)), min_size=1, max_size=20)
+    pred, gt = ([v for v, n in draw(runs) for _ in range(n)] for _ in range(2))
+    n = min(len(pred), len(gt))
+    return pred[:n], gt[:n]
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(label_lists(100), label_lists(100))
+    def test_levenshtein_equals_the_dp_table(self, a, b):
+        # Up to 100 labels: masks wider than 64 bits, and empty sides.
+        assert _levenshtein(a, b) == dp_levenshtein(a, b)
+
+    @PROPERTY
+    @given(tied_pairs(), st.lists(st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.5, 2 / 3, 0.75]),
+                                  min_size=1, max_size=4))
+    def test_match_equals_the_per_threshold_scan(self, pair, taus):
+        p_segs, g_segs = (segments_from_labels(seq) for seq in pair)
+        taus = [*OVERLAP_THRESHOLDS, *taus]
+        assert _match(p_segs, g_segs, taus) == [scan_match(p_segs, g_segs, t) for t in taus]
