@@ -14,12 +14,13 @@ result, so no Tensor -> Tape -> nodes cycle outlives the step and reference
 counting frees the graph as soon as the caller lets go of it. A second
 `backward` raises.
 
-Broadcasting is deliberately narrow: `add`, `sub` and `mul` accept a Python
-float, and every other mixed-shape combination has its own named op
-(`scale_rows`, `gather_rows`, ...). This keeps each node's backward rule
-one line and the whole tape auditable. A gradient rule computes only the
-gradients of operands that need one: a constant operand (features, masks)
-costs no backward arithmetic.
+Broadcasting is deliberately narrow: `add` and `sub` take a tensor of the
+same shape or a Python float, `mul` a float or a constant array (a mask
+column, one factor per video, one-hot targets), and every other
+mixed-shape combination has its own named op (`gather_rows`, ...). This
+keeps each node's backward rule one line and the whole tape auditable. A
+gradient rule computes only the gradients of operands that need one: a
+constant operand (features, masks) costs no backward arithmetic.
 
 Fused ops stand for a whole composition of primitives: the Poincare-ball
 formulas in `ballops`, and the denoiser's conv stacks and classification
@@ -194,25 +195,12 @@ def sub(a: Tensor, b: Tensor | float) -> Tensor:
     return add(a, -b)
 
 
-def mul(a: Tensor, b: Tensor | float | np.ndarray) -> Tensor:
-    """Elementwise product with a tensor of a's shape, or with a float or a
-    constant array that broadcasts to a's shape (such as one factor per video)."""
-    if not isinstance(b, Tensor):
-        def push(g):
-            _accumulate(a, g * b)
-        return a.tape._register(a.value * b, (a,), push)
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-    if av.shape != bv.shape:
-        raise ShapeError(f"mul: unsupported shapes {av.shape} * {bv.shape}")
-
+def mul(a: Tensor, b: float | np.ndarray) -> Tensor:
+    """Elementwise product with a float, or with a constant array that
+    broadcasts to a's shape."""
     def push(g):
-        if a.needs_grad:
-            _accumulate(a, g * bv)
-        if b.needs_grad:
-            _accumulate(b, g * av)
-
-    return tape._register(av * bv, (a, b), push)
+        _accumulate(a, g * b)
+    return a.tape._register(a.value * b, (a,), push)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -329,22 +317,6 @@ def _video_reduce(a: Tensor, rows, mean: bool) -> Tensor:
     return a.tape._register(out, (a,), push)
 
 
-def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply each row of a (N, d) tensor by the matching (N, 1) scalar."""
-    tape = _same_tape(a, s)
-    av, sv = a.value, s.value
-    if av.ndim != 2 or sv.shape != (av.shape[0], 1):
-        raise ShapeError(f"scale_rows: got {av.shape} scaled by {sv.shape}")
-
-    def push(g):
-        if a.needs_grad:
-            _accumulate(a, g * sv)
-        if s.needs_grad:
-            _accumulate(s, np.sum(g * av, axis=1, keepdims=True))
-
-    return tape._register(av * sv, (a, s), push)
-
-
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Select rows of a (C, d) tensor by integer index -> (len(index), d)."""
     idx = np.asarray(index, dtype=np.intp)
@@ -370,29 +342,6 @@ def pick_rows(a: Tensor, index: np.ndarray) -> Tensor:
         _accumulate(a, ga)
 
     return a.tape._register(a.value[idx], (a,), push)
-
-
-# ---------------------------------------------------------------------------
-# Softmax (row-wise over class columns)
-# ---------------------------------------------------------------------------
-
-def _softmax_rows(val: np.ndarray) -> np.ndarray:
-    shifted = val - np.max(val, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return out * (g - np.sum(g * out, axis=1, keepdims=True))
-
-
-def softmax(a: Tensor) -> Tensor:
-    out = _softmax_rows(a.value)
-
-    def push(g):
-        _accumulate(a, _softmax_grad(out, g))
-
-    return a.tape._register(out, (a,), push)
 
 
 # ---------------------------------------------------------------------------

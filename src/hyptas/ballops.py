@@ -11,7 +11,9 @@ an input that needs no gradient). So values and gradients keep the composed
 form's bits, clamps included. The composed forms live in
 `tests/ball_oracles.py` as forward and gradient oracles. Inference, the
 prototype log value and the `hyptas check` suites run the same ops forward
-through `evaluate` on constants, which the tape does not record.
+through `evaluate` on constants, which the tape does not record. The two
+cone ops are the unit ball's formulas; `losses.temporal_entailment` scales
+its rows onto that ball.
 
 The last section holds Riemannian Adam's retraction in numpy: Mobius
 addition (until merged with the tape form inlined in `distance_rows`), the
@@ -171,7 +173,7 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
 
 
 def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
-    """Row-wise entailment-cone exterior angle -> (N, 1).
+    """Row-wise entailment-cone exterior angle in the unit ball -> (N, 1).
 
     Uses the nonsingular form
         cos(theta) = (<x,y>(1+|x|^2) - |x|^2 (1+|y|^2))
@@ -232,7 +234,7 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
 
 
 def aperture_rows(x: Tensor, K: float) -> Tensor:
-    """Row-wise cone aperture arcsin(K (1 - |x|^2) / |x|) -> (N, 1).
+    """Row-wise cone aperture arcsin(K (1 - |x|^2) / |x|) in the unit ball -> (N, 1).
 
     The arcsin argument is clipped to [-1, 1]; rows at or inside the norm
     floor get an argument >> 1 and therefore open fully to pi/2, matching

@@ -92,17 +92,21 @@ def cross_entropy(p: Tensor, y_onehot: np.ndarray, rows: Sequence[int]) -> Tenso
     if p.value.shape != y.shape:
         raise ShapeError(f"probabilities {p.value.shape} vs targets {y.shape}")
     logp = td.log(td.clamp(p, lo=PROB_FLOOR))
-    picked = td.mul(logp, p.tape.const(y))
+    picked = td.mul(logp, y)
     return td.mul(td.sums(picked, rows), -1.0 / (np.asarray(rows) * y.shape[1]))
 
 
-def temporal_entailment(x: Tensor, cone_k: float, rows: Sequence[int]) -> Tensor:
+def temporal_entailment(x: Tensor, cone_k: float, c: float, rows: Sequence[int]) -> Tensor:
     """Mean hinge over consecutive frames of (exterior angle - aperture).
 
-    Zero when every frame lies within its predecessor's cone. One mean per
-    video over its own frame pairs, so no pair crosses a video boundary. A
-    lone video shorter than two frames contributes zero (logged, not
-    fatal); packed with other videos it is refused.
+    Zero when every frame lies within its predecessor's cone. The cone ops
+    are the unit ball's formulas, so the frame pairs are first carried onto
+    that ball by the isometry x -> sqrt(c) x (Ganea et al., ICML 2018). The
+    rows are scaled after they are picked, so at c = 1 the values and the
+    gradient of x keep the bits of unscaled rows. One mean per video over
+    its own frame pairs, so no pair crosses a video boundary. A lone video
+    shorter than two frames contributes zero (logged, not fatal); packed
+    with other videos it is refused.
     """
     if min(rows) < 2:
         if len(rows) > 1:
@@ -111,8 +115,9 @@ def temporal_entailment(x: Tensor, cone_k: float, rows: Sequence[int]) -> Tensor
         return x.tape.const(np.zeros((1,)))
     stops = itertools.accumulate(rows)
     first = np.concatenate([np.arange(stop - n, stop - 1) for n, stop in zip(rows, stops)])
-    head = td.pick_rows(x, first)
-    tail = td.pick_rows(x, first + 1)
+    sqrt_c = math.sqrt(c)
+    head = td.mul(td.pick_rows(x, first), sqrt_c)
+    tail = td.mul(td.pick_rows(x, first + 1), sqrt_c)
     theta = bo.exterior_angle_rows(head, tail)
     alpha = bo.aperture_rows(head, cone_k)
     hinge = td.relu(theta - alpha)
@@ -229,7 +234,7 @@ def phase_loss(
 
     def term(name: str) -> Tensor:
         if name == "entail":
-            return temporal_entailment(x, config.cone_k, rows)
+            return temporal_entailment(x, config.cone_k, c, rows)
         if name == "margin":
             return prototype_margin(z, config.margin, c, videos)
         assigned = td.gather_rows(z, index)

@@ -125,14 +125,6 @@ def _match(p_segs: list[Segment], g_segs: list[Segment],
     return counts
 
 
-def match_counts(pred: Sequence[int], gt: Sequence[int], tau: float) -> tuple[int, int, int]:
-    """Greedy (TP, FP, FN) under the pinned rule described in the module docstring."""
-    pred, gt = _check_pair(pred, gt)
-    if not 0.0 < tau < 1.0:
-        raise ShapeError(f"overlap threshold must lie in (0, 1), got {tau}")
-    return _match(segments_from_labels(pred), segments_from_labels(gt), (tau,))[0]
-
-
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     if tp + fp == 0 or tp + fn == 0:
         return 0.0
@@ -141,10 +133,6 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 100.0 * 2.0 * precision * recall / (precision + recall)
-
-
-def f1_at_overlap(pred: Sequence[int], gt: Sequence[int], tau: float) -> float:
-    return _f1_from_counts(*match_counts(pred, gt, tau))
 
 
 def evaluate_videos(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dict[str, float]:

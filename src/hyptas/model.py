@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -40,8 +39,6 @@ from . import autodiff as td
 from .autodiff import Tape, Tensor, _accumulate, _in_order
 from .errors import ShapeError
 from .metrics import Segment
-
-logger = logging.getLogger(__name__)
 
 MASK_KINDS = ("none", "position", "boundary", "relation")
 DILATIONS = (1, 2, 4, 8)
@@ -76,6 +73,17 @@ def sinusoidal_step_embedding(t: int, dim: int) -> np.ndarray:
     emb = emb[None, :]
     emb.flags.writeable = False
     return emb
+
+
+def _softmax_rows(val: np.ndarray) -> np.ndarray:
+    shifted = val - np.max(val, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the logits from g, the gradient of softmax rows `out`."""
+    return out * (g - np.sum(g * out, axis=1, keepdims=True))
 
 
 def _layer_name(stack: str, i: int) -> str:
@@ -185,10 +193,10 @@ class BoundDenoiser:
 
         h = self.tape._register(out, (*inputs, *params.values()), push)
         w, b = self.bound[f"{stack}.head.w"], self.bound[f"{stack}.head.b"]
-        probs = td._softmax_rows(_matmul_rows(out, w.value, spans) + b.value)
+        probs = _softmax_rows(_matmul_rows(out, w.value, spans) + b.value)
 
         def head_push(g):
-            gz = td._softmax_grad(probs, g)
+            gz = _softmax_grad(probs, g)
             _accumulate(b, _in_order([np.sum(gz[lo:hi], axis=0, keepdims=True) for lo, hi in spans]))
             _accumulate(h, _matmul_rows(gz, w.value.T, spans))
             _accumulate(w, _in_order([out[lo:hi].T @ gz[lo:hi] for lo, hi in spans]))
@@ -400,7 +408,7 @@ class ForwardRunner:
         self.decoder.forward([sinusoidal_step_embedding(t, STEP_DIM)], self.embeddings,
                              self.decoder.frame_starts)
         w, b = self.head
-        return td._softmax_rows(self.embeddings @ w + b)
+        return _softmax_rows(self.embeddings @ w + b)
 
 
 def mask_vector(
@@ -414,8 +422,7 @@ def mask_vector(
     none: all ones. position: all zeros. boundary: zeros within
     +/- BOUNDARY_HALFWIDTH of each internal segment boundary (the first frame
     of every segment after the first). relation: zeros over one uniformly
-    chosen segment; with no segments to choose from the mask falls back to
-    none (logged).
+    chosen segment.
     """
     if kind not in MASK_KINDS:
         raise ShapeError(f"unknown mask kind {kind!r}; expected one of {MASK_KINDS}")
@@ -430,9 +437,6 @@ def mask_vector(
             hi = min(seg.start + BOUNDARY_HALFWIDTH, length - 1)
             keep[lo : hi + 1] = 0.0
         return keep
-    if not segments:
-        logger.warning("relation mask with no segments; falling back to none")
-        return keep
     seg = segments[int(rng.integers(0, len(segments)))]
     keep[seg.start : seg.end + 1] = 0.0
     return keep
@@ -442,7 +446,7 @@ def apply_masking(condition: Tensor, keep: np.ndarray) -> Tensor:
     """Zero the condition rows whose (L, 1) keep-mask entry is 0, with the
     masks of stacked videos stacked alike. A row kept scales by 1.0, which
     keeps its value and gradient bits. Labels and signals are untouched."""
-    return td.scale_rows(condition, condition.tape.const(keep))
+    return td.mul(condition, keep)
 
 
 def sample_mask_kind(rng: np.random.Generator) -> str:

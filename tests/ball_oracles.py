@@ -8,9 +8,9 @@ included, they must agree with these oracles to the bit, in the value and
 in the gradient of every input. The tape form of `mobius_add_rows` exists
 only here: the fused `distance_rows` inlines it, and `ballops` keeps the
 retraction's numpy form. The tape primitives that only these compositions
-use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, `div_rows`, `rows_dot`,
-`row_norm`) live only here too, with the gradient rules they had in
-`autodiff`.
+use (`tanh`, `sqrt`, `artanh`, `asin`, `acos`, the two-tensor product `mul`,
+`scale_rows`, `div_rows`, `rows_dot`, `row_norm`) live only here too, with
+the gradient rules they had in `autodiff`.
 """
 
 from __future__ import annotations
@@ -71,6 +71,38 @@ def acos(a: Tensor) -> Tensor:
     return a.tape._register(np.arccos(val), (a,), push)
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two same-shape tensors."""
+    tape = _same_tape(a, b)
+    av, bv = a.value, b.value
+    if av.shape != bv.shape:
+        raise ShapeError(f"mul: unsupported shapes {av.shape} * {bv.shape}")
+
+    def push(g):
+        if a.needs_grad:
+            _accumulate(a, g * bv)
+        if b.needs_grad:
+            _accumulate(b, g * av)
+
+    return tape._register(av * bv, (a, b), push)
+
+
+def scale_rows(a: Tensor, s: Tensor) -> Tensor:
+    """Multiply each row of a (N, d) tensor by the matching (N, 1) scalar."""
+    tape = _same_tape(a, s)
+    av, sv = a.value, s.value
+    if av.ndim != 2 or sv.shape != (av.shape[0], 1):
+        raise ShapeError(f"scale_rows: got {av.shape} scaled by {sv.shape}")
+
+    def push(g):
+        if a.needs_grad:
+            _accumulate(a, g * sv)
+        if s.needs_grad:
+            _accumulate(s, np.sum(g * av, axis=1, keepdims=True))
+
+    return tape._register(av * sv, (a, s), push)
+
+
 def div_rows(a: Tensor, s: Tensor) -> Tensor:
     """Divide each row of a (N, d) tensor by the matching (N, 1) scalar."""
     tape = _same_tape(a, s)
@@ -129,8 +161,8 @@ def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     xy = rows_dot(x, y)
     coef_x = td.add(td.mul(xy, 2.0 * c) + td.mul(yy, c), 1.0)
     coef_y = td.add(td.mul(xx, -c), 1.0)
-    num = td.scale_rows(x, coef_x) + td.scale_rows(y, coef_y)
-    den = td.add(td.mul(xy, 2.0 * c) + td.mul(td.mul(xx, c * c), yy), 1.0)
+    num = scale_rows(x, coef_x) + scale_rows(y, coef_y)
+    den = td.add(td.mul(xy, 2.0 * c) + mul(td.mul(xx, c * c), yy), 1.0)
     return div_rows(num, td.clamp(den, lo=DENOM_EPS))
 
 
@@ -156,7 +188,7 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
     n = row_norm(v)
     scaled = td.mul(n, sqrt_c)
     radial = td.clamp(tanh(scaled), hi=1.0 - BALL_EPS)
-    return td.scale_rows(v, td.div(radial, scaled))
+    return scale_rows(v, td.div(radial, scaled))
 
 
 def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
@@ -170,16 +202,16 @@ def exterior_angle_rows(x: Tensor, y: Tensor) -> Tensor:
     diff = x - y
     nxy = row_norm(diff)
     one = x.tape.const(np.ones_like(xx.value))
-    num = td.mul(xy, one + xx) - td.mul(xx, one + yy)
-    inner = td.clamp(one + td.mul(xx, yy) - td.mul(xy, 2.0), lo=DENOM_EPS)
-    den = td.clamp(td.mul(td.mul(nx, nxy), sqrt(inner)), lo=DENOM_EPS)
+    num = mul(xy, one + xx) - mul(xx, one + yy)
+    inner = td.clamp(one + mul(xx, yy) - td.mul(xy, 2.0), lo=DENOM_EPS)
+    den = td.clamp(mul(mul(nx, nxy), sqrt(inner)), lo=DENOM_EPS)
     cos_theta = td.clamp(td.div(num, den), lo=-1.0, hi=1.0)
     theta = acos(cos_theta)
     keep = x.tape.const(
         ((nx.value > BALL_EPS) & (nxy.value > BALL_EPS)
          & (cos_theta.value < 1.0 - 1e-12)).astype(np.float64)
     )
-    return td.mul(theta, keep)
+    return mul(theta, keep)
 
 
 def aperture_rows(x: Tensor, K: float) -> Tensor:

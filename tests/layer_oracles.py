@@ -11,9 +11,10 @@ runs each stack and each head as one node and replays this composition's
 gradient arithmetic, so on every input it must agree with these oracles to
 the bit, in the value and in the gradient of every parameter and of the
 condition. Over stacked videos the reference is the composition on each
-video alone, with the videos' weight gradients summed left to right. The tape primitives that only
-these compositions use live here, with the gradient rules they had in
-`autodiff`.
+video alone, with the videos' weight gradients summed left to right. The
+tape primitives that only these compositions use (`matmul`, `add_row`,
+`concat_cols`, `conv1d`, `softmax`) live here, with the gradient rules they
+had in `autodiff`.
 
 `packed_forward_layer` and `packed_denoiser` keep the arithmetic that
 inference once ran on the tape: one matmul per tap over the zero-padded
@@ -28,7 +29,8 @@ import numpy as np
 from hyptas import autodiff as td
 from hyptas.autodiff import Tensor, _accumulate, _same_tape
 from hyptas.errors import ShapeError
-from hyptas.model import DILATIONS, STEP_DIM, sinusoidal_step_embedding
+from hyptas.model import (DILATIONS, STEP_DIM, _softmax_grad, _softmax_rows,
+                          sinusoidal_step_embedding)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -97,6 +99,16 @@ def conv1d(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     return tape._register(out, (x, w), push)
 
 
+def softmax(a: Tensor) -> Tensor:
+    """Row-wise softmax over the class columns."""
+    out = _softmax_rows(a.value)
+
+    def push(g):
+        _accumulate(a, _softmax_grad(out, g))
+
+    return a.tape._register(out, (a,), push)
+
+
 def conv_layer(x, w, b, dilation, step=None, residual=False):
     """relu([x +] ((conv(x, w) + b) [+ (e @ sw + sb)])), node by node, for
     one video; `step` is (e, sw, sb) with its one (1, E) embedding e."""
@@ -109,7 +121,7 @@ def conv_layer(x, w, b, dilation, step=None, residual=False):
 
 def softmax_head(h, w, b):
     """softmax(h @ w + b), node by node, for one video."""
-    return td.softmax(add_row(matmul(h, w), b))
+    return softmax(add_row(matmul(h, w), b))
 
 
 def _stack(bound, name, h, e=None):
@@ -173,6 +185,6 @@ def packed_denoiser(model, videos):
     def decode(y_t, t):
         h = stack("dec", np.concatenate([y_t, condition], axis=1),
                   sinusoidal_step_embedding(t, STEP_DIM))
-        return h, td._softmax_rows(h @ p["dec.head.w"] + p["dec.head.b"])
+        return h, _softmax_rows(h @ p["dec.head.w"] + p["dec.head.b"])
 
     return decode

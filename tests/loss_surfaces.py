@@ -14,6 +14,7 @@ import hyptas.autodiff as td
 import hyptas.ballops as bo
 from hyptas import losses
 from hyptas.data import RunConfig
+from layer_oracles import softmax
 
 
 def rows_in_annulus(rng, n, d, lo=0.05, hi=0.9):
@@ -32,8 +33,9 @@ def draw_safe_config(rng, frames=6, classes=4, dim=3, c=1.0, cone_k=0.1, margin=
 
         ball = bo.evaluate(bo.exp_map_origin_rows, emb, c)
         protos = bo.evaluate(bo.exp_map_origin_rows, proto_tan, c)
-        theta = bo.evaluate(bo.exterior_angle_rows, ball[:-1], ball[1:])
-        alpha = bo.evaluate(bo.aperture_rows, ball[:-1], cone_k)
+        unit = ball * np.sqrt(c)  # the cone term's rows, on the unit ball
+        theta = bo.evaluate(bo.exterior_angle_rows, unit[:-1], unit[1:])
+        alpha = bo.evaluate(bo.aperture_rows, unit[:-1], cone_k)
         if np.any(np.abs(theta - alpha) < 1e-3):
             continue
         if np.any(theta < 1e-3) or np.any(theta > np.pi - 1e-3):
@@ -48,15 +50,11 @@ def draw_safe_config(rng, frames=6, classes=4, dim=3, c=1.0, cone_k=0.1, margin=
     raise RuntimeError("could not sample a kink-free configuration")
 
 
-def _probs(tape, logits_leaf):
-    return td.softmax(logits_leaf)
-
-
 def ce_surface(labels, classes):
     y = np.eye(classes)[labels]
 
     def f(tape, leaves):
-        return td.total(losses.cross_entropy(_probs(tape, leaves[0]), y, (len(labels),)))
+        return td.total(losses.cross_entropy(softmax(leaves[0]), y, (len(labels),)))
 
     return f
 
@@ -64,7 +62,7 @@ def ce_surface(labels, classes):
 def entail_surface(c=1.0, cone_k=0.1):
     def f(tape, leaves):
         ball = bo.exp_map_origin_rows(leaves[0], c)
-        return td.total(losses.temporal_entailment(ball, cone_k, (ball.value.shape[0],)))
+        return td.total(losses.temporal_entailment(ball, cone_k, c, (ball.value.shape[0],)))
 
     return f
 
@@ -107,7 +105,7 @@ def phase_surface(phase, labels, classes, t=300, c=1.0):
         ball = bo.exp_map_origin_rows(emb, c)
         protos = bo.exp_map_origin_rows(proto_tan, c)
         rows = (len(labels),)
-        ce = losses.cross_entropy(_probs(tape, logits), y, rows)
+        ce = losses.cross_entropy(softmax(logits), y, rows)
         total, _ = losses.phase_loss(phase, config, ce, ball, protos, labels, [t], True, rows)
         return td.total(total)
 

@@ -23,7 +23,7 @@ from hyptas.data import (
     write_features,
 )
 from hyptas.diffusion import label_decode, label_encode, make_schedule, sample
-from hyptas.metrics import evaluate_videos, f1_at_overlap
+from hyptas.metrics import evaluate_videos
 from hyptas.trainer import infer_video, load_checkpoint, save_checkpoint, train
 
 from loss_surfaces import all_surfaces
@@ -85,10 +85,10 @@ class TestCriterion1Geometry:
     def test_geometry_suite(self):
         t0 = time.time()
         results = [
-            checks.geometry_roundtrip(pairs=1000),
-            checks.geometry_metric_axioms(triples=1000),
-            checks.geometry_radial_additivity(count=1000),
-            checks.geometry_cone_axis(count=1000),
+            checks.geometry_roundtrip(),
+            checks.geometry_metric_axioms(),
+            checks.geometry_radial_additivity(),
+            checks.geometry_cone_axis(),
         ]
         elapsed = time.time() - t0
         for result in results:
@@ -136,9 +136,9 @@ class TestCriterion3SamplerOracle:
 
 class TestCriterion4MetricsOracle:
     def test_brute_force_agreement(self):
-        result = checks.metrics_reference_agreement(pairs=1000)
+        result = checks.metrics_reference_agreement()
         assert result.passed, result.detail
-        assert f1_at_overlap([0, 1, 1, 1], [0, 0, 1, 1], 0.50) == 50.0
+        assert evaluate_videos([([0, 1, 1, 1], [0, 0, 1, 1])])["F1@50"] == 50.0
         print(f"\nACCEPTANCE 4: PASS - {result.detail}; worked example F1@50 = 50.0")
 
 

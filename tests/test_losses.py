@@ -23,7 +23,8 @@ from hyptas.losses import (
     temporal_entailment,
 )
 
-from loss_surfaces import all_surfaces, draw_safe_config
+from layer_oracles import softmax
+from loss_surfaces import all_surfaces, draw_safe_config, entail_surface
 
 LN3 = math.log(3.0)
 
@@ -68,26 +69,26 @@ class TestCrossEntropy:
             tape = Tape()
             logits = tape.const(rng.normal(size=(6, 4)))
             y = np.eye(4)[rng.integers(0, 4, size=6)]
-            assert cross_entropy(td.softmax(logits), y, (6,)).value.item() >= 0.0
+            assert cross_entropy(softmax(logits), y, (6,)).value.item() >= 0.0
 
 
 class TestTemporalEntailment:
     def test_constant_sequence_is_zero(self):
         tape = Tape()
         x = const_ball(tape, [[0.3, 0.1]] * 5)
-        assert temporal_entailment(x, 0.1, (5,)).value.item() == 0.0
+        assert temporal_entailment(x, 0.1, 1.0, (5,)).value.item() == 0.0
 
     def test_radial_pair_is_zero(self):
         tape = Tape()
         x = const_ball(tape, [[0.2, 0.0], [0.6, 0.0]])
-        assert temporal_entailment(x, 0.1, (2,)).value.item() == pytest.approx(0.0, abs=1e-12)
+        assert temporal_entailment(x, 0.1, 1.0, (2,)).value.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair_frozen_value(self):
         # theta = acos(-0.8574929257125441) = 2.601173153319209,
         # alpha = asin(0.15) = 0.150568272776686 -> hinge 2.450604880542523
         tape = Tape()
         x = const_ball(tape, [[0.5, 0.0], [0.0, 0.5]])
-        out = temporal_entailment(x, 0.1, (2,)).value.item()
+        out = temporal_entailment(x, 0.1, 1.0, (2,)).value.item()
         assert out == pytest.approx(2.450604880542523, abs=1e-12)
         assert out == pytest.approx(2.450, abs=1e-3)
 
@@ -95,7 +96,7 @@ class TestTemporalEntailment:
         tape = Tape()
         x = const_ball(tape, [[0.3, 0.0]])
         with caplog.at_level(logging.WARNING):
-            out = temporal_entailment(x, 0.1, (1,))
+            out = temporal_entailment(x, 0.1, 1.0, (1,))
         assert out.value.item() == 0.0
         assert any(">= 2 frames" in r.message for r in caplog.records)
 
@@ -105,12 +106,49 @@ class TestTemporalEntailment:
         x = const_ball(tape, [[0.5, 0.0], [0.0, 0.5], [0.0, 0.7]])
         tape2 = Tape()
         first = temporal_entailment(
-            const_ball(tape2, [[0.5, 0.0], [0.0, 0.5]]), 0.1, (2,)).value.item()
+            const_ball(tape2, [[0.5, 0.0], [0.0, 0.5]]), 0.1, 1.0, (2,)).value.item()
         tape3 = Tape()
         second = temporal_entailment(
-            const_ball(tape3, [[0.0, 0.5], [0.0, 0.7]]), 0.1, (2,)).value.item()
-        whole = temporal_entailment(x, 0.1, (3,)).value.item()
+            const_ball(tape3, [[0.0, 0.5], [0.0, 0.7]]), 0.1, 1.0, (2,)).value.item()
+        whole = temporal_entailment(x, 0.1, 1.0, (3,)).value.item()
         assert whole == pytest.approx((first + second) / 2.0, abs=1e-12)
+
+
+CURVATURES = (0.25, 0.5, 2.0, 4.0)
+
+
+class TestEntailmentCurvature:
+    """The cone term of the ball of curvature c is the unit ball's term on
+    sqrt(c) x, the isometry between the two balls."""
+
+    @pytest.mark.parametrize("c", CURVATURES)
+    def test_outward_pair_is_zero(self, c):
+        # radii 0.45 and 0.9 of the ball's radius: at c = 0.25 the pair sits
+        # at 0.9 and 1.8, outside the unit ball
+        radius = 1.0 / math.sqrt(c)
+        u = np.array([0.6, 0.8])
+        tape = Tape()
+        x = const_ball(tape, [0.45 * radius * u, 0.9 * radius * u])
+        assert temporal_entailment(x, 0.1, c, (2,)).value.item() == 0.0
+
+    @pytest.mark.parametrize("c", CURVATURES)
+    def test_equals_the_unit_ball_term_on_scaled_rows(self, c):
+        rng = np.random.default_rng(int(4 * c))
+        rows = rng.normal(size=(10, 3))
+        rows *= rng.uniform(0.05, 0.95, size=(10, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= math.sqrt(c)
+        tape = Tape()
+        term = temporal_entailment(tape.const(rows), 0.1, c, (6, 4)).value
+        unit = temporal_entailment(tape.const(rows * math.sqrt(c)), 0.1, 1.0, (6, 4)).value
+        assert np.all(term > 0.0)
+        assert term.tobytes() == unit.tobytes()
+
+    @pytest.mark.parametrize("c", CURVATURES)
+    def test_gradient_against_central_differences(self, c):
+        rng = np.random.default_rng(int(8 * c))
+        for _ in range(3):
+            emb = draw_safe_config(rng, c=c)[0]
+            assert finite_diff_check(entail_surface(c), [emb]) < 1e-4
 
 
 class TestPrototypeMargin:
@@ -216,10 +254,10 @@ def _terms(tape, emb, proto_tan, logits, labels, config):
     x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
     z = bo.exp_map_origin_rows(tape.const(proto_tan), 1.0)
     assigned = td.gather_rows(z, labels)
-    ce = cross_entropy(td.softmax(tape.const(logits)), np.eye(4)[labels], rows)
+    ce = cross_entropy(softmax(tape.const(logits)), np.eye(4)[labels], rows)
     values = {
         "ce": ce.value.item(),
-        "entail": temporal_entailment(x, config.cone_k, rows).value.item(),
+        "entail": temporal_entailment(x, config.cone_k, config.curvature, rows).value.item(),
         "margin": prototype_margin(z, config.margin, 1.0, 1).value.item(),
         "pp": push_pull(x, assigned, [100], config.timesteps, config.decay, 1.0, rows).value.item(),
         "gg": geodesic_guidance(x, assigned, 1.0, rows).value.item(),
@@ -313,7 +351,7 @@ class TestComposites:
         x = bo.exp_map_origin_rows(tape.const(emb), 1.0)
         z = bo.exp_map_origin_rows(proto_leaf, 1.0)
         rows = (len(labels),)
-        ce = cross_entropy(td.softmax(tape.const(logits)), y, rows)
+        ce = cross_entropy(softmax(tape.const(logits)), y, rows)
         total, _ = phase_loss("stabilization", config, ce, x, z, labels, [100], False, rows)
         grads = tape.backward(td.total(total))
         assert np.any(grads[proto_leaf] != 0.0)
@@ -322,7 +360,7 @@ class TestComposites:
         proto_const = tape2.const(proto_tan)
         x2 = bo.exp_map_origin_rows(tape2.leaf(emb), 1.0)
         z2 = bo.exp_map_origin_rows(proto_const, 1.0)
-        ce2 = cross_entropy(td.softmax(tape2.const(logits)), y, rows)
+        ce2 = cross_entropy(softmax(tape2.const(logits)), y, rows)
         total2, _ = phase_loss("guidance", config, ce2, x2, z2, labels, [100], True, rows)
         grads2 = tape2.backward(td.total(total2))
         assert proto_const not in grads2
@@ -410,7 +448,7 @@ class TestPackedPhaseLoss:
         e, lg = tape.leaf(emb), tape.leaf(logits)
         p = tape.leaf(np.tile(proto_tan, (len(videos), 1)))
         x, z = bo.exp_map_origin_rows(e, 1.0), bo.exp_map_origin_rows(p, 1.0)
-        ce = cross_entropy(td.softmax(lg), np.eye(4)[labels], rows)
+        ce = cross_entropy(softmax(lg), np.eye(4)[labels], rows)
         total, components = phase_loss(phase, RunConfig(), ce, x, z, labels, steps, True, rows)
         grads = tape.backward(td.total(total))
         return total.value, components, [grads[leaf] for leaf in (e, lg, p)]
@@ -443,7 +481,7 @@ class TestPackedPhaseLoss:
         def f(tape, leaves):
             e, lg, p = leaves
             x, z = bo.exp_map_origin_rows(e, 1.0), bo.exp_map_origin_rows(p, 1.0)
-            ce = cross_entropy(td.softmax(lg), np.eye(4)[labels], self.ROWS)
+            ce = cross_entropy(softmax(lg), np.eye(4)[labels], self.ROWS)
             total, _ = phase_loss(phase, RunConfig(), ce, x, z, labels, self.STEPS, True, self.ROWS)
             return td.total(total)
 
@@ -455,4 +493,4 @@ class TestPackedPhaseLoss:
         tape = Tape()
         x = const_ball(tape, np.full((4, 2), 0.1))
         with pytest.raises(ShapeError, match="packs only videos of >= 2 frames"):
-            temporal_entailment(x, 0.1, (3, 1))
+            temporal_entailment(x, 0.1, 1.0, (3, 1))

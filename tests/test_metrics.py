@@ -24,8 +24,6 @@ from hyptas.metrics import (
     _match,
     _segment_iou,
     evaluate_videos,
-    f1_at_overlap,
-    match_counts,
     segments_from_labels,
 )
 
@@ -174,6 +172,20 @@ def edit(pred, gt):
     return evaluate_videos([(pred, gt)])["Edit"]
 
 
+F1_KEYS = {0.10: "F1@10", 0.25: "F1@25", 0.50: "F1@50"}
+
+
+def f1(pred, gt, tau):
+    """The one-pair report's F1 at a threshold of OVERLAP_THRESHOLDS."""
+    return evaluate_videos([(pred, gt)])[F1_KEYS[tau]]
+
+
+def true_positives(pred, gt, tau):
+    """TP from the one-pair report's F1 = 200 TP / (predicted + ground-truth segments)."""
+    segments = len(segments_from_labels(pred)) + len(segments_from_labels(gt))
+    return round(f1(pred, gt, tau) * segments / 200.0)
+
+
 def random_pair(rng, max_len=30, classes=5):
     n = int(rng.integers(1, max_len + 1))
     pred = rng.integers(0, classes, size=n)
@@ -248,20 +260,20 @@ class TestF1:
     def test_identical_inputs_all_thresholds(self):
         seq = [0, 0, 1, 1, 2]
         for tau in (0.10, 0.25, 0.50):
-            assert f1_at_overlap(seq, seq, tau) == 100.0
+            assert f1(seq, seq, tau) == 100.0
 
     def test_worked_example_strict_threshold(self):
         # pred [A:0, B:1-3] vs gt [A:0-1, B:2-3] at tau = 0.5:
-        # IoU(A) = 0.5 misses on the strict rule, IoU(B) = 2/3 hits -> F1 = 50
+        # IoU(A) = 0.5 misses on the strict rule, IoU(B) = 2/3 hits -> F1 = 50;
+        # at tau = 0.25 both hit.
         pred = [0, 1, 1, 1]
         gt = [0, 0, 1, 1]
-        assert f1_at_overlap(pred, gt, 0.50) == pytest.approx(50.0)
-        tp, fp, fn = match_counts(pred, gt, 0.50)
-        assert (tp, fp, fn) == (1, 1, 1)
+        assert f1(pred, gt, 0.50) == pytest.approx(50.0)
+        assert f1(pred, gt, 0.25) == 100.0
 
     def test_unmatched_predictions_are_false_positives(self):
-        tp, fp, fn = match_counts([2, 2, 2, 0], [0, 0, 0, 0], 0.10)
-        assert tp == 1 and fp == 1
+        # TP = 1 (pred 0:3), FP = 1 (pred 2:0-2), FN = 0: P = 1/2, R = 1
+        assert f1([2, 2, 2, 0], [0, 0, 0, 0], 0.10) == pytest.approx(200.0 / 3.0)
 
     def test_equal_iou_goes_to_the_earliest_ground_truth(self):
         # pred 0:3-6 overlaps gt 0:0-3 and gt 0:6-9 each by one frame of a
@@ -269,20 +281,14 @@ class TestF1:
         # (IoU 2/4); taking the later one would leave pred 0:8-9 unmatched.
         pred = [2, 2, 2, 0, 0, 0, 0, 2, 0, 0]
         gt = [0, 0, 0, 0, 1, 1, 0, 0, 0, 0]
-        assert match_counts(pred, gt, 0.10) == (2, 2, 1)
-        assert match_counts(pred, gt, 0.10) == ref_match_counts(pred, gt, 0.10)
-
-    def test_threshold_range_checked(self):
-        with pytest.raises(ShapeError):
-            f1_at_overlap([0], [0], 0.0)
-        with pytest.raises(ShapeError):
-            f1_at_overlap([0], [0], 1.0)
+        assert ref_match_counts(pred, gt, 0.10) == (2, 2, 1)
+        assert f1(pred, gt, 0.10) == pytest.approx(400.0 / 7.0)  # P = 2/4, R = 2/3
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             pred, gt = random_pair(rng)
-            scores = [f1_at_overlap(pred, gt, tau) for tau in (0.10, 0.25, 0.50)]
+            scores = [f1(pred, gt, tau) for tau in (0.10, 0.25, 0.50)]
             assert scores[0] >= scores[1] >= scores[2]
 
     def test_against_frame_set_reference(self):
@@ -290,7 +296,7 @@ class TestF1:
         for _ in range(1000):
             pred, gt = random_pair(rng)
             for tau in (0.10, 0.25, 0.50):
-                assert match_counts(pred, gt, tau) == ref_match_counts(pred, gt, tau)
+                assert f1(pred, gt, tau) == pytest.approx(ref_f1(pred, gt, tau), abs=1e-12)
 
     def test_greedy_agrees_with_maximal_matching_enumeration(self):
         rng = np.random.default_rng(19)
@@ -298,7 +304,7 @@ class TestF1:
             pred, gt = random_pair(rng, max_len=18, classes=3)
             for tau in (0.10, 0.50):
                 sizes = enumerate_maximal_matchings(pred, gt, tau)
-                tp, _, _ = match_counts(pred, gt, tau)
+                tp = true_positives(pred, gt, tau)
                 assert tp in sizes
                 assert tp == max(sizes)
 
@@ -311,7 +317,7 @@ class TestBoundsAndPooling:
             values = [
                 accuracy(pred, gt),
                 edit(pred, gt),
-                f1_at_overlap(pred, gt, 0.25),
+                f1(pred, gt, 0.25),
             ]
             assert all(0.0 <= v <= 100.0 for v in values)
 
@@ -350,7 +356,7 @@ class TestBoundsAndPooling:
         report = evaluate_videos(pairs)
         assert report["Edit"] == sum(edit(p, g) for p, g in pairs) / len(pairs)
         for tau in (0.10, 0.25, 0.50):
-            tp, fp, fn = (sum(c) for c in zip(*(match_counts(p, g, tau) for p, g in pairs)))
+            tp, fp, fn = (sum(c) for c in zip(*(ref_match_counts(p, g, tau) for p, g in pairs)))
             precision, recall = tp / (tp + fp), tp / (tp + fn)
             f1 = 100.0 * 2.0 * precision * recall / (precision + recall)
             assert report[f"F1@{int(round(tau * 100))}"] == f1

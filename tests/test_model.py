@@ -179,7 +179,7 @@ class TestMasking:
         out = apply_masking(cond, mask_vector("none", self.SEGMENTS, 12, rng))
         assert np.array_equal(out.value, cond.value)
         g = rng.normal(size=(12, 3))
-        grads = tape.backward(td.total(td.mul(out, tape.const(g))))
+        grads = tape.backward(td.total(td.mul(out, g)))
         assert np.array_equal(grads[cond], g)
 
     def test_position_zeroes_everything(self):
@@ -209,14 +209,6 @@ class TestMasking:
         a = mask_vector("relation", self.SEGMENTS, 12, np.random.default_rng(42))
         b = mask_vector("relation", self.SEGMENTS, 12, np.random.default_rng(42))
         assert np.array_equal(a, b)
-
-    def test_relation_without_segments_falls_back(self, caplog):
-        tape = Tape()
-        cond = tape.const(np.ones((4, 2)))
-        with caplog.at_level(logging.WARNING):
-            out = apply_masking(cond, mask_vector("relation", [], 4, np.random.default_rng(0)))
-        assert np.array_equal(out.value, np.ones((4, 2)))
-        assert any("falling back" in r.message for r in caplog.records)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeError):
@@ -379,7 +371,7 @@ def _denoiser_pass(model, features, y_t, ts, rows, g, leaves=(False, True), comp
         emb, probs = bound.decode(y, c, ts, rows)
     ops = sum(node._push is not None for node in tape.nodes)
     outs = dict(zip(OUTPUTS, (cond, p_enc, emb, probs, y, c)))
-    loss = functools.reduce(td.add, [td.total(td.mul(outs[k], tape.const(g[k]))) for k in OUTPUTS])
+    loss = functools.reduce(td.add, [td.total(td.mul(outs[k], g[k])) for k in OUTPUTS])
     grads = tape.backward(loss)
     values = {k: t.value for k, t in outs.items()}
     values.update({k: grads.get(outs[k], np.zeros_like(outs[k].value)) for k in ("y", "c")})
