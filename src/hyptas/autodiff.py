@@ -141,7 +141,7 @@ class Tape:
         out = {}
         for node in self.nodes:
             if node._push is None:
-                out[node] = node.grad if node.grad is not None else np.zeros_like(node.value)
+                out[node] = node.grad if node.grad is not None else np.zeros(node.value.shape)
         self.nodes = []
         self._spent = True
         return out
@@ -252,10 +252,21 @@ def square(a: Tensor) -> Tensor:
     return a.tape._register(val * val, (a,), push)
 
 
+def _clamp(a: np.ndarray, lo: float | None = None, hi: float | None = None):
+    """Values clipped to [lo, hi] and the mask of values left unchanged.
+
+    np.maximum then np.minimum, the ufuncs np.clip calls: they differ from
+    np.clip only in the sign of a zero clipped at a bound of 0.0, and no
+    caller clamps at 0.0."""
+    out = a if lo is None else np.maximum(a, lo)
+    if hi is not None:
+        out = np.minimum(out, hi)
+    return out, out == a
+
+
 def clamp(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
     """Clip values; gradient passes only where the value was left unchanged."""
-    out = np.clip(a.value, lo, hi)
-    mask = out == a.value
+    out, mask = _clamp(a.value, lo, hi)
 
     def push(g):
         _accumulate(a, g * mask)
@@ -288,7 +299,7 @@ def total(a: Tensor) -> Tensor:
     def push(g):
         _accumulate(a, np.full(shape, float(g)))
 
-    return a.tape._register(np.sum(a.value).reshape(()), (a,), push)
+    return a.tape._register(np.add.reduce(a.value, axis=None).reshape(()), (a,), push)
 
 
 def sums(a: Tensor, rows: Sequence[int]) -> Tensor:
@@ -304,14 +315,16 @@ def mean(a: Tensor, rows: Sequence[int]) -> Tensor:
 def _video_reduce(a: Tensor, rows, mean: bool) -> Tensor:
     """Sum or mean over each video's block of rows, with the one-video
     arithmetic: every entry of a block gets the block's gradient (divided by
-    the block's size for a mean)."""
+    the block's size for a mean). A mean divides the block's sum by its
+    size, which is np.mean's own arithmetic."""
     av = a.value
     spans = _spans(rows, av.shape[0])
-    reduce = np.mean if mean else np.sum
-    out = np.array([reduce(av[lo:hi]) for lo, hi in spans])
+    sizes = np.array([(hi - lo) * (av.size // av.shape[0]) for lo, hi in spans])
+    out = np.array([np.add.reduce(av[lo:hi], axis=None) for lo, hi in spans])
+    if mean:
+        out = out / sizes
 
     def push(g):
-        sizes = np.array([(hi - lo) * (av.size // av.shape[0]) for lo, hi in spans])
         _accumulate(a, np.repeat(g / sizes if mean else g, sizes).reshape(av.shape))
 
     return a.tape._register(out, (a,), push)

@@ -19,6 +19,13 @@ The last section holds Riemannian Adam's retraction in numpy: Mobius
 addition (until merged with the tape form inlined in `distance_rows`), the
 exp and log maps at any base point, and projection into the open ball.
 
+The ops run on every training step over rows of about 100 x 16, so they
+call numpy's ufuncs without the Python wrappers around them: row sums are
+`np.add.reduce` (`_rows_dot`), row norms the sqrt of a row dot, which is
+the route `np.linalg.norm` takes for real rows (`_norms`), and clamps the
+`np.maximum` and `np.minimum` of `autodiff._clamp`. Each runs the loop the
+wrapper would, in the same order, so it keeps the bits.
+
 Rows are (N, d) float64; the ball of curvature c has radius 1/sqrt(c).
 Clamping follows one policy: norms floored (BALL_EPS off the boundary,
 DENOM_EPS under denominators), artanh arguments kept below 1, inverse-trig
@@ -31,7 +38,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _accumulate, _same_tape
+from .autodiff import Tape, Tensor, _accumulate, _clamp, _same_tape
 from .errors import ShapeError
 
 BALL_EPS = 1e-5        # norm clearance kept from the ball boundary
@@ -51,23 +58,22 @@ def evaluate(op, *args) -> np.ndarray:
 # `autodiff` op each one stands for.
 
 def _rows_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=1, keepdims=True)
+    return np.add.reduce(a * b, axis=1, keepdims=True)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms, by the route np.linalg.norm takes for real rows."""
+    return np.sqrt(_rows_dot(a, a))
 
 
 def _row_norm(a: np.ndarray, floor: float = DENOM_EPS):
     """Floored row norms and the rows above the floor, which alone pass a gradient."""
-    raw = np.linalg.norm(a, axis=1, keepdims=True)
+    raw = _norms(a)
     return np.maximum(raw, floor), raw > floor
 
 
 def _row_norm_grad(g: np.ndarray, a: np.ndarray, norm: np.ndarray, active: np.ndarray):
-    return np.divide(g * a, norm, out=np.zeros_like(a), where=active)
-
-
-def _clamp(a: np.ndarray, lo: float | None = None, hi: float | None = None):
-    """Clipped values and the mask of values left unchanged."""
-    out = np.clip(a, lo, hi)
-    return out, out == a
+    return np.divide(g * a, norm, out=np.zeros(a.shape), where=active)
 
 
 def _artanh_distance(norm: np.ndarray, sqrt_c: float):
@@ -110,16 +116,16 @@ def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     def push(g):
         g_w = _row_norm_grad(norm_grad(g), w, w_norm, w_active)
         g_num = g_w / den
-        g_den = np.sum(-g_w * w / den, axis=1, keepdims=True) * den_kept
+        g_den = np.add.reduce(-g_w * w / den, axis=1, keepdims=True) * den_kept
         # den = 1 + 2c<u,y> + (c^2 |u|^2) |y|^2
         g_uu = g_den * yy * (c * c)
         g_yy = g_den * uu_cc
         g_uy = g_den * (2.0 * c)
         # num = coef_u u + coef_y y
         _accumulate(y, g_num * coef_y)
-        g_coef_y = np.sum(g_num * yv, axis=1, keepdims=True)
+        g_coef_y = np.add.reduce(g_num * yv, axis=1, keepdims=True)
         g_u = g_num * coef_u
-        g_coef_u = np.sum(g_num * u, axis=1, keepdims=True)
+        g_coef_u = np.add.reduce(g_num * u, axis=1, keepdims=True)
         g_uu = g_uu + g_coef_y * -c
         g_yy = g_yy + g_coef_u * c
         g_uy = g_uy + g_coef_u * (2.0 * c)
@@ -164,7 +170,7 @@ def exp_map_origin_rows(v: Tensor, c: float) -> Tensor:
 
     def push(g):
         _accumulate(v, g * ratio)
-        g_ratio = np.sum(g * vv, axis=1, keepdims=True)
+        g_ratio = np.add.reduce(g * vv, axis=1, keepdims=True)
         g_scaled = -g_ratio * ratio / scaled
         g_scaled = g_scaled + g_ratio / scaled * kept * (1.0 - gain * gain)
         _accumulate(v, _row_norm_grad(g_scaled * sqrt_c, vv, norm, active))
@@ -274,7 +280,7 @@ def mobius_add_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
 def project_rows(x: np.ndarray, c: float) -> np.ndarray:
     """Rescale any row with c*|row|^2 >= (1 - BALL_EPS)^2 to norm (1-BALL_EPS)/sqrt(c)."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = _norms(x)
     limit = (1.0 - BALL_EPS) / math.sqrt(c)
     scale = np.where(norms >= limit, limit / np.maximum(norms, DENOM_EPS), 1.0)
     return x * scale
@@ -284,10 +290,10 @@ def exp_map_rows(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
     """Exponential map at each row of x applied to the matching row of v."""
     sqrt_c = math.sqrt(c)
     lam = 2.0 / np.maximum(1.0 - c * _rows_dot(x, x), DENOM_EPS)
-    vnorm = np.linalg.norm(v, axis=1, keepdims=True)
+    vnorm = _norms(v)
     safe = np.maximum(vnorm, DENOM_EPS)
     gain = np.tanh(sqrt_c * lam * vnorm / 2.0) / (sqrt_c * safe)
-    second = np.where(vnorm > 0.0, gain * v, np.zeros_like(v))
+    second = np.where(vnorm > 0.0, gain * v, 0.0)
     return project_rows(mobius_add_rows(x, second, c), c)
 
 
@@ -295,8 +301,8 @@ def log_map_rows(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Logarithmic map at each row of x toward the matching row of y."""
     sqrt_c = math.sqrt(c)
     w = mobius_add_rows(-x, y, c)
-    wnorm = np.linalg.norm(w, axis=1, keepdims=True)
+    wnorm = _norms(w)
     lam = 2.0 / np.maximum(1.0 - c * _rows_dot(x, x), DENOM_EPS)
     arg = np.minimum(sqrt_c * wnorm, ARTANH_ARG_MAX)
     gain = (2.0 / (sqrt_c * lam)) * np.arctanh(arg) / np.maximum(wnorm, DENOM_EPS)
-    return np.where(wnorm > 0.0, gain * w, np.zeros_like(w))
+    return np.where(wnorm > 0.0, gain * w, 0.0)

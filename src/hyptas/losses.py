@@ -19,6 +19,7 @@ the bits of the primitive compositions they replaced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -37,6 +38,15 @@ logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12          # clamp on probabilities before the log
 RADIUS_FLOOR = 1e-6         # floor on d(O, x) in the push-pull ratio
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (i, j) of the pairs i < j of `count` prototypes, in
+    np.triu_indices order; made once per class count."""
+    i, j = np.triu_indices(count, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def decay_factor(kind: str, u: float) -> float:
@@ -80,7 +90,7 @@ class Prototypes:
         self.points.flags.writeable = False
 
     def min_pairwise_distance(self) -> float:
-        i, j = np.triu_indices(self.count, k=1)
+        i, j = _pairs(self.count)
         pairs = bo.evaluate(bo.distance_rows, self.points[i], self.points[j], self.curvature)
         return float(np.min(pairs))
 
@@ -135,10 +145,10 @@ def prototype_margin(z: Tensor, margin: float, c: float, videos: int) -> Tensor:
     count = z.value.shape[0] // videos
     if count < 2:
         raise ShapeError("margin loss needs at least two prototypes")
-    i, j = np.triu_indices(count, k=1)
+    i, j = _pairs(count)
     pairs = i.size
     offsets = np.repeat(np.arange(videos) * count, pairs)
-    i, j = np.tile(i, videos) + offsets, np.tile(j, videos) + offsets
+    i, j = np.concatenate([i] * videos) + offsets, np.concatenate([j] * videos) + offsets
     zi = td.gather_rows(z, i)
     zj = td.gather_rows(z, j)
     hinge = td.relu(td.mul(bo.distance_rows(zi, zj, c), -1.0) + margin)

@@ -18,6 +18,13 @@ each decoded at its own step. Inference runs the same stacks without a
 tape: a `ForwardRunner` builds them for one set of videos, encodes them
 once and decodes all of them at one step per sampler step.
 
+Every sampler step and training step runs this module's numpy calls, on
+arrays of about 100 x 32, so it calls the ufuncs that numpy's Python
+wrappers call (`np.add.reduce` for `np.sum`, `np.maximum.reduce` for
+`np.max`, `np.zeros` for `np.zeros_like`, slices for `np.split`): the same
+loops in the same order, so the same bits, without a few microseconds of
+wrapper per call. `tests/test_ufunc_forms.py` keeps it so.
+
 The decoder's final-layer output, before the classification head, is the
 embedding the hyperbolic losses supervise. Condition masking implements the
 position / boundary / relation priors by zeroing rows of the condition
@@ -76,14 +83,22 @@ def sinusoidal_step_embedding(t: int, dim: int) -> np.ndarray:
 
 
 def _softmax_rows(val: np.ndarray) -> np.ndarray:
-    shifted = val - np.max(val, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    """Softmax of each row of the logits `val`, which it overwrites with the
+    shifted exponentials: only the returned quotient is a new array.
+
+    The row max is taken on a column-major copy, where numpy reduces all
+    rows at once rather than one short row at a time. A max is exact in any
+    order, and the sign of a zero max cannot reach the output (v - (+-0) = v,
+    exp(+-0) = 1). The row sums stay over the row-major rows, whose order
+    sets their bits."""
+    val -= np.maximum.reduce(np.asfortranarray(val), axis=1, keepdims=True)
+    np.exp(val, out=val)
+    return val / np.add.reduce(val, axis=1, keepdims=True)
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of the logits from g, the gradient of softmax rows `out`."""
-    return out * (g - np.sum(g * out, axis=1, keepdims=True))
+    return out * (g - np.add.reduce(g * out, axis=1, keepdims=True))
 
 
 def _layer_name(stack: str, i: int) -> str:
@@ -179,25 +194,30 @@ class BoundDenoiser:
         spans = td._spans(rows, inputs[0].value.shape[0])
         params = {n: t for n, t in self.bound.items() if n.startswith(stack) and ".head." not in n}
         net = _Stack({n: t.value for n, t in params.items()}, stack, rows, per_video=True)
-        net.write(np.concatenate([t.value for t in inputs], axis=1))
+        cols = [0, *itertools.accumulate(t.value.shape[1] for t in inputs)]
+        for t, col in zip(inputs, cols):
+            net.write(t.value, col)
         out = np.empty((sum(rows), net.layers[-1].w.shape[2]))
         net.forward(es, out, net.frame_starts)
-        cuts = list(itertools.accumulate(t.value.shape[1] for t in inputs))[:-1]
 
         def push(g):
             grads, gx = net.backward(g, out, es, any(t.needs_grad for t in inputs))
             for name, grad in grads.items():
                 _accumulate(params[name], grad)
-            for t, part in zip(inputs, () if gx is None else np.split(gx, cuts, axis=1)):
-                _accumulate(t, part)
+            if gx is not None:
+                for t, lo, hi in zip(inputs, cols, cols[1:]):
+                    _accumulate(t, gx[:, lo:hi])
 
         h = self.tape._register(out, (*inputs, *params.values()), push)
         w, b = self.bound[f"{stack}.head.w"], self.bound[f"{stack}.head.b"]
-        probs = _softmax_rows(_matmul_rows(out, w.value, spans) + b.value)
+        logits = _matmul_rows(out, w.value, spans)
+        logits += b.value
+        probs = _softmax_rows(logits)
 
         def head_push(g):
             gz = _softmax_grad(probs, g)
-            _accumulate(b, _in_order([np.sum(gz[lo:hi], axis=0, keepdims=True) for lo, hi in spans]))
+            _accumulate(b, _in_order([np.add.reduce(gz[lo:hi], axis=0, keepdims=True)
+                                      for lo, hi in spans]))
             _accumulate(h, _matmul_rows(gz, w.value.T, spans))
             _accumulate(w, _in_order([out[lo:hi].T @ gz[lo:hi] for lo, hi in spans]))
 
@@ -301,12 +321,15 @@ class _Stack:
         self.layers = [_Layer(params, stack, i, self.rows, self.frame_starts, per_video, acc, tap)
                        for i in range(len(DILATIONS))]
 
-    def write(self, x: np.ndarray) -> None:
-        """Copy each video's rows of x, stacked like the stack's videos, into
-        the first columns of the first layer's buffer."""
+    def write(self, x: np.ndarray | Sequence[np.ndarray], col: int = 0) -> None:
+        """Copy each video's rows into the first layer's buffer, from column
+        `col` on: x is the videos' rows stacked like the stack's videos, or
+        a sequence of each video's rows, in order."""
         first = self.layers[0]
-        for f, s, n in zip(first.frames, self.frame_starts, self.rows):
-            first.inputs[f : f + n, : x.shape[1]] = x[s : s + n]
+        if isinstance(x, np.ndarray):
+            x = [x[s : s + n] for s, n in zip(self.frame_starts, self.rows)]
+        for f, video in zip(first.frames, x):
+            first.inputs[f : f + video.shape[0], col : col + video.shape[1]] = video
 
     def forward(self, es, out: np.ndarray, out_starts: Sequence[int]) -> None:
         """Run the layers in turn, each writing its output into the next
@@ -346,7 +369,7 @@ class _Stack:
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             d, parts = layer.dilation, [(s, gs, n) for (s, n), gs in zip(layer.videos, g_starts)]
-            gsums = [np.sum(g[gs : gs + n], axis=0, keepdims=True) for _, gs, n in parts]
+            gsums = [np.add.reduce(g[gs : gs + n], axis=0, keepdims=True) for _, gs, n in parts]
             grads[f"{layer.name}.b"] = _in_order(gsums)
             if layer.step is not None:
                 grads[f"dec.step{i}.w"] = _in_order([e.T @ gv for e, gv in zip(es, gsums)])
@@ -358,7 +381,7 @@ class _Stack:
             grads[f"{layer.name}.w"] = _in_order(gw)
             if i == 0 and not input_grad:
                 return grads, None
-            gx = np.zeros_like(layer.inputs)
+            gx = np.zeros(layer.inputs.shape)
             for s, gs, n in parts:
                 for j in range(KERNEL):
                     gx[s + j * d : s + j * d + n] += g[gs : gs + n] @ layer.w[j].T
@@ -376,12 +399,15 @@ class ForwardRunner:
     step over all of them, stacked in time.
 
     Its stacks run each tap's matmul once over the whole span, and every
-    video at the one step of the sampler. The encoder's buffers live only while it
-    encodes; its output goes once into the condition columns of the
+    video at the one step of the sampler. Each video's features go straight
+    into the encoder's first buffer. The encoder's buffers live only while
+    it encodes; its output goes once into the condition columns of the
     decoder's first buffer, and a decode writes only the signal's C
     columns. The decoder's output rows are the embeddings, and its head is
-    softmax(h @ w + b), one matmul over all frames. The encoder's
-    classification head, which inference never reads, is skipped.
+    softmax(h @ w + b), one matmul over all frames into the runner's logits
+    buffer, where the softmax runs in place up to its final divide, so no
+    returned array aliases a buffer. The encoder's classification head,
+    which inference never reads, is skipped.
     """
 
     def __init__(self, model: Denoiser, videos: Sequence[np.ndarray]):
@@ -392,9 +418,10 @@ class ForwardRunner:
         encoder = _Stack(p, "enc", self.rows, per_video=False)
         self.decoder = _Stack(p, "dec", self.rows, per_video=False)
         self.head = (p["dec.head.w"], p["dec.head.b"])
-        # The last decode's final-layer output, before the head.
+        # The last decode's final-layer output, before the head, and its logits.
         self.embeddings = np.empty((sum(self.rows), cfg.embed_dim))
-        encoder.write(np.concatenate(videos))
+        self.logits = np.empty((sum(self.rows), cfg.classes))
+        encoder.write(videos)
         first = self.decoder.layers[0]
         encoder.forward(None, first.inputs[:, cfg.classes :], first.frames)
 
@@ -408,7 +435,9 @@ class ForwardRunner:
         self.decoder.forward([sinusoidal_step_embedding(t, STEP_DIM)], self.embeddings,
                              self.decoder.frame_starts)
         w, b = self.head
-        return _softmax_rows(self.embeddings @ w + b)
+        np.matmul(self.embeddings, w, out=self.logits)
+        self.logits += b
+        return _softmax_rows(self.logits)
 
 
 def mask_vector(

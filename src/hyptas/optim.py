@@ -73,7 +73,7 @@ class RiemannianAdam:
             raise NonFiniteLossError("non-finite prototype gradient")
         z = prototypes.points
         c = prototypes.curvature
-        scaling = (1.0 - c * np.sum(z * z, axis=1, keepdims=True)) ** 2 / 4.0
+        scaling = (1.0 - c * np.add.reduce(z * z, axis=1, keepdims=True)) ** 2 / 4.0
         self.step_count += 1
         update = _adam_update(self._m, self._v, euclidean_grad * scaling, self.step_count, self.lr)
         prototypes.points = project_rows(exp_map_rows(z, update, c), c)

@@ -183,7 +183,7 @@ def _group_step(model, prototypes, schedule, config, phase, videos, draws, grad)
     ts = [d.t for d in draws]
     emb, probs = bound.decode(y_t, masked, ts, rows)
     ball = bo.exp_map_origin_rows(emb, config.curvature)
-    copies = np.tile(prototypes.points, (len(videos), 1))
+    copies = np.concatenate([prototypes.points] * len(videos))
     trains_prototypes = PHASES[phase].trains_prototypes
     proto_tensor = tape.leaf(copies) if trains_prototypes else tape.const(copies)
     labels = np.concatenate([video.labels for video in videos])

@@ -101,7 +101,7 @@ def conv1d(x: Tensor, w: Tensor, dilation: int) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the class columns."""
-    out = _softmax_rows(a.value)
+    out = _softmax_rows(a.value.copy())
 
     def push(g):
         _accumulate(a, _softmax_grad(out, g))
