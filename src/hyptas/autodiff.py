@@ -40,11 +40,13 @@ seeds. Inference runs without a tape, in `model.ForwardRunner`.
 `finite_diff_check` is the independent gradient oracle used throughout the
 test suite: central differences against the tape's analytic gradients, with
 each perturbed point evaluated on a tape of its own. `stacked_finite_diff_check`
-(behind `hyptas check`) takes the same differences for a function of stacked
-copies: every perturbed point is one copy of a single pass over constants,
-so it returns `finite_diff_check`'s bits whenever each copy keeps the bits
-it has alone, as every training op and loss does. Both share one routine
-for the perturbed points, the difference quotients and the error.
+(behind `hyptas check`) takes the same differences at several points at
+once for a function of stacked copies: one recorded tape holds every point
+as a copy, and every perturbed point of every point is one copy of a single
+pass over constants, so it returns the max of `finite_diff_check`'s bits
+whenever each copy keeps the bits it has alone, as every training op and
+loss does. Both share the perturbed copies (one stack per input), the
+analytic gradient and the error.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ class Tensor:
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Tape:
@@ -185,14 +184,21 @@ def add(a: Tensor, b: Tensor | float) -> Tensor:
     return tape._register(av + bv, (a, b), push)
 
 
-def neg(a: Tensor) -> Tensor:
-    def push(g):
-        _accumulate(a, -g)
-    return a.tape._register(-a.value, (a,), push)
-
-
 def sub(a: Tensor, b: Tensor | float) -> Tensor:
-    return add(a, -b)
+    """Elementwise difference with a tensor of a's shape or a float: one
+    node, with the bits of a + (-b), since IEEE defines a - b as that sum."""
+    if not isinstance(b, Tensor):
+        return add(a, -b)
+    tape = _same_tape(a, b)
+    av, bv = a.value, b.value
+    if av.shape != bv.shape:
+        raise ShapeError(f"sub: unsupported shapes {av.shape} - {bv.shape}")
+
+    def push(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
+
+    return tape._register(av - bv, (a, b), push)
 
 
 def mul(a: Tensor, b: float | np.ndarray) -> Tensor:
@@ -364,42 +370,48 @@ def pick_rows(a: Tensor, index: np.ndarray) -> Tensor:
 FD_STEP = 1e-5  # the central differences' step, in every input coordinate
 
 
-def _perturbed(point: list[np.ndarray]):
-    """The 2N perturbed points of `point` in order: for each coordinate k (the
-    inputs in order, each flattened), the point with k moved by +FD_STEP, then
-    by -FD_STEP. Only the moved input is copied."""
-    for pi, p in enumerate(point):
+def _perturbed(point: list[np.ndarray]) -> list[np.ndarray]:
+    """The 2N perturbed points of `point`, as one (2N, *shape) stack of copies
+    per input: for each coordinate k (the inputs in order, each flattened),
+    copy 2k moves k by +FD_STEP and copy 2k + 1 by -FD_STEP, and every other
+    copy holds the input unmoved."""
+    n = sum(p.size for p in point)
+    stacks, offset = [], 0
+    for p in point:
         flat = p.reshape(-1)
-        for ci in range(flat.size):
-            for delta in (FD_STEP, -FD_STEP):
-                moved = p.copy()
-                moved.reshape(-1)[ci] = flat[ci] + delta
-                yield point[:pi] + [moved] + point[pi + 1:]
+        copies = np.repeat(flat[None, :], 2 * n, axis=0)
+        k = np.arange(flat.size)
+        copies[2 * (offset + k), k] = flat + FD_STEP
+        copies[2 * (offset + k) + 1, k] = flat - FD_STEP
+        stacks.append(copies.reshape((2 * n,) + p.shape))
+        offset += flat.size
+    return stacks
 
 
-def _central_differences(base, point, values_at) -> float:
-    """Max over all coordinates of |analytic - central difference| / max(1, |analytic|).
-
-    `base(tape, leaves)` builds the scalar whose recorded tape gives the
-    analytic gradient at `point`; `values_at(points)` returns the function's
-    value at each of the `_perturbed` points, in their order.
-    """
-    point = [np.asarray(p, dtype=np.float64) for p in point]
-
+def _analytic(f, base: list[np.ndarray], count: int) -> np.ndarray:
+    """(count, N): the gradient of the scalar `f` builds from leaves at
+    `base`, whose inputs stack `count` points along axis 0 (one point:
+    the inputs themselves); row p holds point p's coordinates in order."""
     tape = Tape()
-    leaves = [tape.leaf(p) for p in point]
-    out = base(tape, leaves)
+    leaves = [tape.leaf(b) for b in base]
+    out = f(tape, leaves)
     if not math.isfinite(float(out.value)):
         raise AutodiffError("function evaluated non-finite at the base point")
     grads = tape.backward(out)
-    analytic = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves])
+    return np.concatenate([grads[leaf].reshape(count, -1) for leaf in leaves], axis=1)
 
-    values = np.asarray(values_at(_perturbed(point)), dtype=np.float64)
+
+def _max_relative_error(analytic: np.ndarray, values) -> float:
+    """Max over all points and coordinates of |analytic - central difference|
+    / max(1, |analytic|), from the values at every point's `_perturbed` copies,
+    point after point."""
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != (2 * analytic.size,):
         raise AutodiffError(f"{values.shape} values for {2 * analytic.size} perturbed points")
     if not np.all(np.isfinite(values)):
         raise AutodiffError("function evaluated non-finite at a perturbed point")
-    fd = (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
+    values = values.reshape(analytic.shape[0], -1)
+    fd = (values[:, 0::2] - values[:, 1::2]) / (2.0 * FD_STEP)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic)), initial=0.0))
 
 
@@ -413,31 +425,36 @@ def finite_diff_check(
     leaves at the base point, then, 2 * total_coordinates times, constants at
     the perturbed points, on a tape that records nothing.
     """
-    def values_at(points):
-        out = []
-        for arrays in points:
-            t = Tape()
-            out.append(float(f(t, [t.const(a) for a in arrays]).value))
-        return out
-
-    return _central_differences(f, point, values_at)
+    point = [np.asarray(p, dtype=np.float64) for p in point]
+    analytic = _analytic(f, point, 1)
+    stacks = _perturbed(point)
+    values = []
+    for k in range(stacks[0].shape[0]):
+        t = Tape()
+        values.append(float(f(t, [t.const(s[k]) for s in stacks]).value))
+    return _max_relative_error(analytic, values)
 
 
 def stacked_finite_diff_check(
     f: Callable[[Tape, list[Tensor]], Tensor],
-    point: Sequence[np.ndarray],
+    points: Sequence[Sequence[np.ndarray]],
 ) -> float:
-    """`finite_diff_check` of `total(f)` for an `f` that takes stacked copies.
+    """The max of `finite_diff_check` of `total(f)` over `points`, for an `f`
+    that takes stacked copies.
 
     `f` takes each input as V copies stacked along axis 0 and returns the
-    (V,) tensor of the copies' values. The analytic gradient comes from one
-    recorded tape at the base point (V = 1), and the 2N perturbed points from
-    one pass over constants that stacks them (V = 2N): copy 2k moves
-    coordinate k by +FD_STEP and copy 2k + 1 by -FD_STEP. Where each copy's value
-    has the bits it has alone, the result equals `finite_diff_check`'s.
+    (V,) tensor of the copies' values. The analytic gradients come from one
+    recorded tape over the points stacked as copies (V = P), and the 2N
+    perturbed copies of every point from one pass over constants that stacks
+    them point after point (V = 2NP): within a point's block, copy 2k moves
+    coordinate k by +FD_STEP and copy 2k + 1 by -FD_STEP. Where each copy's
+    value and gradient have the bits they have alone, the result equals the
+    max of `finite_diff_check`'s.
     """
-    def values_at(points):
-        t = Tape()
-        return f(t, [t.const(np.concatenate(copies)) for copies in zip(*points)]).value
-
-    return _central_differences(lambda tape, leaves: total(f(tape, leaves)), point, values_at)
+    points = [[np.asarray(p, dtype=np.float64) for p in point] for point in points]
+    base = [np.concatenate(inputs) for inputs in zip(*points)]
+    analytic = _analytic(lambda tape, leaves: total(f(tape, leaves)), base, len(points))
+    per_input = zip(*(_perturbed(point) for point in points))
+    t = Tape()
+    consts = [t.const(np.concatenate(s).reshape((-1,) + b.shape[1:])) for s, b in zip(per_input, base)]
+    return _max_relative_error(analytic, f(t, consts).value)

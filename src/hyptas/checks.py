@@ -7,22 +7,27 @@ detail. The geometry suites run the `ballops` formulas:
 the loss ops that training runs, forward on constants that no tape
 records, and, for the round trip, the numpy kernels of the Riemannian Adam
 retraction. The gradient suite checks the phase totals that training
-builds against central differences; each surface takes its inputs as
-stacked copies, so all perturbed points of a surface are one pass of
-`phase_loss` over 2N five-frame videos (`autodiff.stacked_finite_diff_check`).
-The surfaces take the class-probability rows as their leaf, as the decoder
+builds against central differences, on ten random configurations. A
+phase's surface takes its inputs as stacked copies, one block of copies per
+configuration, so one recorded tape gives the analytic gradients of all
+ten, and all their perturbed points are one pass of `phase_loss` over
+10 x 2N five-frame videos (`autodiff.stacked_finite_diff_check`). The
+surfaces take the class-probability rows as their leaf, as the decoder
 head's node hands them to cross-entropy in training.
 The metric suite draws all its pairs first, then scores each once on each
-side: a one-pair `evaluate_videos` report against a frame loop, one
-Levenshtein table per pair over the label runs (all tables filled together
-in numpy) and frame-index sets with one IoU table per pair. The references
-share no code with `hyptas.metrics`. Two worked pairs pin what random pairs
-rarely decide: the strict IoU threshold and the tie rule.
+side: a one-pair `evaluate_videos` report against a count of equal frames,
+one Levenshtein table per pair over the label runs (all tables filled
+together in numpy) and frame-index sets, held as bitmasks, with one IoU
+table per pair. The references share no code with `hyptas.metrics`. Two
+worked pairs pin what random pairs rarely decide: the strict IoU threshold
+and the tie rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -117,7 +122,10 @@ def geometry_cone_axis(seed: int = 3) -> CheckResult:
 # Gradients
 # ---------------------------------------------------------------------------
 
-def _composite_surfaces(rng):
+def _composite_configuration(rng):
+    """One configuration's frame labels and leaves (embeddings, prototype
+    tangents, class-probability rows), redrawn until no hinge, angle or
+    margin kink lies within 1e-3 of it."""
     frames, classes, dim = 5, 4, 3
     for _ in range(200):
         emb = _rows(rng, frames, dim, 0.1, 0.85)
@@ -135,33 +143,38 @@ def _composite_surfaces(rng):
         if np.any(np.abs(evaluate(bo.distance_rows, protos[i], protos[j], 1.0) - 2.0) < 1e-3):
             continue
         break
+    return labels, [emb, proto_tan, probs]
+
+
+def _phase_surface(phase, labels):
+    """The phase total of stacked copies of the configurations whose frame
+    labels are the rows of `labels`: the copies come in one equal block per
+    configuration, in order, and take that configuration's labels."""
     config = RunConfig()  # default weights and geometry, T = 1000
-    y = np.eye(classes)[labels]
+    frames = labels.shape[1]
 
-    def surface(phase):
-        def f(tape, leaves):
-            e, p, pr = leaves
-            copies = e.value.shape[0] // frames
-            rows = (frames,) * copies
-            ball_t = bo.exp_map_origin_rows(e, 1.0)
-            protos_t = bo.exp_map_origin_rows(p, 1.0)
-            ce = cross_entropy(pr, np.tile(y, (copies, 1)), rows)
-            total, _ = phase_loss(phase, config, ce, ball_t, protos_t, np.tile(labels, copies),
-                                  [300] * copies, True, rows)
-            return total
+    def f(tape, leaves):
+        e, p, pr = leaves
+        copies = e.value.shape[0] // frames
+        rows = (frames,) * copies
+        copy_labels = np.repeat(labels, copies // len(labels), axis=0).reshape(-1)
+        ball_t = bo.exp_map_origin_rows(e, 1.0)
+        protos_t = bo.exp_map_origin_rows(p, 1.0)
+        ce = cross_entropy(pr, np.eye(pr.value.shape[1])[copy_labels], rows)
+        total, _ = phase_loss(phase, config, ce, ball_t, protos_t, copy_labels,
+                              [300] * copies, True, rows)
+        return total
 
-        return f
-
-    return [surface("stabilization"), surface("guidance")], [emb, proto_tan, probs]
+    return f
 
 
 def gradient_composites(seed: int = 4) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        surfaces, leaves = _composite_surfaces(rng)
-        for f in surfaces:
-            worst = max(worst, stacked_finite_diff_check(f, leaves))
+    configurations = [_composite_configuration(rng) for _ in range(10)]
+    labels = np.array([lab for lab, _ in configurations])
+    points = [leaves for _, leaves in configurations]
+    worst = max(stacked_finite_diff_check(_phase_surface(phase, labels), points)
+                for phase in ("stabilization", "guidance"))
     return CheckResult(
         "gradients.phase_composites", worst < 1e-4,
         f"max relative error vs central differences {worst:.3g} "
@@ -197,57 +210,67 @@ def sampler_oracle_recovery(seed: int = 5) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _ref_accuracy(pred, gt):
-    hits = sum(1 for p, g in zip(pred, gt) if p == g)
-    return 100.0 * hits / len(pred)
+    return 100.0 * sum(map(operator.eq, pred, gt)) / len(pred)
 
 
 def _ref_runs(seq):
-    return [v for i, v in enumerate(seq) if i == 0 or v != seq[i - 1]]
+    return [v for v, _ in itertools.groupby(seq)]
 
 
 def _ref_edits(pairs):
     """Edit score of every (pred, gt) pair from one Levenshtein table per pair
     over the label runs. All tables advance a row at a time together: a row
     takes the diagonal and the deletion from the row above, then the
-    insertions by a running minimum of D[i, k] + (j - k) over k <= j."""
+    insertions by a running minimum of D[i, k] + (j - k) over k <= j. The
+    tables are held longest prediction first, so the ones still open at row
+    i are a leading block, and only that block advances."""
     a_runs = [_ref_runs(pred) for pred, _ in pairs]
     b_runs = [_ref_runs(gt) for _, gt in pairs]
-    a_len = np.array([len(a) for a in a_runs])
-    b_len = np.array([len(b) for b in b_runs])
-    a = np.full((len(pairs), a_len.max()), -1)  # padding past a run's end is never read
+    order = sorted(range(len(pairs)), key=lambda k: -len(a_runs[k]))
+    a_len = np.array([len(a_runs[k]) for k in order])
+    b_len = np.array([len(b_runs[k]) for k in order])
+    a = np.full((len(pairs), a_len[0]), -1)  # padding past a run's end is never read
     b = np.full((len(pairs), b_len.max()), -1)
-    for k, (ra, rb) in enumerate(zip(a_runs, b_runs)):
-        a[k, :len(ra)] = ra
-        b[k, :len(rb)] = rb
+    for r, k in enumerate(order):
+        a[r, :a_len[r]] = a_runs[k]
+        b[r, :b_len[r]] = b_runs[k]
+    open_at = np.searchsorted(-a_len, -np.arange(1, a.shape[1] + 1), side="right")
     cols = np.arange(b.shape[1] + 1)
     row = np.tile(cols, (len(pairs), 1))  # D[0, j] = j
     dist = np.zeros(len(pairs), dtype=np.int64)
-    for i in range(1, a.shape[1] + 1):
-        step = np.empty_like(row)
+    for i, m in enumerate(open_at.tolist(), start=1):
+        step = np.empty_like(row[:m])
         step[:, 0] = i
-        step[:, 1:] = np.minimum(row[:, :-1] + (a[:, i - 1:i] != b), row[:, 1:] + 1)
+        step[:, 1:] = np.minimum(row[:m, :-1] + (a[:m, i - 1:i] != b[:m]), row[:m, 1:] + 1)
         row = np.minimum.accumulate(step - cols, axis=1) + cols
-        done = a_len == i
+        done = (a_len[:m] == i).nonzero()[0]
         dist[done] = row[done, b_len[done]]
-    return [100.0 * (1.0 - d / max(la, lb))
-            for d, la, lb in zip(dist.tolist(), a_len.tolist(), b_len.tolist())]
+    scores = [0.0] * len(pairs)
+    for k, d, la, lb in zip(order, dist.tolist(), a_len.tolist(), b_len.tolist()):
+        scores[k] = 100.0 * (1.0 - d / max(la, lb))
+    return scores
+
+
+def _ref_frame_sets(seq):
+    """Each label run of `seq` with its frame-index set as a bitmask: bit i
+    set for frame i."""
+    segs, start = [], 0
+    for label, run in itertools.groupby(seq):
+        stop = start + len(list(run))
+        segs.append((label, (1 << stop) - (1 << start)))
+        start = stop
+    return segs
 
 
 def _ref_match_counts(pred, gt, taus):
     """(TP, FP, FN) at each threshold, by the greedy rule over frame-index sets
     and one IoU table per pair."""
-    def frame_segments(seq):
-        segs, start = [], 0
-        for i in range(1, len(seq)):
-            if seq[i] != seq[start]:
-                segs.append((seq[start], frozenset(range(start, i))))
-                start = i
-        segs.append((seq[start], frozenset(range(start, len(seq)))))
-        return segs
-
-    p_segs, g_segs = frame_segments(pred), frame_segments(gt)
-    table = [[(idx, len(frames & g_frames) / len(frames | g_frames))
-              for idx, (g_label, g_frames) in enumerate(g_segs) if g_label == label]
+    p_segs, g_segs = _ref_frame_sets(pred), _ref_frame_sets(gt)
+    g_by_label = {}
+    for idx, (label, frames) in enumerate(g_segs):
+        g_by_label.setdefault(label, []).append((idx, frames))
+    table = [[(idx, (frames & g_frames).bit_count() / (frames | g_frames).bit_count())
+              for idx, g_frames in g_by_label.get(label, ())]
              for label, frames in p_segs]
     counts = []
     for tau in taus:
@@ -290,14 +313,15 @@ def metrics_reference_agreement(seed: int = 6) -> CheckResult:
     lists = [(pred.tolist(), gt.tolist()) for pred, gt in drawn]
     ref_edits = _ref_edits(lists)
     taus = (0.10, 0.25, 0.50)
+    keys = [f"F1@{round(tau * 100)}" for tau in taus]
     for k, ((pred, gt), (p_list, g_list)) in enumerate(zip(drawn, lists)):
         report = evaluate_videos([(pred, gt)])
         if report["Acc"] != _ref_accuracy(p_list, g_list):
             return CheckResult("metrics.reference_agreement", False, f"accuracy mismatch on pair {k}")
         if abs(report["Edit"] - ref_edits[k]) > 1e-12:
             return CheckResult("metrics.reference_agreement", False, f"edit mismatch on pair {k}")
-        for tau, counts in zip(taus, _ref_match_counts(p_list, g_list, taus)):
-            if abs(report[f"F1@{round(tau * 100)}"] - _ref_f1(*counts)) > 1e-12:
+        for tau, key, counts in zip(taus, keys, _ref_match_counts(p_list, g_list, taus)):
+            if abs(report[key] - _ref_f1(*counts)) > 1e-12:
                 return CheckResult(
                     "metrics.reference_agreement", False, f"F1@{tau} mismatch on pair {k}"
                 )

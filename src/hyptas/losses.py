@@ -20,7 +20,6 @@ the bits of the primitive compositions they replaced.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -123,8 +122,9 @@ def temporal_entailment(x: Tensor, cone_k: float, c: float, rows: Sequence[int])
             raise ShapeError(f"temporal entailment packs only videos of >= 2 frames, got {rows}")
         logger.warning("temporal entailment needs >= 2 frames, got %d; returning 0", rows[0])
         return x.tape.const(np.zeros((1,)))
-    stops = itertools.accumulate(rows)
-    first = np.concatenate([np.arange(stop - n, stop - 1) for n, stop in zip(rows, stops)])
+    heads = np.ones(sum(rows), dtype=bool)
+    heads[np.cumsum(rows) - 1] = False  # a video's last frame heads no pair
+    first = heads.nonzero()[0]
     sqrt_c = math.sqrt(c)
     head = td.mul(td.pick_rows(x, first), sqrt_c)
     tail = td.mul(td.pick_rows(x, first + 1), sqrt_c)

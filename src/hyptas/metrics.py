@@ -34,7 +34,7 @@ def segments_from_labels(labels: Sequence[int]) -> list[Segment]:
     if labels.ndim != 1 or labels.size == 0:
         raise ShapeError("need a nonempty 1-D label sequence")
     values = labels.tolist()
-    starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+    starts = [0, *((labels[1:] != labels[:-1]).nonzero()[0] + 1).tolist()]
     ends = [s - 1 for s in starts[1:]] + [labels.size - 1]
     return [Segment(values[s], s, e) for s, e in zip(starts, ends)]
 
@@ -149,7 +149,7 @@ def evaluate_videos(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> dic
     pooled = [[0, 0, 0] for _ in OVERLAP_THRESHOLDS]
     for pred, gt in pairs:
         pred, gt = _check_pair(pred, gt)
-        correct += int(np.sum(pred == gt))
+        correct += np.count_nonzero(pred == gt)
         frames += pred.size
         p_segs, g_segs = segments_from_labels(pred), segments_from_labels(gt)
         edit_sum += _edit(p_segs, g_segs)

@@ -169,7 +169,7 @@ def mobius_add_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
 def distance_rows(x: Tensor, y: Tensor, c: float) -> Tensor:
     """Row-wise geodesic distance -> (N, 1); exactly 0 for equal rows."""
     sqrt_c = math.sqrt(c)
-    w = mobius_add_rows(td.neg(x), y, c)
+    w = mobius_add_rows(td.mul(x, -1.0), y, c)  # -x, and -g to x, exactly
     arg = td.clamp(td.mul(row_norm(w, floor=0.0), sqrt_c), hi=ARTANH_ARG_MAX)
     return td.mul(artanh(arg), 2.0 / sqrt_c)
 

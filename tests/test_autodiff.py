@@ -379,6 +379,31 @@ class TestScalarOperands:
         assert grads[x].tobytes() == grad(g).tobytes()
 
 
+class TestTensorSubtraction:
+    def test_one_node_with_the_bytes_of_adding_the_negation(self):
+        # b * -1.0 is -b exactly, and its gradient g * -1.0 is -g.
+        rng = np.random.default_rng(8)
+        av, bv, g = (rng.normal(size=(4, 3)) for _ in range(3))
+        results = []
+        for form in (td.sub, lambda a, b: td.add(a, td.mul(b, -1.0))):
+            tape = Tape()
+            a, b = tape.leaf(av), tape.leaf(bv)
+            out = form(a, b)
+            nodes = len(tape.nodes)
+            grads = tape.backward(td.total(td.mul(out, g)))
+            results.append((nodes, out.value.tobytes(), grads[a].tobytes(), grads[b].tobytes()))
+        assert results[0][0] == 3 and results[1][0] == 4
+        assert results[0][1:] == results[1][1:]
+
+    def test_a_constant_operand_gets_no_gradient(self):
+        tape = Tape()
+        a, b = tape.leaf(np.array([1.0, 2.0])), tape.const(np.array([0.5, 4.0]))
+        out = td.sub(a, b)
+        assert tape.nodes == [a, out]
+        grads = tape.backward(td.total(out))
+        assert grads[a].tolist() == [1.0, 1.0] and b.grad is None
+
+
 class TestSingleUseTape:
     def test_backward_drops_the_record(self):
         tape = Tape()
